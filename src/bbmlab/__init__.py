@@ -29,6 +29,7 @@ from .flow import (
     free_evolution,
     galerkin_defect,
     integrate,
+    integrate_batch,
     invariants_of,
     nonlinear_part,
     rhs,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, free_evolution, integrate
+from .flow import FlowConfig, FlowError, free_evolution, integrate_batch
 from .sampling import sobolev_ball_state, substream
 from .spectral import (
     GridSamples,
@@ -221,12 +221,11 @@ def smoothing_ratio(
     if t_span == 0.0:
         return 0.0
     best = 0.0
-    uu, vv = u0.padded(cfg.N), v0.padded(cfg.N)
-    u0p, v0p = uu, vv
+    u0p, v0p = u0.padded(cfg.N), v0.padded(cfg.N)
+    uu, vv = u0p, v0p
     dt_seg = t_span / n_time_samples
     for i in range(1, n_time_samples + 1):
-        uu = integrate(uu, dt_seg, cfg).final
-        vv = integrate(vv, dt_seg, cfg).final
+        uu, vv = integrate_batch((uu, vv), dt_seg, cfg)
         t = i * dt_seg
         nl_u = free_evolution(uu, -t) - u0p
         nl_v = free_evolution(vv, -t) - v0p
@@ -273,7 +272,8 @@ def flow_jacobian(
 
     Modes beyond active_modes are carried along unperturbed.  With
     check_step the Jacobian is recomputed at h/2 and a >10% disagreement
-    (noise floor or roughness) attaches a warning.
+    (noise floor or roughness) attaches a warning.  Every bumped state, for
+    both step sizes, is flowed in one batch.
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"finite-difference step h = {h} outside [1e-6, 1e-3]")
@@ -282,21 +282,20 @@ def flow_jacobian(
     if active_modes > cfg.N:
         raise ValueError("active_modes exceeds the truncation")
     u0 = u0.padded(cfg.N)
-
-    def jac(step_size: float) -> np.ndarray:
-        dim = 2 * active_modes
-        cols = []
-        for i in range(dim):
-            up = integrate(_bump(u0, i, active_modes, +step_size), t_span, cfg).final
-            dn = integrate(_bump(u0, i, active_modes, -step_size), t_span, cfg).final
-            cols.append(
-                (_pq_vector(up, active_modes) - _pq_vector(dn, active_modes)) / (2.0 * step_size)
-            )
-        return np.array(cols).T
-
-    jh = jac(h)
+    dim = 2 * active_modes
+    step_sizes = (h, 0.5 * h) if check_step else (h,)
+    bumped = [
+        _bump(u0, i, active_modes, sign * step_size)
+        for step_size in step_sizes
+        for i in range(dim)
+        for sign in (1.0, -1.0)
+    ]
+    finals = integrate_batch(bumped, t_span, cfg)
+    pq = np.array([_pq_vector(u, active_modes) for u in finals]).reshape(len(step_sizes), dim, 2, dim)
+    jacs = [(pq[j, :, 0] - pq[j, :, 1]).T / (2.0 * s) for j, s in enumerate(step_sizes)]
+    jh = jacs[0]
     if check_step:
-        jh2 = jac(0.5 * h)
+        jh2 = jacs[1]
         scale = max(float(np.max(np.abs(jh))), 1.0)
         if float(np.max(np.abs(jh - jh2))) > 0.10 * scale:
             warnings.warn(

@@ -17,6 +17,15 @@ Three integrators:
                         Gauss-Legendre collocation nodes, used to probe the
                         local contraction theory.
 
+All three share one stepping loop over (batch, 2N) arrays of coefficient
+rows [a_1..a_N, b_1..b_N]: the spectral kernels (``square_half``,
+``nonlinear``, ``rhs``, ``free``, ``znorm``) act on the last axis, with the
+FFTs taken along it.  ``integrate`` runs that loop on a single (2N,) row;
+``integrate_batch`` flows many independent states at once (rk4 and
+implicit midpoint; each midpoint row iterates to its own tolerance), which
+is how gradients, Jacobian columns and samples are evaluated.  A row that
+turns non-finite stops the loop with a ``FlowError``.
+
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
 rhs(cos x) = (1/2) sin x + (1/10) sin 2x.
@@ -100,16 +109,25 @@ class FlowResult:
 
 
 class _VecOps:
-    """Coefficient-vector workspace: y = [a_1..a_N, b_1..b_N], mean omitted."""
+    """Coefficient-row workspace on the last axis of (..., 2N) arrays.
 
-    def __init__(self, cfg: FlowConfig):
-        n = cfg.N
+    A row is y = [a_1..a_N, b_1..b_N] (mean omitted); every operation acts
+    row by row, so a (batch, 2N) array flows a batch of independent states
+    and a 1-D row is the batch-free case.
+    """
+
+    def __init__(self, n: int, dealias_factor: float = 1.5, linear_only: bool = False):
         self.n = n
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
+        self.neg_phi = -self.phi
         self.zw = math.pi * (1.0 + k * k) / k
-        self.m_pad = max(int(math.ceil(2.0 * n * cfg.dealias_factor)), 3 * n + 1)
-        self.linear_only = cfg.linear_only
+        self.m_pad = max(int(math.ceil(2.0 * n * dealias_factor)), 3 * n + 1)
+        self.linear_only = linear_only
+
+    @classmethod
+    def of(cls, cfg: FlowConfig) -> "_VecOps":
+        return cls(cfg.N, cfg.dealias_factor, cfg.linear_only)
 
     def pack(self, state: TrigState) -> np.ndarray:
         return np.concatenate([state.a, state.b])
@@ -118,14 +136,14 @@ class _VecOps:
         return TrigState.mean_zero(y[: self.n], y[self.n:])
 
     def square_half(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Modes 1..N of u^2/2, dealiased exactly on the padded grid."""
+        """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid."""
         n, m = self.n, self.m_pad
-        spec = np.zeros(m // 2 + 1, dtype=complex)
-        spec[1:n + 1] = 0.5 * m * (y[:n] - 1j * y[n:])
-        vals = np.fft.irfft(spec, m)
-        prod = np.fft.rfft(vals * vals)
-        qa = prod[1:n + 1].real / m
-        qb = -prod[1:n + 1].imag / m
+        spec = np.zeros(y.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        spec[..., 1:n + 1] = 0.5 * m * (y[..., :n] - 1j * y[..., n:])
+        vals = np.fft.irfft(spec, m, axis=-1)
+        prod = np.fft.rfft(vals * vals, axis=-1)
+        qa = prod[..., 1:n + 1].real / m
+        qb = prod[..., 1:n + 1].imag / -m
         return qa, qb
 
     def nonlinear(self, y: np.ndarray) -> np.ndarray:
@@ -133,31 +151,39 @@ class _VecOps:
         if self.linear_only:
             return np.zeros_like(y)
         qa, qb = self.square_half(y)
-        return np.concatenate([-self.phi * qb, self.phi * qa])
+        return np.concatenate([self.neg_phi * qb, self.phi * qa], axis=-1)
 
     def rhs(self, y: np.ndarray) -> np.ndarray:
         n = self.n
         if self.linear_only:
-            wa, wb = y[:n], y[n:]
+            wa, wb = y[..., :n], y[..., n:]
         else:
             qa, qb = self.square_half(y)
-            wa = y[:n] + qa
-            wb = y[n:] + qb
-        return np.concatenate([-self.phi * wb, self.phi * wa])
+            wa = y[..., :n] + qa
+            wb = y[..., n:] + qb
+        return np.concatenate([self.neg_phi * wb, self.phi * wa], axis=-1)
 
-    def free(self, y: np.ndarray, t: float) -> np.ndarray:
+    def free(self, y: np.ndarray, t) -> np.ndarray:
+        """Free rotation by t; an array t of shape (..., 1) gives each row its own time."""
         n = self.n
         th = t * self.phi
         c, s = np.cos(th), np.sin(th)
-        a, b = y[:n], y[n:]
-        return np.concatenate([a * c - b * s, a * s + b * c])
+        a, b = y[..., :n], y[..., n:]
+        return np.concatenate([a * c - b * s, a * s + b * c], axis=-1)
 
-    def l2(self, y: np.ndarray) -> float:
-        return math.sqrt(math.pi * float(np.dot(y, y)))
+    def l2(self, y: np.ndarray) -> np.ndarray:
+        return np.sqrt(math.pi * np.sum(y * y, axis=-1))
 
-    def znorm(self, y: np.ndarray) -> float:
+    def znorm(self, y: np.ndarray) -> np.ndarray:
         n = self.n
-        return math.sqrt(float(np.sum(self.zw * (y[:n] ** 2 + y[n:] ** 2))))
+        return np.sqrt(np.sum(self.zw * (y[..., :n] ** 2 + y[..., n:] ** 2), axis=-1))
+
+
+def _padded(state: TrigState, cfg: FlowConfig, op: str) -> TrigState:
+    require_mean_zero(state, op)
+    if state.n_modes > cfg.N:
+        raise ValueError(f"state truncation {state.n_modes} exceeds config N = {cfg.N}")
+    return state.padded(cfg.N)
 
 
 def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
@@ -169,11 +195,9 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     coefficients of -(u + u^2/2); concretely rhs(cos x) =
     (1/2) sin x + (1/10) sin 2x.
     """
-    require_mean_zero(state, "rhs")
-    if state.n_modes > cfg.N:
-        raise ValueError(f"state truncation {state.n_modes} exceeds config N = {cfg.N}")
-    ops = _VecOps(cfg)
-    return ops.unpack(ops.rhs(ops.pack(state.padded(cfg.N))))
+    state = _padded(state, cfg, "rhs")
+    ops = _VecOps.of(cfg)
+    return ops.unpack(ops.rhs(ops.pack(state)))
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -183,9 +207,8 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     is preserved exactly, and d/dt at t = 0 matches the linear part of rhs.
     """
     require_mean_zero(state, "free_evolution")
-    th = t * dispersion_symbol(wavenumbers(state.n_modes))
-    c, s = np.cos(th), np.sin(th)
-    return TrigState.mean_zero(state.a * c - state.b * s, state.a * s + state.b * c)
+    ops = _VecOps(state.n_modes)
+    return ops.unpack(ops.free(ops.pack(state), t))
 
 
 def _rk4_step(ops: _VecOps, y: np.ndarray, dt: float) -> np.ndarray:
@@ -196,17 +219,25 @@ def _rk4_step(ops: _VecOps, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_idx: int) -> np.ndarray:
-    # Fixed point for the endpoint z: z = y + dt * f((y+z)/2), seeded by Euler.
+def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int) -> np.ndarray:
+    # Fixed point for each row's endpoint z: z = y + dt * f((y+z)/2), seeded
+    # by Euler.  A row stops once its own residual meets tol; a non-finite
+    # residual also stops it, and the stepping loop then reports the row.
+    shape = y.shape
+    y = y.reshape(-1, shape[-1])
     z = y + dt * ops.rhs(y)
+    active = np.arange(len(y))
     for _ in range(_MIDPOINT_MAX_ITER):
-        z_new = y + dt * ops.rhs(0.5 * (y + z))
-        delta = ops.znorm(z_new - z)
-        z = z_new
-        if delta <= tol:
-            return z
+        ya, za = y[active], z[active]
+        z_new = ya + dt * ops.rhs(0.5 * (ya + za))
+        delta = ops.znorm(z_new - za)
+        z[active] = z_new
+        active = active[delta > tol]
+        if not active.size:
+            return z.reshape(shape)
     raise FlowError(
-        f"implicit midpoint solver stalled at step {step_idx}: residual {delta:.3e} > tol {tol:.3e}"
+        f"implicit midpoint solver stalled at step {step_no}: "
+        f"residual {float(np.max(delta)):.3e} > tol {tol:.3e}"
     )
 
 
@@ -247,23 +278,21 @@ def _picard_subinterval(
     u(t) = e^{tL}(u0 + int_0^t e^{-sL} Q(u(s)) ds) with L the free rotation
     and Q the quadratic term.  The integral uses composite 8-node
     Gauss-Legendre collocation (panels of length <= _PICARD_PANEL_MAX);
-    iterates are represented by their values at all panel nodes.  Returns
-    the endpoint vector and the successive-iterate X^0 differences.
+    iterates are represented by their values at all panel nodes, one row
+    per node.  Returns the endpoint vector and the successive-iterate X^0
+    differences.
     """
     n_panels = max(1, math.ceil(abs(h) / _PICARD_PANEL_MAX))
     ph = h / n_panels
-    # Node times, panel by panel: tau[p, j] = p*ph + ph*x_j.
-    tau = ph * np.arange(n_panels)[:, None] + ph * _PNODES[None, :]
-    flat_tau = tau.ravel()
-    n_nodes = len(flat_tau)
-    ys = np.array([ops.free(y0, t) for t in flat_tau])
+    # Node times, panel by panel: tau[p, j] = p*ph + ph*x_j, one per row.
+    tau = (ph * np.arange(n_panels)[:, None] + ph * _PNODES[None, :]).reshape(-1, 1)
+    n_nodes = len(tau)
+    ys = ops.free(y0, tau)
     diffs: list[float] = []
     grew = 0
 
     def duhamel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = np.array(
-            [ops.free(ops.nonlinear(values[j]), -flat_tau[j]) for j in range(n_nodes)]
-        ).reshape(n_panels, len(_PNODES), -1)
+        v = ops.free(ops.nonlinear(values), -tau).reshape(n_panels, len(_PNODES), -1)
         panel_full = ph * np.einsum("j,pjd->pd", _PWEIGHTS, v)
         prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
         node_part = ph * np.einsum("ij,pjd->pid", _PINTEG, v)
@@ -272,10 +301,8 @@ def _picard_subinterval(
 
     for _ in range(max_iter):
         integrals, _total = duhamel(ys)
-        ys_new = np.array(
-            [ops.free(y0 + integrals[j], flat_tau[j]) for j in range(n_nodes)]
-        )
-        diff = max(ops.l2(ys_new[j] - ys[j]) for j in range(n_nodes))
+        ys_new = ops.free(y0 + integrals, tau)
+        diff = float(np.max(ops.l2(ys_new - ys)))
         if diffs and diff >= diffs[-1] and diff > tol:
             grew += 1
             if grew >= 2 or not math.isfinite(diff):
@@ -299,6 +326,42 @@ def _picard_subinterval(
     return y_end, diffs
 
 
+def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_every: int = 0,
+             record=None) -> tuple[np.ndarray, int, list]:
+    """The one stepping loop: flow the rows of y over [0, t_span].
+
+    y is a (batch, 2N) array, or a single (2N,) row, which spares the
+    batch axis's per-call overhead on long serial flows; Picard takes only
+    the single row.  Takes ceil(|t_span| / dt) equal steps.  Every
+    trace_every steps, and after the last, calls record(t, y).  Raises
+    FlowError naming the step and time (and the row, for a batch) as soon
+    as a row turns non-finite.  Returns the final rows, the step count and
+    the Picard X^0 differences per subinterval.
+    """
+    n_steps = max(1, math.ceil(abs(t_span) / cfg.dt))
+    dt = t_span / n_steps
+    picard_diffs = []
+    for i in range(n_steps):
+        if cfg.integrator == "rk4":
+            y = _rk4_step(ops, y, dt)
+        elif cfg.integrator == "implicit_midpoint":
+            y = _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1)
+        else:
+            y, diffs = _picard_subinterval(ops, y, dt, cfg.picard_tol, cfg.picard_max_iter, i * dt)
+            picard_diffs.append(tuple(diffs))
+        if not np.isfinite(y).all():
+            where = ""
+            if y.ndim > 1:
+                where = f" in row {int(np.flatnonzero(~np.isfinite(y).all(axis=-1))[0])}"
+            raise FlowError(
+                f"state became non-finite{where} at step {i + 1} of {n_steps} "
+                f"(t = {(i + 1) * dt:.6g})"
+            )
+        if trace_every and ((i + 1) % trace_every == 0 or i + 1 == n_steps):
+            record((i + 1) * dt, y)
+    return y, n_steps, picard_diffs
+
+
 def step(state: TrigState, cfg: FlowConfig) -> TrigState:
     """Advance one step of length cfg.dt."""
     return integrate(state, cfg.dt, cfg).final
@@ -309,44 +372,46 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
 
     The step count is ceil(|t_span| / dt) with the actual step shrunk to land
     exactly on the horizon.  With trace_every = k > 0 the invariants
-    (I1, I2, H) are recorded every k steps plus at both endpoints.
+    (I1, I2, H) are recorded every k steps plus at both endpoints.  Raises
+    FlowError when the solver fails or the state turns non-finite.
     """
-    require_mean_zero(state, "integrate")
-    if state.n_modes > cfg.N:
-        raise ValueError(f"state truncation {state.n_modes} exceeds config N = {cfg.N}")
-    state = state.padded(cfg.N)
+    state = _padded(state, cfg, "integrate")
     if t_span == 0.0:
         tr = ((0.0,) + invariants_of(state),) if trace_every else ()
         return FlowResult(final=state, trace=tuple(tr), steps=0)
 
-    ops = _VecOps(cfg)
-    n_steps = max(1, math.ceil(abs(t_span) / cfg.dt))
-    dt = t_span / n_steps
-    y = ops.pack(state)
+    ops = _VecOps.of(cfg)
+    trace = [(0.0,) + invariants_of(state)] if trace_every else []
 
-    trace = []
-    if trace_every:
-        trace.append((0.0,) + invariants_of(state))
-    picard_diffs = []
+    def record(t: float, row: np.ndarray) -> None:
+        trace.append((t,) + invariants_of(ops.unpack(row)))
 
-    for i in range(n_steps):
-        t0 = i * dt
-        if cfg.integrator == "rk4":
-            y = _rk4_step(ops, y, dt)
-        elif cfg.integrator == "implicit_midpoint":
-            y = _midpoint_step(ops, y, dt, cfg.midpoint_tol, i)
-        else:
-            y, diffs = _picard_subinterval(ops, y, dt, cfg.picard_tol, cfg.picard_max_iter, t0)
-            picard_diffs.append(tuple(diffs))
-        if trace_every and ((i + 1) % trace_every == 0 or i + 1 == n_steps):
-            trace.append(((i + 1) * dt,) + invariants_of(ops.unpack(y)))
-
+    y, n_steps, picard_diffs = _advance(ops, ops.pack(state), t_span, cfg, trace_every, record)
     return FlowResult(
         final=ops.unpack(y),
         trace=tuple(trace),
         steps=n_steps,
         picard_diffs=tuple(picard_diffs),
     )
+
+
+def integrate_batch(states, t_span: float, cfg: FlowConfig) -> tuple[TrigState, ...]:
+    """Flow independent states over [0, t_span] as one (batch, 2N) array.
+
+    Entry i of the result is integrate(states[i], t_span, cfg).final: bit for
+    bit under rk4, and to solver tolerance under implicit_midpoint, where
+    each row iterates until its own residual meets midpoint_tol.  The
+    Picard integrator solves one state at a time, so its states are flowed
+    in turn.
+    """
+    states = [_padded(u, cfg, "integrate_batch") for u in states]
+    if cfg.integrator == "picard":
+        return tuple(integrate(u, t_span, cfg).final for u in states)
+    if not states or t_span == 0.0:
+        return tuple(states)
+    ops = _VecOps.of(cfg)
+    y, _, _ = _advance(ops, np.array([ops.pack(u) for u in states]), t_span, cfg)
+    return tuple(ops.unpack(row) for row in y)
 
 
 def invariants_of(state: TrigState) -> tuple[float, float, float]:

@@ -7,6 +7,7 @@ round-trips are exact and repeated runs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict
 
@@ -31,19 +32,39 @@ def write_state_csv(path, state: TrigState) -> None:
 
 
 def read_state_csv(path) -> TrigState:
+    """Inverse of write_state_csv.
+
+    Rejects, naming the file and line, a row that does not parse or holds a
+    non-finite number, a negative or repeated k, and a nonzero b on the
+    k = 0 (mean) row.
+    """
     mean = 0.0
     pairs = {}
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("k,"):
                 continue
-            k_str, a_str, b_str = line.split(",")
-            k = int(k_str)
+            where = f"state file {path}, line {line_no}"
+            try:
+                k_str, a_str, b_str = line.split(",")
+                k, ak, bk = int(k_str), float(a_str), float(b_str)
+            except ValueError as exc:
+                raise ValueError(f"{where}: expected a row k,a_k,b_k, got {line!r}") from exc
+            if not (math.isfinite(ak) and math.isfinite(bk)):
+                raise ValueError(f"{where}: non-finite coefficient in {line!r}")
+            if k < 0:
+                raise ValueError(f"{where}: negative mode k = {k}")
+            if k in seen:
+                raise ValueError(f"{where}: duplicate row for mode k = {k}")
+            seen.add(k)
             if k == 0:
-                mean = float(a_str)
+                if bk != 0.0:
+                    raise ValueError(f"{where}: the k = 0 (mean) row must have b = 0, got {b_str}")
+                mean = ak
             else:
-                pairs[k] = (float(a_str), float(b_str))
+                pairs[k] = (ak, bk)
     if not pairs:
         raise ValueError(f"state file {path} holds no modes")
     n = max(pairs)

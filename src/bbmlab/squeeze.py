@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowConfig, integrate
+from .flow import FlowConfig, FlowError, integrate_batch
 from .sampling import substream, z_sphere_state
 from .spectral import (
     SymplecticCoords,
@@ -30,6 +30,10 @@ from .spectral import (
 log = logging.getLogger(__name__)
 
 _SCAN_TAG = 0x5CA7
+# Cap on the optimizer's active window: each gradient flows 4 states per pair.
+_MAX_ACTIVE_PAIRS = 16
+# Scan samples flowed per batch, which bounds the batch's memory.
+_SCAN_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -39,7 +43,8 @@ class SqueezeConfig:
     r is the ball radius in Z-norm units, n0 the cylinder mode, T the
     horizon.  center is the ball center (default 0); cyl_center the
     cylinder axis point in the (p_n0, q_n0) plane.  The optimizer works in
-    the first min(2 n0, 16) mode pairs.
+    the first min(2 n0, 16, N) mode pairs, a window that must contain n0,
+    so n0 <= 16.
     """
 
     r: float
@@ -64,12 +69,17 @@ class SqueezeConfig:
             raise ValueError("ball radius r must be positive")
         if not 1 <= self.n0 <= self.N:
             raise ValueError(f"cylinder mode n0 = {self.n0} outside 1..{self.N}")
+        if self.n0 > _MAX_ACTIVE_PAIRS:
+            raise ValueError(
+                f"cylinder mode n0 = {self.n0} lies outside the optimizer's active window: "
+                f"the witness search works in at most {_MAX_ACTIVE_PAIRS} mode pairs"
+            )
         if self.n_starts < 1:
             raise ValueError("need at least one start")
 
     @property
     def n_active(self) -> int:
-        return min(2 * self.n0, 16, self.N)
+        return min(2 * self.n0, _MAX_ACTIVE_PAIRS, self.N)
 
     def flow_config(self) -> FlowConfig:
         return FlowConfig(
@@ -140,6 +150,34 @@ def _sphere_coords(state: TrigState, center: TrigState, n_active: int) -> np.nda
     return np.concatenate([coords.p[:n_active], coords.q[:n_active]])
 
 
+def _reproject(x: np.ndarray, r: float) -> np.ndarray:
+    return (r / float(np.linalg.norm(x))) * x
+
+
+def _image_radii(points, cfg: SqueezeConfig, center: TrigState) -> np.ndarray:
+    """Cylinder radius of the time-T image of each sphere point, flowed as one batch.
+
+    Raises FlowError when any of the flows fails.
+    """
+    u0s = [_embed(x, center, cfg.n_active, cfg.N) for x in points]
+    finals = integrate_batch(u0s, cfg.T, cfg.flow_config())
+    return np.array([cylinder_radius(u, cfg.n0, cfg.cyl_center) for u in finals])
+
+
+def _fd_gradient(x: np.ndarray, cfg: SqueezeConfig, center: TrigState) -> np.ndarray:
+    """Central differences of the image radius in each active coordinate.
+
+    All 2 len(x) perturbed points are flowed as one batch.
+    """
+    points = []
+    for i in range(len(x)):
+        e = np.zeros(len(x))
+        e[i] = cfg.fd_step
+        points += [_reproject(x + e, cfg.r), _reproject(x - e, cfg.r)]
+    radii = _image_radii(points, cfg, center)
+    return (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
+
+
 def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     """Multistart projected gradient ascent of the image cylinder radius.
 
@@ -148,21 +186,20 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     differences in the active pair coordinates; every step reprojects to the
     sphere, so the per-start objective sequence is non-decreasing.  The pure
     mode-n0 state is always among the starts, which pins the report to at
-    least the rigid-rotation baseline.
+    least the rigid-rotation baseline.  A flow that fails counts as a
+    non-finite objective: the line search halves its step, and a start
+    whose seed or gradient fails is abandoned.
     """
     t_begin = time.perf_counter()
-    fcfg = cfg.flow_config()
     center = _center_state(cfg)
     na = cfg.n_active
     alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
 
     def objective(x: np.ndarray) -> float:
-        u0 = _embed(x, center, na, cfg.N)
-        final = integrate(u0, cfg.T, fcfg).final
-        return cylinder_radius(final, cfg.n0, cfg.cyl_center)
-
-    def reproject(x: np.ndarray) -> np.ndarray:
-        return (cfg.r / float(np.linalg.norm(x))) * x
+        try:
+            return float(_image_radii([x], cfg, center)[0])
+        except FlowError:
+            return float("nan")
 
     starts = []
     seed_x = np.zeros(2 * na)
@@ -175,7 +212,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     trajectories = []
     finals = []
     for start_id, x in enumerate(starts):
-        x = reproject(x)
+        x = _reproject(x, cfg.r)
         val = objective(x)
         if not math.isfinite(val):
             log.warning("start %d abandoned: non-finite objective at the seed", start_id)
@@ -184,14 +221,15 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
         traj = [(0, val)]
         alpha = alpha0
         gains: list[float] = []
+        abandoned = False
         for it in range(1, cfg.max_ascent_iters + 1):
-            grad = np.zeros(2 * na)
-            for i in range(2 * na):
-                e = np.zeros(2 * na)
-                e[i] = cfg.fd_step
-                grad[i] = (objective(reproject(x + e)) - objective(reproject(x - e))) / (
-                    2.0 * cfg.fd_step
-                )
+            try:
+                grad = _fd_gradient(x, cfg, center)
+            except FlowError as exc:
+                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
+                            start_id, it, exc)
+                abandoned = True
+                break
             xhat = x / float(np.linalg.norm(x))
             tang = grad - float(grad @ xhat) * xhat
             tnorm = float(np.linalg.norm(tang))
@@ -200,7 +238,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
             a = alpha
             accepted = False
             for _ in range(21):
-                cand = reproject(x + a * tang)
+                cand = _reproject(x + a * tang, cfg.r)
                 cand_val = objective(cand)
                 if not math.isfinite(cand_val):
                     a *= 0.5
@@ -218,10 +256,11 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
             if len(gains) >= 5 and sum(gains[-5:]) < cfg.stall_tol:
                 break
         trajectories.append(tuple(traj))
-        finals.append((val, start_id, x))
+        if not abandoned:
+            finals.append((val, start_id, x))
 
     if not finals:
-        raise RuntimeError("all starts abandoned (non-finite objectives)")
+        raise FlowError("all starts abandoned: every ascent start hit a failing flow")
 
     best_val = max(v for v, _, _ in finals)
     # Near-ties resolved toward the smoother witness (lower H^1 norm).
@@ -231,7 +270,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     ]
     witnesses.sort(key=lambda t: (-t[0], t[1], t[2]))
     _, _, _, best_x = witnesses[0]
-    best_witness = _embed(reproject(best_x), center, na, cfg.N)
+    best_witness = _embed(_reproject(best_x, cfg.r), center, na, cfg.N)
 
     return SqueezeReport(
         config=cfg,
@@ -246,15 +285,19 @@ def ball_image_scan(cfg: SqueezeConfig, n_samples: int) -> ScanReport:
     """Cylinder radii of the flowed images of uniform sphere samples.
 
     Shows how far random (non-optimized) data falls below the witness-search
-    supremum.
+    supremum.  Samples are flowed in batches of _SCAN_BATCH.
     """
     fcfg = cfg.flow_config()
     center = _center_state(cfg)
-    radii = np.empty(n_samples)
-    for i in range(n_samples):
-        u0 = center + sample_sphere(cfg.r, cfg.N, cfg.n_active, substream(cfg.seed, _SCAN_TAG, i))
-        final = integrate(u0, cfg.T, fcfg).final
-        radii[i] = cylinder_radius(final, cfg.n0, cfg.cyl_center)
+    u0s = [
+        center + sample_sphere(cfg.r, cfg.N, cfg.n_active, substream(cfg.seed, _SCAN_TAG, i))
+        for i in range(n_samples)
+    ]
+    radii = np.array([
+        cylinder_radius(u, cfg.n0, cfg.cyl_center)
+        for lo in range(0, n_samples, _SCAN_BATCH)
+        for u in integrate_batch(u0s[lo:lo + _SCAN_BATCH], cfg.T, fcfg)
+    ])
     levels = [round(0.1 * i, 1) for i in range(11)]
     quantiles = {lv: float(qv) for lv, qv in zip(levels, np.quantile(radii, levels))}
     return ScanReport(config=cfg, radii=radii, quantiles=quantiles)

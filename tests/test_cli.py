@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_state_csv
@@ -55,8 +56,59 @@ class TestStateCsv:
         assert lines[1] == "0,0.25,0"
         assert lines[2].startswith("1,1,")
 
+    def _rows(self, tmp_path, rows):
+        path = tmp_path / "state.csv"
+        path.write_text("k,a_k,b_k\n" + "".join(row + "\n" for row in rows))
+        return path
+
+    def test_negative_k_rejected(self, tmp_path):
+        path = self._rows(tmp_path, ["0,0,0", "1,0.5,0", "-1,0.25,0"])
+        with pytest.raises(ValueError, match=r"state\.csv, line 4: negative mode k = -1"):
+            read_state_csv(path)
+
+    def test_duplicate_k_rejected(self, tmp_path):
+        path = self._rows(tmp_path, ["0,0,0", "1,0.5,0", "2,0.1,0", "1,0.25,0"])
+        with pytest.raises(ValueError, match=r"state\.csv, line 5: duplicate row for mode k = 1"):
+            read_state_csv(path)
+
+    def test_mean_row_b_rejected(self, tmp_path):
+        path = self._rows(tmp_path, ["0,0.1,0.3", "1,0.5,0"])
+        with pytest.raises(ValueError, match=r"state\.csv, line 2: the k = 0 \(mean\) row must have b = 0"):
+            read_state_csv(path)
+
+    def test_non_finite_coefficient_rejected(self, tmp_path):
+        path = self._rows(tmp_path, ["0,0,0", "1,nan,0"])
+        with pytest.raises(ValueError, match=r"state\.csv, line 3: non-finite coefficient"):
+            read_state_csv(path)
+
+    def test_bad_state_file_exits_2(self, tmp_path, monkeypatch, capsys):
+        path = self._rows(tmp_path, ["0,0,0", "1,0.5,0", "-1,0.25,0"])
+        text = SIMULATE_T0.replace("preset = smooth", f"csv = {path}")
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert "line 4: negative mode" in capsys.readouterr().err
+
 
 class TestSimulate:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_blow_up_exits_1_naming_step(self, tmp_path, monkeypatch, capsys):
+        text = """
+[flow]
+N = 16
+dt = 2
+T = 50
+[state]
+preset = single_mode
+k = 1
+amplitude = 50
+"""
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "integration failed: state became non-finite at step" in err
+        assert "(t = " in err
+
     def test_zero_horizon_final_equals_initial(self, tmp_path, monkeypatch, capsys):
         code, outdir = run(tmp_path, monkeypatch, "simulate", SIMULATE_T0)
         assert code == 0
@@ -173,6 +225,18 @@ N = 8
         code, _ = run(tmp_path, monkeypatch, "squeeze", text)
         assert code == 2
         assert "n0" in capsys.readouterr().err
+
+    def test_mode_outside_active_window_exits_2(self, tmp_path, monkeypatch, capsys):
+        text = """
+[squeeze]
+r = 0.5
+n0 = 17
+T = 1.0
+N = 32
+"""
+        code, _ = run(tmp_path, monkeypatch, "squeeze", text)
+        assert code == 2
+        assert "at most 16 mode pairs" in capsys.readouterr().err
 
 
 class TestGalerkinAndOrbit:

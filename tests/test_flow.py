@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bbmlab import flow
 from bbmlab.flow import (
     FlowConfig,
     FlowError,
     free_evolution,
     galerkin_defect,
     integrate,
+    integrate_batch,
     invariants_of,
     nonlinear_part,
     rhs,
@@ -159,7 +162,120 @@ class TestIntegrate:
         print(f"\nuniform bound shadow: R'({radius}, {horizon}) = {worst:.4f} over 200 draws")
 
 
+class TestIntegrateBatch:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_modes=st.integers(1, 40),
+        batch=st.integers(1, 8),
+        dt=st.floats(0.02, 0.3),
+        t_span=st.floats(-1.0, 1.0),
+        linear_only=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_rows_match_integrate(self, n_modes, batch, dt, t_span, linear_only, seed):
+        states = [
+            sobolev_ball_state(substream(seed, "batch", i), n_modes, 0.5, 0.5) for i in range(batch)
+        ]
+        for integ in ("rk4", "implicit_midpoint"):
+            cfg = FlowConfig(N=n_modes, dt=dt, integrator=integ, linear_only=linear_only)
+            rows = integrate_batch(states, t_span, cfg)
+            assert len(rows) == batch
+            for u0, row in zip(states, rows):
+                single = integrate(u0, t_span, cfg).final
+                if integ == "rk4":
+                    assert np.array_equal(row.a, single.a) and np.array_equal(row.b, single.b)
+                else:
+                    assert np.max(np.abs(row.a - single.a)) <= 1e-12
+                    assert np.max(np.abs(row.b - single.b)) <= 1e-12
+
+    def test_pads_and_validates(self):
+        cfg = FlowConfig(N=8, dt=1e-2)
+        rows = integrate_batch([random_state(1, 4), random_state(2, 8)], 0.1, cfg)
+        assert [u.n_modes for u in rows] == [8, 8]
+        assert integrate_batch([], 0.1, cfg) == ()
+        with pytest.raises(ValueError, match="truncation"):
+            integrate_batch([random_state(1, 16)], 0.1, cfg)
+        with pytest.raises(ValueError, match="mean-zero"):
+            integrate_batch([TrigState(0.5, [1.0], [0.0])], 0.1, cfg)
+
+    def test_picard_states_flow_in_turn(self):
+        cfg = FlowConfig(N=8, dt=0.5, integrator="picard")
+        states = [random_state(i, 8, radius=0.3) for i in range(2)]
+        rows = integrate_batch(states, 0.5, cfg)
+        for u0, row in zip(states, rows):
+            assert np.array_equal(row.a, integrate(u0, 0.5, cfg).final.a)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+class TestBlowUp:
+    # The blow-up reproduced from the CLI: N = 16, dt = 2, T = 50, cos x at amplitude 50.
+    BIG = TrigState.single_mode(1, 16, a_k=50.0)
+    CFG = FlowConfig(N=16, dt=2.0)
+
+    def test_integrate_names_step_and_time(self):
+        with pytest.raises(FlowError, match=r"non-finite at step \d+ of 25 \(t = [\d.]+\)"):
+            integrate(self.BIG, 50.0, self.CFG)
+
+    def test_batch_names_row(self):
+        small = TrigState.single_mode(1, 16, a_k=0.1)
+        with pytest.raises(FlowError, match=r"non-finite in row 1 at step \d+"):
+            integrate_batch([small, self.BIG, small], 50.0, self.CFG)
+
+    def test_midpoint_blow_up_is_a_flow_error(self):
+        cfg = FlowConfig(N=16, dt=2.0, integrator="implicit_midpoint")
+        with pytest.raises(FlowError, match="step"):
+            integrate(self.BIG, 50.0, cfg)
+
+
+def _serial_picard(ops, y0, h, tol, max_iter):
+    """Per-node list-comprehension form of the Duhamel fixed point (the reference)."""
+    n_panels = max(1, math.ceil(abs(h) / flow._PICARD_PANEL_MAX))
+    ph = h / n_panels
+    flat_tau = (ph * np.arange(n_panels)[:, None] + ph * flow._PNODES[None, :]).ravel()
+    n_nodes = len(flat_tau)
+    ys = np.array([ops.free(y0, t) for t in flat_tau])
+    diffs = []
+
+    def duhamel(values):
+        v = np.array(
+            [ops.free(ops.nonlinear(values[j]), -flat_tau[j]) for j in range(n_nodes)]
+        ).reshape(n_panels, len(flow._PNODES), -1)
+        panel_full = ph * np.einsum("j,pjd->pd", flow._PWEIGHTS, v)
+        prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
+        node_part = ph * np.einsum("ij,pjd->pid", flow._PINTEG, v)
+        return (prefix[:-1, None, :] + node_part).reshape(n_nodes, -1), prefix[-1]
+
+    for _ in range(max_iter):
+        integrals, _ = duhamel(ys)
+        ys_new = np.array([ops.free(y0 + integrals[j], flat_tau[j]) for j in range(n_nodes)])
+        diff = max(math.sqrt(math.pi * float(np.dot(d, d))) for d in ys_new - ys)
+        diffs.append(diff)
+        ys = ys_new
+        if diff < tol:
+            break
+    _, total = duhamel(ys)
+    return ops.free(y0 + total, h), diffs
+
+
 class TestPicard:
+    # The bilinear constant C_hat that acceptance criterion 10 measures (seed 0).
+    C_HAT = 0.0945
+
+    def test_vectorised_nodes_match_serial_form(self):
+        # The criterion-10 states and subinterval lengths 1 / (4 C_hat rho).
+        for i in range(50):
+            rho = float(substream(42, "c10", i).uniform(0.1, 2.0))
+            u0 = sobolev_ball_state(substream(42, "c10u", i), 32, 0.5, rho)
+            h = 1.0 / (4.0 * self.C_HAT * rho)
+            cfg = FlowConfig(N=32, dt=h, integrator="picard", picard_max_iter=200)
+            res = integrate(u0, h, cfg)
+            ops = flow._VecOps.of(cfg)
+            y_end, diffs = _serial_picard(ops, ops.pack(u0), h, cfg.picard_tol, 200)
+            assert np.max(np.abs(ops.pack(res.final) - y_end)) <= 1e-12
+            assert len(res.picard_diffs[0]) == len(diffs)
+            assert np.max(np.abs(np.array(res.picard_diffs[0]) - diffs)) <= 1e-12
+
     def test_non_contraction_error_names_subinterval(self):
         u0 = 80.0 * random_state(7, 16)
         cfg = FlowConfig(N=16, dt=1.0, integrator="picard", picard_max_iter=30)

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from bbmlab.flow import integrate
 from bbmlab.sampling import substream
 from bbmlab.spectral import (
     TrigState,
@@ -15,6 +17,10 @@ from bbmlab.spectral import (
 )
 from bbmlab.squeeze import (
     SqueezeConfig,
+    _center_state,
+    _embed,
+    _fd_gradient,
+    _sphere_coords,
     ball_image_scan,
     cylinder_radius,
     maximize_image_radius,
@@ -119,6 +125,10 @@ class TestMaximize:
         # With the identity flow, the seed start attains exactly r on mode n0.
         assert abs(cylinder_radius(rep.best_witness, 2) - 0.5) < 1e-9
 
+    def test_seed_start_at_the_window_edge(self):
+        rep = maximize_image_radius(small_config(T=0.0, n0=16, max_ascent_iters=1))
+        assert abs(cylinder_radius(rep.best_witness, 16) - 0.5) < 1e-9
+
     def test_nonzero_centers_linear_flow(self):
         center = 0.3 * unit_cos_mode(1, 16)
         rep = maximize_image_radius(
@@ -134,6 +144,56 @@ class TestMaximize:
             SqueezeConfig(r=0.5, n0=9, T=1.0, N=8)
         with pytest.raises(ValueError, match="radius"):
             SqueezeConfig(r=0.0, n0=1, T=1.0, N=8)
+
+    @pytest.mark.parametrize("n0, n_modes", [(17, 32), (33, 40)])
+    def test_mode_outside_active_window_rejected(self, n0, n_modes):
+        # The active window min(2 n0, 16, N) would leave n0 out: the seed
+        # start used to land on another mode (n0 = 17) or index past the
+        # window (n0 = 33).
+        with pytest.raises(ValueError, match="at most 16 mode pairs"):
+            SqueezeConfig(r=0.5, n0=n0, T=1.0, N=n_modes)
+
+    def test_batched_gradient_matches_serial_loop(self):
+        cfg = small_config(n0=2)
+        center = _center_state(cfg)
+        na = cfg.n_active
+        draw = sample_sphere(cfg.r, cfg.N, na, substream(cfg.seed, "start", 1))
+        x = _sphere_coords(center + draw, center, na)
+        fcfg = cfg.flow_config()
+
+        def reproject(y):
+            return (cfg.r / float(np.linalg.norm(y))) * y
+
+        def objective(y):
+            final = integrate(_embed(y, center, na, cfg.N), cfg.T, fcfg).final
+            return cylinder_radius(final, cfg.n0, cfg.cyl_center)
+
+        serial = np.zeros(2 * na)
+        for i in range(2 * na):
+            e = np.zeros(2 * na)
+            e[i] = cfg.fd_step
+            serial[i] = (objective(reproject(x + e)) - objective(reproject(x - e))) / (
+                2.0 * cfg.fd_step
+            )
+        assert np.array_equal(_fd_gradient(x, cfg, center), serial)
+
+    # r = 40: the flow from start 3 blows up at its seed; r = 37 with a wide
+    # difference step: start 3's seed flows, one of its gradient points does not.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("extra, stage", [({"r": 40.0}, "at the seed"),
+                                              ({"r": 37.0, "fd_step": 4.0}, "gradient")])
+    def test_blown_up_start_abandoned_others_report(self, extra, stage, caplog):
+        cfg = SqueezeConfig(n0=1, T=4.0, N=8, n_starts=4, dt=0.5, max_ascent_iters=2,
+                            seed=0, **extra)
+        with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
+            rep = maximize_image_radius(cfg)
+        assert "start 3 abandoned" in caplog.text and stage in caplog.text
+        assert math.isfinite(rep.achieved_radius)
+        assert all(len(traj) > 1 for traj in rep.trajectories[:3])
+        assert len(rep.trajectories[3]) == 1
+        best = max(traj[-1][1] for traj in rep.trajectories[:3])
+        assert rep.achieved_radius == best
 
 
 class TestBallImageScan:
