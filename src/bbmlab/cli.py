@@ -90,6 +90,34 @@ class _Cfg:
         self._record(section, key, val)
         return val
 
+    def reject_unread(self) -> None:
+        """Raise ConfigError naming every key in the file that no getter read.
+
+        Called once a command has read its whole configuration, before any
+        flow or sweep starts, so a misspelt key cannot fall back silently to
+        its default.  Keys under [DEFAULT] count as read if any section read
+        them.
+        """
+        read = {
+            section: {self.parser.optionxform(key) for key in keys}
+            for section, keys in self.resolved.items()
+        }
+        defaults = set(self.parser.defaults())
+        unread = [
+            (section, key)
+            for section in self.parser.sections()
+            for key in self.parser.options(section)
+            if key not in defaults and key not in read.get(section, ())
+        ]
+        unread += [
+            (configparser.DEFAULTSECT, key)
+            for key in sorted(defaults)
+            if not any(key in keys for keys in read.values())
+        ]
+        if unread:
+            names = ", ".join(f"`{key}` in [{section}]" for section, key in unread)
+            raise ConfigError(f"unknown config key(s) {names} in {self.path}")
+
     def get_list(self, section, key, default=None, required=False, cast=int):
         val = self._raw(section, key, default, required)
         if isinstance(val, str):
@@ -151,6 +179,7 @@ def cmd_simulate(cfg: _Cfg) -> int:
     trace_every = cfg.get_int("flow", "trace_every", default=100)
     outdir = _outdir(cfg, "simulate")
     u0 = _initial_state(cfg, fcfg.N, seed)
+    cfg.reject_unread()
 
     result = integrate(u0, horizon, fcfg, trace_every=trace_every)
 
@@ -186,6 +215,7 @@ def cmd_estimates(cfg: _Cfg) -> int:
     sampler = cfg.get_str("estimates", "sampler", default="gaussian")
     mode = cfg.get_str("estimates", "mode", default="bilinear")
     outdir = _outdir(cfg, "estimates")
+    cfg.reject_unread()
 
     report = estimate_constant(
         s, r, rprime, n_samples, n_sweep=tuple(n_sweep), sampler=sampler, mode=mode, seed=seed
@@ -228,6 +258,7 @@ def cmd_squeeze(cfg: _Cfg) -> int:
         seed=seed,
     )
     outdir = _outdir(cfg, "squeeze")
+    cfg.reject_unread()
     report = maximize_image_radius(scfg)
 
     csv_path = os.path.join(outdir, "squeeze.csv")
@@ -258,6 +289,7 @@ def cmd_galerkin(cfg: _Cfg) -> int:
     n_small_list = cfg.get_list("galerkin", "N_small_list", default=[8, 16, 32])
     outdir = _outdir(cfg, "galerkin")
     u0 = _initial_state(cfg, fcfg.N, seed)
+    cfg.reject_unread()
 
     rows = [(n_small, galerkin_defect(u0, horizon, n_small, fcfg)) for n_small in n_small_list]
 
@@ -277,6 +309,7 @@ def cmd_orbit(cfg: _Cfg) -> int:
     n_pairs = cfg.get_int("orbit", "n_pairs", default=1)
     radius2 = cfg.get_float("orbit", "radius2", default=0.5)
     outdir = _outdir(cfg, "orbit")
+    cfg.reject_unread()
 
     rows = []
     for fprime in fprimes:

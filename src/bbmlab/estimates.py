@@ -24,6 +24,7 @@ from .spectral import (
     dispersion_multiplier,
     from_symplectic,
     require_mean_zero,
+    smooth_grid_size,
     sobolev_norm,
     synthesize,
     to_symplectic,
@@ -83,9 +84,13 @@ class EstimateReport:
 
 
 def exact_product(u: TrigState, v: TrigState) -> TrigState:
-    """Pointwise product as a trig polynomial with all 2N modes kept, alias-free."""
+    """Pointwise product as a trig polynomial with all 2N modes kept, alias-free.
+
+    The grid has the smallest 5-smooth length >= 2 n_out + 1 (see
+    spectral.smooth_grid_size): 2 n_out + 1 itself is prime at N = 64.
+    """
     n_out = u.n_modes + v.n_modes
-    m = 2 * n_out + 1
+    m = smooth_grid_size(2 * n_out + 1)
     vals = synthesize(u.padded(n_out), m).values * synthesize(v.padded(n_out), m).values
     return analyze(GridSamples(vals), n_out)
 

@@ -167,6 +167,24 @@ def wavenumbers(n_modes: int) -> np.ndarray:
     return np.arange(1, n_modes + 1, dtype=float)
 
 
+def smooth_grid_size(m_min: int) -> int:
+    """Smallest 5-smooth length 2^a 3^b 5^c that is >= m_min.
+
+    Product kernels pad to at least m_min points; any larger grid is just as
+    alias-free, and FFTs of 5-smooth length avoid pocketfft's slow
+    prime-length path (a 97-point transform costs about five 100-point ones).
+    """
+    m = max(1, int(m_min))
+    while True:
+        rest = m
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return m
+        m += 1
+
+
 def dispersion_symbol(k) -> np.ndarray:
     """phi(k) = k / (1 + k^2), the linear BBM dispersion multiplier."""
     k = np.asarray(k, dtype=float)

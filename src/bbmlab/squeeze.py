@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, integrate_batch
+from .flow import FlowConfig, FlowError, integrate_batch, require_finite
 from .sampling import substream, z_sphere_state
 from .spectral import (
     SymplecticCoords,
@@ -65,6 +65,8 @@ class SqueezeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("r", "T", "fd_step"):
+            require_finite(name, getattr(self, name))
         if not self.r > 0:
             raise ValueError("ball radius r must be positive")
         if not 1 <= self.n0 <= self.N:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bbmlab import cli
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_state_csv
 from bbmlab.sampling import smooth_profile
@@ -108,6 +112,62 @@ amplitude = 50
         err = capsys.readouterr().err
         assert "integration failed: state became non-finite at step" in err
         assert "(t = " in err
+
+    def test_blow_up_stderr_is_one_line(self, tmp_path):
+        # In a fresh interpreter with Python's default warning filters, numpy's
+        # overflow RuntimeWarning would print ahead of the error if the
+        # stepping loop let it through.
+        cfg = write_config(tmp_path / "cfg.ini", f"""
+[run]
+outdir = {tmp_path / "out"}
+[flow]
+N = 16
+dt = 2
+T = 50
+[state]
+preset = single_mode
+k = 1
+amplitude = 50
+""")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        proc = subprocess.run([sys.executable, "-m", "bbmlab", "simulate", cfg],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("bbmlab simulate: integration failed: state became non-finite")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dt", "inf"), ("dt", "nan"), ("dealias_factor", "inf"), ("dealias_factor", "nan"),
+        ("picard_tol", "nan"), ("midpoint_tol", "inf"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
+        text = SIMULATE_T0.replace("T = 0.0", "T = 0.1")
+        if key == "dt":
+            text = text.replace("dt = 0.01", f"dt = {value}")
+        else:
+            text = text.replace("[state]", f"{key} = {value}\n[state]")
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
+    def test_misspelt_key_exits_2(self, tmp_path, monkeypatch, capsys):
+        # `integrater = picard` used to run rk4 and exit 0.
+        text = SIMULATE_T0.replace("[state]", "integrater = picard\n[state]")
+        code, outdir = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown config key(s) `integrater` in [flow]" in err
+        assert not (outdir / "trace.csv").exists()
+
+    def test_unknown_section_and_default_keys_named(self, tmp_path, monkeypatch, capsys):
+        text = "[DEFAULT]\nseed = 3\nverbose = 1\n" + SIMULATE_T0 + "[flwo]\nN = 8\n"
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "`n` in [flwo]" in err and "`verbose` in [DEFAULT]" in err
+        assert "`seed`" not in err
 
     def test_zero_horizon_final_equals_initial(self, tmp_path, monkeypatch, capsys):
         code, outdir = run(tmp_path, monkeypatch, "simulate", SIMULATE_T0)
@@ -238,6 +298,14 @@ N = 32
         assert code == 2
         assert "at most 16 mode pairs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["r", "T", "fd_step"])
+    def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key):
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "fd_step": "1e-4", key: "inf"}
+        text = "[squeeze]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        code, _ = run(tmp_path, monkeypatch, "squeeze", text)
+        assert code == 2
+        assert f"{key} must be finite" in capsys.readouterr().err
+
 
 class TestGalerkinAndOrbit:
     def test_galerkin_sweep(self, tmp_path, monkeypatch):
@@ -280,6 +348,24 @@ radius2 = 0.5
 
 
 class TestShippedConfigs:
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.ini")), ids=lambda p: p.stem)
+    def test_every_key_is_read(self, path, tmp_path, monkeypatch):
+        # Each shipped config is named after its subcommand.  The command
+        # stops at the unknown-key check, before any flow or sweep starts.
+        class Checked(Exception):
+            pass
+
+        check = cli._Cfg.reject_unread
+
+        def check_then_stop(cfg):
+            check(cfg)
+            raise Checked
+
+        monkeypatch.setenv("BBMLAB_OUTDIR", str(tmp_path))
+        monkeypatch.setattr(cli._Cfg, "reject_unread", check_then_stop)
+        with pytest.raises(Checked):
+            main([path.stem, str(path)])
+
     def test_simulate_config_runs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BBMLAB_OUTDIR", str(tmp_path / "sim"))
         import time

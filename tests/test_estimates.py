@@ -60,6 +60,17 @@ class TestBilinearRatio:
         assert np.max(np.abs(fast.a - ref.a)) < 1e-12
         assert np.max(np.abs(fast.b - ref.b)) < 1e-12
 
+    @pytest.mark.parametrize("n_modes", [64, 128])
+    def test_product_on_5_smooth_grid_matches_oracle(self, n_modes):
+        # 2 n_out + 1 = 257 at N = 64 is prime; the product pads to 270.
+        u = random_state(8, n_modes)
+        v = random_state(9, n_modes)
+        fast = exact_product(u, v)
+        ref = oracle_product(u, v)
+        assert abs(fast.mean - ref.mean) < 1e-12
+        assert np.max(np.abs(fast.a - ref.a)) < 1e-12
+        assert np.max(np.abs(fast.b - ref.b)) < 1e-12
+
     def test_multiplier_ratio_hand_case(self):
         # u = v = cos x, r = 1, s = 0: ||phi(D)(uv)||_{H^1} = sqrt(pi/5),
         # denominator sqrt(2 pi) sqrt(pi), so the ratio is 1/sqrt(10 pi).

@@ -59,6 +59,24 @@ class TestRhs:
             assert np.max(np.abs(fast.a - ref.a)) < 1e-12
             assert np.max(np.abs(fast.b - ref.b)) < 1e-12
 
+    def test_padded_grid_is_5_smooth(self):
+        # 3N+1 is prime at both (97, 193); the grid rounds up to 100 and 200.
+        assert flow._VecOps(32).m_pad == 100
+        assert flow._VecOps(64).m_pad == 200
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 80),
+        dealias_factor=st.floats(1.5, 3.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_oracle_on_any_padded_grid(self, n_modes, dealias_factor, seed):
+        u = sobolev_ball_state(substream(seed, "rhs"), n_modes, 0.5, 1.0)
+        fast = rhs(u, FlowConfig(N=n_modes, dt=1e-3, dealias_factor=dealias_factor))
+        ref = oracle_rhs(u, n_modes)
+        assert np.max(np.abs(fast.a - ref.a)) < 1e-12
+        assert np.max(np.abs(fast.b - ref.b)) < 1e-12
+
 
 class TestFreeEvolution:
     def test_quarter_turn(self):
@@ -383,3 +401,9 @@ class TestConfigValidation:
             FlowConfig(N=4, dt=1e-2, picard_tol=1e-3)
         with pytest.raises(ValueError):
             FlowConfig(N=4, dt=1e-2, midpoint_tol=0.0)
+
+    @pytest.mark.parametrize("field", ["dt", "dealias_factor", "picard_tol", "midpoint_tol"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            FlowConfig(**{"N": 4, "dt": 1e-2, field: value})

@@ -14,6 +14,7 @@ from bbmlab.spectral import (
     dispersion_multiplier,
     from_symplectic,
     project,
+    smooth_grid_size,
     sobolev_norm,
     synthesize,
     to_symplectic,
@@ -250,3 +251,19 @@ class TestSymplecticCoords:
         u = TrigState.single_mode(2, 2, a_k=1.0)
         coords = to_symplectic(u)
         assert abs(coords.p[1] - math.sqrt(math.pi * 5.0 / 2.0)) < 1e-13
+
+
+class TestSmoothGridSize:
+    def test_smallest_5_smooth_at_least_minimum(self):
+        # Brute force: every 2^a 3^b 5^c up to 4000, then the first one >= m_min.
+        smooth = sorted(
+            2 ** a * 3 ** b * 5 ** c
+            for a in range(12) for b in range(8) for c in range(6)
+            if 2 ** a * 3 ** b * 5 ** c <= 4000
+        )
+        for m_min in range(1, 2001):
+            assert smooth_grid_size(m_min) == next(m for m in smooth if m >= m_min), m_min
+
+    def test_padded_grid_lengths(self):
+        # 3N+1 for N = 8, 16, 32, 64, 128 (25 is already 5-smooth).
+        assert [smooth_grid_size(3 * n + 1) for n in (8, 16, 32, 64, 128)] == [25, 50, 100, 200, 400]

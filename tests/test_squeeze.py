@@ -145,6 +145,14 @@ class TestMaximize:
         with pytest.raises(ValueError, match="radius"):
             SqueezeConfig(r=0.0, n0=1, T=1.0, N=8)
 
+    @pytest.mark.parametrize("field", ["r", "T", "fd_step"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_numbers_rejected(self, field, value):
+        # T = inf used to reach the flow; fd_step = nan gave a nan gradient.
+        kw = {"r": 0.5, "n0": 1, "T": 1.0, "N": 8, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SqueezeConfig(**kw)
+
     @pytest.mark.parametrize("n0, n_modes", [(17, 32), (33, 40)])
     def test_mode_outside_active_window_rejected(self, n0, n_modes):
         # The active window min(2 n0, 16, N) would leave n0 out: the seed
