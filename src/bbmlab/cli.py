@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import math
 import os
 import sys
+import typing
+from dataclasses import MISSING
 
 from . import io as bio
-from .estimates import estimate_constant, radial_orbit
+from .estimates import DEFAULT_N_SWEEP, estimate_constant, radial_orbit
 from .flow import FlowConfig, FlowError, integrate, galerkin_defect
 from .sampling import smooth_profile, sobolev_ball_state, substream
 from .spectral import TrigState, sobolev_norm, z_norm
@@ -28,8 +32,38 @@ class ConfigError(Exception):
     pass
 
 
+def _number(convert, kind: str):
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise ValueError(f"must be {kind}, got {text!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"must be finite, got {text!r}")
+        return value
+    return parse
+
+
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
+
+
+def _bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"must be a boolean, got {text!r}") from None
+
+
+def _list(cast):
+    return lambda text: [cast(part.strip()) for part in text.split(",") if part.strip()]
+
+
+_CASTS = {int: _int, float: _float, bool: _bool, str: str}
+
+
 class _Cfg:
-    """Thin typed accessor over configparser with required-key diagnostics."""
+    """Typed reader over configparser: every value goes through get()."""
 
     def __init__(self, path: str):
         self.path = path
@@ -37,61 +71,48 @@ class _Cfg:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path)
+            parser.read(path, encoding="utf-8")
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {path}: {exc}") from exc
         self.parser = parser
-        self.resolved: dict[str, dict[str, str]] = {}
+        self.resolved: dict[str, dict] = {}
 
-    def _raw(self, section: str, key: str, default, required: bool):
+    def get(self, section: str, key: str, cast, default=MISSING):
+        """Read [section] key with cast, record it in resolved, name the key on failure.
+
+        Without a default the key is required; a default is used as it is,
+        not cast.
+        """
         if self.parser.has_option(section, key):
-            return self.parser.get(section, key)
-        if required:
+            try:
+                value = cast(self.parser.get(section, key))
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"[{section}] {key} {exc}") from None
+        elif default is MISSING:
             raise ConfigError(f"missing required key `{key}` in section [{section}] of {self.path}")
-        return default
-
-    def _record(self, section: str, key: str, value) -> None:
+        else:
+            value = default
         self.resolved.setdefault(section, {})[key] = value
+        return value
 
-    def get_str(self, section, key, default=None, required=False):
-        val = self._raw(section, key, default, required)
-        self._record(section, key, val)
-        return val
+    def fields(self, section: str, cls, skip=()) -> dict:
+        """Keyword arguments for dataclass cls, one key per field not in skip.
 
-    def get_int(self, section, key, default=None, required=False):
-        val = self._raw(section, key, default, required)
-        if val is not None and not isinstance(val, int):
-            try:
-                val = int(val)
-            except ValueError as exc:
-                raise ConfigError(f"key `{key}` in [{section}] must be an integer: {exc}") from exc
-        self._record(section, key, val)
-        return val
-
-    def get_float(self, section, key, default=None, required=False):
-        val = self._raw(section, key, default, required)
-        if val is not None and not isinstance(val, float):
-            try:
-                val = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"key `{key}` in [{section}] must be a number: {exc}") from exc
-        self._record(section, key, val)
-        return val
-
-    def get_bool(self, section, key, default=False):
-        val = self._raw(section, key, default, False)
-        if isinstance(val, str):
-            if val.lower() in ("1", "true", "yes", "on"):
-                val = True
-            elif val.lower() in ("0", "false", "no", "off"):
-                val = False
-            else:
-                raise ConfigError(f"key `{key}` in [{section}] must be a boolean")
-        self._record(section, key, val)
-        return val
+        Each value is parsed by its field's annotation (an optional type by
+        the type it wraps) and defaults to the field's own default.
+        """
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for field in dataclasses.fields(cls):
+            if field.name in skip:
+                continue
+            hint = hints[field.name]
+            cast = _CASTS[next((t for t in typing.get_args(hint) if t is not type(None)), hint)]
+            kwargs[field.name] = self.get(section, field.name, cast, field.default)
+        return kwargs
 
     def reject_unread(self) -> None:
-        """Raise ConfigError naming every key in the file that no getter read.
+        """Raise ConfigError naming every key in the file that get() never read.
 
         Called once a command has read its whole configuration, before any
         flow or sweep starts, so a misspelt key cannot fall back silently to
@@ -118,24 +139,17 @@ class _Cfg:
             names = ", ".join(f"`{key}` in [{section}]" for section, key in unread)
             raise ConfigError(f"unknown config key(s) {names} in {self.path}")
 
-    def get_list(self, section, key, default=None, required=False, cast=int):
-        val = self._raw(section, key, default, required)
-        if isinstance(val, str):
-            val = [cast(part.strip()) for part in val.split(",") if part.strip()]
-        self._record(section, key, val)
-        return val
-
 
 def _outdir(cfg: _Cfg, command: str) -> str:
-    configured = cfg.get_str("run", "outdir", default=f"runs/{command}")
+    configured = cfg.get("run", "outdir", str, f"runs/{command}")
     outdir = os.environ.get(ENV_OUTDIR, configured)
     os.makedirs(outdir, exist_ok=True)
     return outdir
 
 
 def _initial_state(cfg: _Cfg, n_modes: int, seed: int) -> TrigState:
-    preset = cfg.get_str("state", "preset", default=None)
-    csv_path = cfg.get_str("state", "csv", default=None)
+    preset = cfg.get("state", "preset", str, None)
+    csv_path = cfg.get("state", "csv", str, None)
     if csv_path is not None:
         state = bio.read_state_csv(csv_path)
         if state.n_modes > n_modes:
@@ -144,39 +158,28 @@ def _initial_state(cfg: _Cfg, n_modes: int, seed: int) -> TrigState:
     if preset is None:
         raise ConfigError("missing required key `preset` (or `csv`) in section [state]")
     if preset == "smooth":
-        scale = cfg.get_float("state", "scale", default=1.0)
+        scale = cfg.get("state", "scale", _float, 1.0)
         return scale * smooth_profile(n_modes)
     if preset == "single_mode":
-        k = cfg.get_int("state", "k", required=True)
-        amplitude = cfg.get_float("state", "amplitude", default=1.0)
+        k = cfg.get("state", "k", _int)
+        amplitude = cfg.get("state", "amplitude", _float, 1.0)
         if not 1 <= k <= n_modes:
             raise ConfigError(f"state mode k = {k} outside 1..{n_modes}")
         return TrigState.single_mode(k, n_modes, a_k=amplitude)
     if preset == "random_ball":
-        radius = cfg.get_float("state", "radius", default=1.0)
-        reg = cfg.get_float("state", "reg", default=0.5)
+        radius = cfg.get("state", "radius", _float, 1.0)
+        reg = cfg.get("state", "reg", _float, 0.5)
         return sobolev_ball_state(substream(seed, "initial_state"), n_modes, reg, radius)
     raise ConfigError(f"unknown state preset {preset!r}")
 
 
-def _flow_config(cfg: _Cfg) -> FlowConfig:
-    return FlowConfig(
-        N=cfg.get_int("flow", "N", required=True),
-        dt=cfg.get_float("flow", "dt", required=True),
-        integrator=cfg.get_str("flow", "integrator", default="rk4"),
-        dealias_factor=cfg.get_float("flow", "dealias_factor", default=1.5),
-        picard_tol=cfg.get_float("flow", "picard_tol", default=1e-12),
-        picard_max_iter=cfg.get_int("flow", "picard_max_iter", default=60),
-        midpoint_tol=cfg.get_float("flow", "midpoint_tol", default=1e-12),
-        linear_only=cfg.get_bool("flow", "linear_only", default=False),
-    )
-
-
 def cmd_simulate(cfg: _Cfg) -> int:
-    seed = cfg.get_int("run", "seed", default=0)
-    fcfg = _flow_config(cfg)
-    horizon = cfg.get_float("flow", "T", required=True)
-    trace_every = cfg.get_int("flow", "trace_every", default=100)
+    seed = cfg.get("run", "seed", _int, 0)
+    fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
+    horizon = cfg.get("flow", "T", _float)
+    trace_every = cfg.get("flow", "trace_every", _int, 100)
+    if trace_every < 1:
+        raise ConfigError(f"[flow] trace_every must be >= 1, got {trace_every}")
     outdir = _outdir(cfg, "simulate")
     u0 = _initial_state(cfg, fcfg.N, seed)
     cfg.reject_unread()
@@ -206,14 +209,14 @@ def cmd_simulate(cfg: _Cfg) -> int:
 
 
 def cmd_estimates(cfg: _Cfg) -> int:
-    seed = cfg.get_int("run", "seed", default=0)
-    s = cfg.get_float("estimates", "s", required=True)
-    r = cfg.get_float("estimates", "r", required=True)
-    rprime = cfg.get_float("estimates", "rprime", required=True)
-    n_samples = cfg.get_int("estimates", "n_samples", default=1000)
-    n_sweep = cfg.get_list("estimates", "N_list", default=[16, 32, 64, 128])
-    sampler = cfg.get_str("estimates", "sampler", default="gaussian")
-    mode = cfg.get_str("estimates", "mode", default="bilinear")
+    seed = cfg.get("run", "seed", _int, 0)
+    s = cfg.get("estimates", "s", _float)
+    r = cfg.get("estimates", "r", _float)
+    rprime = cfg.get("estimates", "rprime", _float)
+    n_samples = cfg.get("estimates", "n_samples", _int, 1000)
+    n_sweep = cfg.get("estimates", "N_list", _list(_int), DEFAULT_N_SWEEP)
+    sampler = cfg.get("estimates", "sampler", str, "gaussian")
+    mode = cfg.get("estimates", "mode", str, "bilinear")
     outdir = _outdir(cfg, "estimates")
     cfg.reject_unread()
 
@@ -234,27 +237,16 @@ def cmd_estimates(cfg: _Cfg) -> int:
 
 
 def cmd_squeeze(cfg: _Cfg) -> int:
-    seed = cfg.get_int("run", "seed", default=0)
-    center_csv = cfg.get_str("squeeze", "center_csv", default=None)
+    seed = cfg.get("run", "seed", _int, 0)
+    center_csv = cfg.get("squeeze", "center_csv", str, None)
     center = bio.read_state_csv(center_csv) if center_csv else None
     scfg = SqueezeConfig(
-        r=cfg.get_float("squeeze", "r", required=True),
-        n0=cfg.get_int("squeeze", "n0", required=True),
-        T=cfg.get_float("squeeze", "T", required=True),
-        N=cfg.get_int("squeeze", "N", required=True),
-        n_starts=cfg.get_int("squeeze", "n_starts", default=16),
+        **cfg.fields("squeeze", SqueezeConfig, skip=("center", "cyl_center", "dealias_factor", "seed")),
         center=center,
         cyl_center=(
-            cfg.get_float("squeeze", "cyl_center_p", default=0.0),
-            cfg.get_float("squeeze", "cyl_center_q", default=0.0),
+            cfg.get("squeeze", "cyl_center_p", _float, SqueezeConfig.cyl_center[0]),
+            cfg.get("squeeze", "cyl_center_q", _float, SqueezeConfig.cyl_center[1]),
         ),
-        fd_step=cfg.get_float("squeeze", "fd_step", default=1e-4),
-        ascent_step=cfg.get_float("squeeze", "ascent_step", default=None),
-        max_ascent_iters=cfg.get_int("squeeze", "max_ascent_iters", default=40),
-        stall_tol=cfg.get_float("squeeze", "stall_tol", default=1e-6),
-        dt=cfg.get_float("squeeze", "dt", default=0.01),
-        integrator=cfg.get_str("squeeze", "integrator", default="rk4"),
-        linear_only=cfg.get_bool("squeeze", "linear_only", default=False),
         seed=seed,
     )
     outdir = _outdir(cfg, "squeeze")
@@ -283,10 +275,10 @@ def cmd_squeeze(cfg: _Cfg) -> int:
 
 
 def cmd_galerkin(cfg: _Cfg) -> int:
-    seed = cfg.get_int("run", "seed", default=0)
-    fcfg = _flow_config(cfg)
-    horizon = cfg.get_float("flow", "T", required=True)
-    n_small_list = cfg.get_list("galerkin", "N_small_list", default=[8, 16, 32])
+    seed = cfg.get("run", "seed", _int, 0)
+    fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
+    horizon = cfg.get("flow", "T", _float)
+    n_small_list = cfg.get("galerkin", "N_small_list", _list(_int), [8, 16, 32])
     outdir = _outdir(cfg, "galerkin")
     u0 = _initial_state(cfg, fcfg.N, seed)
     cfg.reject_unread()
@@ -304,10 +296,10 @@ def cmd_galerkin(cfg: _Cfg) -> int:
 
 
 def cmd_orbit(cfg: _Cfg) -> int:
-    seed = cfg.get_int("run", "seed", default=0)
-    fprimes = cfg.get_list("orbit", "fprime_list", default=[0.1, 0.5, 1.0, 2.0, 3.0], cast=float)
-    n_pairs = cfg.get_int("orbit", "n_pairs", default=1)
-    radius2 = cfg.get_float("orbit", "radius2", default=0.5)
+    seed = cfg.get("run", "seed", _int, 0)
+    fprimes = cfg.get("orbit", "fprime_list", _list(_float), [0.1, 0.5, 1.0, 2.0, 3.0])
+    n_pairs = cfg.get("orbit", "n_pairs", _int, 1)
+    radius2 = cfg.get("orbit", "radius2", _float, 0.5)
     outdir = _outdir(cfg, "orbit")
     cfg.reject_unread()
 

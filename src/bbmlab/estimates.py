@@ -8,13 +8,14 @@ refinement.  Absence of growth is recorded, not asserted as evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, free_evolution, integrate_batch
+from .flow import FlowConfig, FlowError, free_evolution, integrate_batch, rk4_step
 from .sampling import sobolev_ball_state, substream
 from .spectral import (
     GridSamples,
@@ -349,6 +350,7 @@ def radial_orbit(
     angles = 0.7 * np.arange(n_pairs)
     x = np.concatenate([amp * np.cos(angles), amp * np.sin(angles)])
 
+    rhs = functools.partial(_radial_rhs, fprime_max=fprime_max, radius2=radius2)
     period_guess = math.pi / fprime_max
     dt = period_guess / steps_per_period
     accumulated = 0.0
@@ -356,11 +358,7 @@ def radial_orbit(
     t = 0.0
     zeta = complex(x[0], x[n_pairs])
     for _ in range(4 * steps_per_period):
-        k1 = _radial_rhs(x, fprime_max, radius2)
-        k2 = _radial_rhs(x + 0.5 * dt * k1, fprime_max, radius2)
-        k3 = _radial_rhs(x + 0.5 * dt * k2, fprime_max, radius2)
-        k4 = _radial_rhs(x + dt * k3, fprime_max, radius2)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = rk4_step(rhs, x, dt)
         t += dt
         drift = max(drift, abs(float(np.dot(x, x)) - radius2))
         zeta_new = complex(x[0], x[n_pairs])

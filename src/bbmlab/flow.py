@@ -226,11 +226,12 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     return ops.unpack(ops.free(ops.pack(state), t))
 
 
-def _rk4_step(ops: _VecOps, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = ops.rhs(y)
-    k2 = ops.rhs(y + 0.5 * dt * k1)
-    k3 = ops.rhs(y + 0.5 * dt * k2)
-    k4 = ops.rhs(y + dt * k3)
+def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of y' = f(y)."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * dt * k1)
+    k3 = f(y + 0.5 * dt * k2)
+    k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -361,7 +362,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if cfg.integrator == "rk4":
-                y = _rk4_step(ops, y, dt)
+                y = rk4_step(ops.rhs, y, dt)
             elif cfg.integrator == "implicit_midpoint":
                 y = _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1)
             else:

@@ -77,7 +77,7 @@ class SqueezeConfig:
                 f"the witness search works in at most {_MAX_ACTIVE_PAIRS} mode pairs"
             )
         if self.n_starts < 1:
-            raise ValueError("need at least one start")
+            raise ValueError(f"need at least one start, got n_starts = {self.n_starts}")
 
     @property
     def n_active(self) -> int:

@@ -1,15 +1,18 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bbmlab import cli
 from bbmlab.cli import main
-from bbmlab.io import read_state_csv, write_state_csv
+from bbmlab.io import read_state_csv, write_manifest, write_state_csv
 from bbmlab.sampling import smooth_profile
 from bbmlab.spectral import TrigState, z_norm
 
@@ -28,6 +31,37 @@ def run(tmp_path, monkeypatch, command, text):
     monkeypatch.setenv("BBMLAB_OUTDIR", str(outdir))
     code = main([command, write_config(tmp_path / "cfg.ini", text)])
     return code, outdir
+
+
+def ini(sections):
+    """INI text from {section: {key: value}}."""
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+class Checked(Exception):
+    """Raised in place of running a command whose config passed reject_unread."""
+
+
+def stop_after_check(monkeypatch):
+    """Make every command stop right after reject_unread; returns the checked configs."""
+    checked = []
+    check = cli._Cfg.reject_unread
+
+    def check_then_stop(cfg):
+        check(cfg)
+        checked.append(cfg)
+        raise Checked
+
+    monkeypatch.setattr(cli._Cfg, "reject_unread", check_then_stop)
+    return checked
+
+
+# One line of arbitrary text: configparser reads \r and \n as line ends, and
+# surrogates cannot be written as UTF-8.
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
 
 
 SIMULATE_T0 = """
@@ -84,6 +118,27 @@ class TestStateCsv:
         path = self._rows(tmp_path, ["0,0,0", "1,nan,0"])
         with pytest.raises(ValueError, match=r"state\.csv, line 3: non-finite coefficient"):
             read_state_csv(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.one_of(
+        LINE_TEXT,
+        st.tuples(
+            st.one_of(st.integers(-2, 40).map(str), LINE_TEXT),
+            st.one_of(st.floats().map(repr), LINE_TEXT),
+            st.one_of(st.floats().map(repr), st.just("0"), LINE_TEXT),
+        ).map(",".join),
+    ), max_size=8))
+    def test_fuzzed_rows_parse_or_name_file_and_line(self, tmp_path, rows):
+        path = self._rows(tmp_path, rows)
+        try:
+            state = read_state_csv(path)
+        except ValueError as exc:
+            msg = str(exc)
+            assert str(path) in msg
+            assert re.search(r"line \d+: ", msg) or msg.endswith("holds no modes"), msg
+        else:
+            assert isinstance(state, TrigState)
 
     def test_bad_state_file_exits_2(self, tmp_path, monkeypatch, capsys):
         path = self._rows(tmp_path, ["0,0,0", "1,0.5,0", "-1,0.25,0"])
@@ -151,6 +206,18 @@ amplitude = 50
         code, _ = run(tmp_path, monkeypatch, "simulate", text)
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_trace_every_below_one_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        # trace_every = 0 used to run the whole flow, write the CSVs and then
+        # die on an empty trace; -1 recorded every step.
+        text = SIMULATE_T0.replace("T = 0.0", "T = 0.1").replace(
+            "trace_every = 1", f"trace_every = {value}")
+        code, outdir = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert f"[flow] trace_every must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (outdir / "trace.csv").exists()
+        assert not (outdir / "final_state.csv").exists()
 
     def test_misspelt_key_exits_2(self, tmp_path, monkeypatch, capsys):
         # `integrater = picard` used to run rk4 and exit 0.
@@ -415,3 +482,168 @@ max_ascent_iters = 3
         _, outdir = run(tmp_path, monkeypatch, "squeeze", text)
         second = (outdir / "squeeze.csv").read_bytes() + (outdir / "witness_state.csv").read_bytes()
         assert first == second
+
+
+FLOW_ALL_KEYS = {
+    "N": "16", "dt": "0.01", "T": "0.1", "integrator": "rk4", "dealias_factor": "1.5",
+    "picard_tol": "1e-12", "picard_max_iter": "60", "midpoint_tol": "1e-12",
+    "linear_only": "false",
+}
+STATE_ALL_KEYS = {
+    "smooth": {"preset": "smooth", "scale": "0.5"},
+    "single_mode": {"preset": "single_mode", "k": "2", "amplitude": "0.5"},
+    "random_ball": {"preset": "random_ball", "radius": "0.5", "reg": "0.5"},
+    "csv": {"csv": "{state_csv}"},
+}
+RUN_ALL_KEYS = {"seed": "1", "outdir": "out"}
+# Every key each subcommand accepts, with its [state] block chosen per preset.
+ALL_KEYS = {
+    "simulate": {"run": RUN_ALL_KEYS, "flow": {**FLOW_ALL_KEYS, "trace_every": "10"}},
+    "galerkin": {"run": RUN_ALL_KEYS, "flow": FLOW_ALL_KEYS, "galerkin": {"N_small_list": "4, 8"}},
+    "estimates": {"run": RUN_ALL_KEYS, "estimates": {
+        "s": "0.5", "r": "0.5", "rprime": "0.5", "n_samples": "10", "N_list": "16, 32",
+        "sampler": "gaussian", "mode": "bilinear",
+    }},
+    "squeeze": {"run": RUN_ALL_KEYS, "squeeze": {
+        "r": "0.5", "n0": "1", "T": "1.0", "N": "16", "n_starts": "2", "center_csv": "{state_csv}",
+        "cyl_center_p": "0.0", "cyl_center_q": "0.0", "fd_step": "1e-4", "ascent_step": "0.1",
+        "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01", "integrator": "rk4",
+        "linear_only": "no",
+    }},
+    "orbit": {"run": RUN_ALL_KEYS, "orbit": {
+        "fprime_list": "0.5, 2.0", "n_pairs": "1", "radius2": "0.5",
+    }},
+}
+SCHEMA_CASES = [(command, None) for command in ("estimates", "squeeze", "orbit")] + [
+    (command, preset) for command in ("simulate", "galerkin") for preset in STATE_ALL_KEYS
+]
+
+# Valid configs whose numeric values the fuzz below replaces one at a time.
+# The N keys are left out: the initial state is built at N before the key check.
+FUZZ_CONFIGS = {
+    "simulate": {
+        "run": {"seed": "3"},
+        "flow": {"N": "8", "dt": "0.01", "T": "0.1", "dealias_factor": "1.5", "picard_tol": "1e-12",
+                 "picard_max_iter": "60", "midpoint_tol": "1e-12", "trace_every": "10"},
+        "state": {"preset": "smooth", "scale": "1.0"},
+    },
+    "galerkin": {
+        "flow": {"N": "16", "dt": "0.01", "T": "0.1"},
+        "state": {"preset": "single_mode", "k": "1", "amplitude": "0.5"},
+        "galerkin": {"N_small_list": "4, 8"},
+    },
+    "estimates": {"estimates": {"s": "0.5", "r": "0.5", "rprime": "0.5", "n_samples": "10",
+                                "N_list": "16, 32"}},
+    "squeeze": {"run": {"seed": "0"}, "squeeze": {
+        "r": "0.5", "n0": "1", "T": "1.0", "N": "8", "n_starts": "2", "fd_step": "1e-4",
+        "ascent_step": "0.1", "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01",
+        "cyl_center_p": "0.0", "cyl_center_q": "0.0",
+    }},
+    "orbit": {"orbit": {"fprime_list": "0.5, 2.0", "n_pairs": "1", "radius2": "0.5"}},
+}
+FUZZ_KEYS = [
+    (command, section, key)
+    for command, sections in FUZZ_CONFIGS.items()
+    for section, keys in sections.items()
+    for key in keys
+    if key not in ("N", "preset")
+]
+NUMERIC_TEXT = st.one_of(
+    LINE_TEXT,
+    st.text(st.sampled_from("0123456789+-.,_eE xjnaif%#;:=()[]{}$")),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.lists(st.one_of(st.floats().map(repr), st.integers().map(str)), max_size=4).map(", ".join),
+)
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("command, preset", SCHEMA_CASES,
+                             ids=[f"{c}-{p}" if p else c for c, p in SCHEMA_CASES])
+    def test_config_setting_every_key_passes_check(self, tmp_path, monkeypatch, command, preset):
+        state_csv = tmp_path / "state.csv"
+        write_state_csv(state_csv, random_state(0, 8, radius=0.1))
+        sections = dict(ALL_KEYS[command])
+        if preset:
+            sections["state"] = STATE_ALL_KEYS[preset]
+        text = ini(sections).replace("{state_csv}", str(state_csv))
+        checked = stop_after_check(monkeypatch)
+        monkeypatch.setenv("BBMLAB_OUTDIR", str(tmp_path / "out"))
+        with pytest.raises(Checked):
+            main([command, write_config(tmp_path / "cfg.ini", text)])
+        # The command read exactly the keys the config sets, so none is
+        # missing from this table and none was added.  [state] preset and csv
+        # are both read whichever of them is set.
+        expected = {section: set(keys) for section, keys in sections.items()}
+        if preset:
+            expected["state"] |= {"preset", "csv"}
+        assert {section: set(keys) for section, keys in checked[0].resolved.items()} == expected
+
+    def test_squeeze_dealias_factor_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # SqueezeConfig has a dealias_factor field, but the INI schema skips it.
+        text = ini({"squeeze": {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "dealias_factor": "2.0"}})
+        code, _ = run(tmp_path, monkeypatch, "squeeze", text)
+        assert code == 2
+        assert "unknown config key(s) `dealias_factor` in [squeeze]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, expected", [
+        ("simulate", {
+            "flow": {"N": 64, "T": 1.0, "dealias_factor": 1.5, "dt": 0.001, "integrator": "rk4",
+                     "linear_only": False, "midpoint_tol": 1e-12, "picard_max_iter": 60,
+                     "picard_tol": 1e-12, "trace_every": 100},
+            "run": {"outdir": "runs/simulate", "seed": 1},
+            "state": {"csv": None, "preset": "smooth", "scale": 1.0},
+        }),
+        ("squeeze", {
+            "run": {"outdir": "runs/squeeze", "seed": 0},
+            "squeeze": {"N": 32, "T": 1.0, "ascent_step": None, "center_csv": None,
+                        "cyl_center_p": 0.0, "cyl_center_q": 0.0, "dt": 0.02, "fd_step": 1e-4,
+                        "integrator": "rk4", "linear_only": False, "max_ascent_iters": 12,
+                        "n0": 1, "n_starts": 16, "r": 0.5, "stall_tol": 1e-5},
+        }),
+    ])
+    def test_shipped_manifest_config_block(self, tmp_path, monkeypatch, name, expected):
+        checked = stop_after_check(monkeypatch)
+        monkeypatch.setenv("BBMLAB_OUTDIR", str(tmp_path / "out"))
+        with pytest.raises(Checked):
+            main([name, str(CONFIGS / f"{name}.ini")])
+        manifest_path = tmp_path / "manifest.json"
+        write_manifest(manifest_path, name, checked[0].resolved, 0, [])
+        config = json.loads(manifest_path.read_text())["config"]
+        # Compared as JSON text, so 1.0 and 1, or False and 0, differ.
+        assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    @pytest.mark.parametrize("command, section, key, value, message", [
+        ("simulate", "state", "scale", "nan", "[state] scale must be finite"),
+        ("simulate", "flow", "dt", "5%", "[flow] dt '%' must be followed by"),
+        ("estimates", "estimates", "N_list", "16, abc", "[estimates] N_list must be an integer, got 'abc'"),
+        ("orbit", "orbit", "fprime_list", "0.5, inf", "[orbit] fprime_list must be finite, got 'inf'"),
+        ("squeeze", "squeeze", "n0", "1.5", "[squeeze] n0 must be an integer, got '1.5'"),
+        ("squeeze", "squeeze", "linear_only", "maybe", "[squeeze] linear_only must be a boolean, got 'maybe'"),
+    ])
+    def test_bad_value_exits_2_naming_key(self, tmp_path, monkeypatch, capsys,
+                                          command, section, key, value, message):
+        sections = {name: dict(keys) for name, keys in FUZZ_CONFIGS[command].items()}
+        sections[section][key] = value
+        code, _ = run(tmp_path, monkeypatch, command, ini(sections))
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(FUZZ_KEYS), value=NUMERIC_TEXT)
+    def test_fuzzed_value_passes_check_or_exits_2_naming_key(self, tmp_path, capsys, case, value):
+        command, section, key = case
+        sections = {name: dict(keys) for name, keys in FUZZ_CONFIGS[command].items()}
+        sections[section][key] = value
+        path = write_config(tmp_path / "cfg.ini", ini(sections))
+        with pytest.MonkeyPatch.context() as mp:
+            stop_after_check(mp)
+            mp.setenv("BBMLAB_OUTDIR", str(tmp_path / "out"))
+            try:
+                code = main([command, path])
+            except Checked:
+                return
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert re.search(rf"\[{section}\] {key} |\b{key} (must|=) ", err), err
