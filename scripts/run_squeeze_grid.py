@@ -10,6 +10,7 @@ below 0.95 would contradict the non-squeezing bound numerically.
 import argparse
 import os
 
+from bbmlab.flow import FlowConfig
 from bbmlab.io import fmt
 from bbmlab.squeeze import SqueezeConfig, maximize_image_radius
 
@@ -27,14 +28,14 @@ def main():
     for r in (0.5, 1.0):
         for n0 in (1, 2, 3):
             cfg = SqueezeConfig(
-                r=r, n0=n0, T=1.0, N=32, n_starts=args.starts, dt=0.02,
+                r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02), n_starts=args.starts,
                 max_ascent_iters=args.iters, stall_tol=1e-5, seed=args.seed,
             )
             rep = maximize_image_radius(cfg)
             lin = maximize_image_radius(
                 SqueezeConfig(
-                    r=r, n0=n0, T=1.0, N=32, n_starts=4, dt=0.02,
-                    max_ascent_iters=4, seed=args.seed, linear_only=True,
+                    r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02, linear_only=True),
+                    n_starts=4, max_ascent_iters=4, seed=args.seed,
                 )
             )
             print(

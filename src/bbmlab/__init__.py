@@ -33,7 +33,6 @@ from .flow import (
     invariants_of,
     nonlinear_part,
     rhs,
-    step,
 )
 from .estimates import (
     EstimateReport,
@@ -44,7 +43,6 @@ from .estimates import (
     flow_jacobian,
     multiplier_ratio,
     radial_orbit,
-    radial_orbit_period,
     smoothing_ratio,
     symplectic_defect,
 )

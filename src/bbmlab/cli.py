@@ -151,10 +151,7 @@ def _initial_state(cfg: _Cfg, n_modes: int, seed: int) -> TrigState:
     preset = cfg.get("state", "preset", str, None)
     csv_path = cfg.get("state", "csv", str, None)
     if csv_path is not None:
-        state = bio.read_state_csv(csv_path)
-        if state.n_modes > n_modes:
-            raise ConfigError(f"state file supplies {state.n_modes} modes but N = {n_modes}")
-        return state.padded(n_modes)
+        return bio.read_state_csv(csv_path, n_modes).padded(n_modes)
     if preset is None:
         raise ConfigError("missing required key `preset` (or `csv`) in section [state]")
     if preset == "smooth":
@@ -238,10 +235,16 @@ def cmd_estimates(cfg: _Cfg) -> int:
 
 def cmd_squeeze(cfg: _Cfg) -> int:
     seed = cfg.get("run", "seed", _int, 0)
+    flow = FlowConfig(
+        **cfg.fields("squeeze", FlowConfig,
+                     skip=("dt", "picard_tol", "picard_max_iter", "midpoint_tol")),
+        dt=cfg.get("squeeze", "dt", _float, 0.01),
+    )
     center_csv = cfg.get("squeeze", "center_csv", str, None)
-    center = bio.read_state_csv(center_csv) if center_csv else None
+    center = bio.read_state_csv(center_csv, flow.N) if center_csv else None
     scfg = SqueezeConfig(
-        **cfg.fields("squeeze", SqueezeConfig, skip=("center", "cyl_center", "dealias_factor", "seed")),
+        **cfg.fields("squeeze", SqueezeConfig, skip=("flow", "center", "cyl_center", "seed")),
+        flow=flow,
         center=center,
         cyl_center=(
             cfg.get("squeeze", "cyl_center_p", _float, SqueezeConfig.cyl_center[0]),
@@ -269,7 +272,7 @@ def cmd_squeeze(cfg: _Cfg) -> int:
         f"{report.achieved_radius:.9g} ({report.achieved_radius / scfg.r:.4f} r) "
         f"in {report.wall_time:.1f} s"
     )
-    print(f"  witness Z norm: {z_norm(report.best_witness - (center or TrigState.zero(scfg.N)).padded(scfg.N)):.12g}")
+    print(f"  witness Z norm: {z_norm(report.best_witness - (center or TrigState.zero(flow.N)).padded(flow.N)):.12g}")
     print(f"  witness H^1 norm: {sobolev_norm(report.best_witness, 1.0):.6g}")
     return 0
 

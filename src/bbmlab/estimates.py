@@ -370,8 +370,3 @@ def radial_orbit(
             frac = (2.0 * math.pi - prev) / d_angle
             return t - dt + frac * dt, drift
     raise FlowError("radial orbit failed to close within four nominal periods")
-
-
-def radial_orbit_period(fprime_max: float, n_pairs: int, radius2: float) -> float:
-    """Measured period of the radial Hamiltonian orbit (pi / f' on the shell)."""
-    return radial_orbit(fprime_max, n_pairs, radius2)[0]

@@ -77,14 +77,13 @@ class FlowConfig:
     N: int
     dt: float
     integrator: str = "rk4"
-    dealias_factor: float = 1.5
     picard_tol: float = 1e-12
     picard_max_iter: int = 60
     midpoint_tol: float = 1e-12
     linear_only: bool = False
 
     def __post_init__(self):
-        for name in ("dt", "dealias_factor", "picard_tol", "midpoint_tol"):
+        for name in ("dt", "picard_tol", "midpoint_tol"):
             require_finite(name, getattr(self, name))
         if self.N < 1:
             raise ValueError("N must be >= 1")
@@ -92,8 +91,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
-        if self.dealias_factor < 1.5:
-            raise ValueError("dealias_factor must be >= 1.5")
         if not 0 < self.picard_tol <= 1e-6:
             raise ValueError("picard_tol must lie in (0, 1e-6]")
         if not 0 < self.midpoint_tol <= 1e-6:
@@ -124,25 +121,25 @@ class _VecOps:
     row by row, so a (batch, 2N) array flows a batch of independent states
     and a 1-D row is the batch-free case.
 
-    The padded grid has m_pad >= max(2N dealias_factor, 3N+1) points, which
-    keeps u^2 alias-free on modes 1..N (an even m_pad is fine: its Nyquist
-    bin lies above every kept mode).  m_pad is rounded up to a 5-smooth
-    length because 3N+1 is often prime (97 at N = 32, 193 at N = 64), and
-    pocketfft transforms prime lengths several times slower.
+    The padded grid has m_pad >= 3N+1 points, which keeps u^2 alias-free on
+    modes 1..N (an even m_pad is fine: its Nyquist bin lies above every kept
+    mode).  m_pad is rounded up to a 5-smooth length because 3N+1 is often
+    prime (97 at N = 32, 193 at N = 64), and pocketfft transforms prime
+    lengths several times slower.
     """
 
-    def __init__(self, n: int, dealias_factor: float = 1.5, linear_only: bool = False):
+    def __init__(self, n: int, linear_only: bool = False):
         self.n = n
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
         self.neg_phi = -self.phi
         self.zw = math.pi * (1.0 + k * k) / k
-        self.m_pad = smooth_grid_size(max(int(math.ceil(2.0 * n * dealias_factor)), 3 * n + 1))
+        self.m_pad = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
 
     @classmethod
     def of(cls, cfg: FlowConfig) -> "_VecOps":
-        return cls(cfg.N, cfg.dealias_factor, cfg.linear_only)
+        return cls(cfg.N, cfg.linear_only)
 
     def pack(self, state: TrigState) -> np.ndarray:
         return np.concatenate([state.a, state.b])
@@ -379,11 +376,6 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             if trace_every and ((i + 1) % trace_every == 0 or i + 1 == n_steps):
                 record((i + 1) * dt, y)
     return y, n_steps, picard_diffs
-
-
-def step(state: TrigState, cfg: FlowConfig) -> TrigState:
-    """Advance one step of length cfg.dt."""
-    return integrate(state, cfg.dt, cfg).final
 
 
 def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int = 0) -> FlowResult:

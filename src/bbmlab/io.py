@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict
 
 import numpy as np
 
@@ -31,12 +30,13 @@ def write_state_csv(path, state: TrigState) -> None:
     _write(path, lines)
 
 
-def read_state_csv(path) -> TrigState:
+def read_state_csv(path, n_modes: int | None = None) -> TrigState:
     """Inverse of write_state_csv.
 
     Rejects, naming the file and line, a row that does not parse or holds a
-    non-finite number, a negative or repeated k, and a nonzero b on the
-    k = 0 (mean) row.
+    non-finite number, a negative or repeated k, a k above n_modes (when
+    given), and a nonzero b on the k = 0 (mean) row.  The state has as many
+    modes as its largest k.
     """
     mean = 0.0
     pairs = {}
@@ -56,6 +56,8 @@ def read_state_csv(path) -> TrigState:
                 raise ValueError(f"{where}: non-finite coefficient in {line!r}")
             if k < 0:
                 raise ValueError(f"{where}: negative mode k = {k}")
+            if n_modes is not None and k > n_modes:
+                raise ValueError(f"{where}: mode k = {k} exceeds the truncation N = {n_modes}")
             if k in seen:
                 raise ValueError(f"{where}: duplicate row for mode k = {k}")
             seen.add(k)
@@ -126,18 +128,8 @@ def write_manifest(path, command: str, config: dict, seed: int, outputs: list[st
         "outputs": sorted(outputs),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, TrigState):
-        return {"mean": obj.mean, "a": list(obj.a), "b": list(obj.b)}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if hasattr(obj, "__dataclass_fields__"):
-        return asdict(obj)
-    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _write(path, lines) -> None:

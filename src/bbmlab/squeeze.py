@@ -41,7 +41,8 @@ class SqueezeConfig:
     """One witness-search experiment.
 
     r is the ball radius in Z-norm units, n0 the cylinder mode, T the
-    horizon.  center is the ball center (default 0); cyl_center the
+    horizon, and flow the flow every candidate is evolved by (its N is the
+    truncation).  center is the ball center (default 0); cyl_center the
     cylinder axis point in the (p_n0, q_n0) plane.  The optimizer works in
     the first min(2 n0, 16, N) mode pairs, a window that must contain n0,
     so n0 <= 16.
@@ -50,7 +51,7 @@ class SqueezeConfig:
     r: float
     n0: int
     T: float
-    N: int
+    flow: FlowConfig
     n_starts: int = 16
     center: TrigState | None = None
     cyl_center: tuple[float, float] = (0.0, 0.0)
@@ -58,19 +59,25 @@ class SqueezeConfig:
     ascent_step: float | None = None
     max_ascent_iters: int = 40
     stall_tol: float = 1e-6
-    dt: float = 0.01
-    integrator: str = "rk4"
-    dealias_factor: float = 1.5
-    linear_only: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("r", "T", "fd_step"):
+        for name in ("r", "T", "fd_step", "stall_tol"):
             require_finite(name, getattr(self, name))
         if not self.r > 0:
             raise ValueError("ball radius r must be positive")
-        if not 1 <= self.n0 <= self.N:
-            raise ValueError(f"cylinder mode n0 = {self.n0} outside 1..{self.N}")
+        if not self.fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
+        if self.ascent_step is not None:
+            require_finite("ascent_step", self.ascent_step)
+            if not self.ascent_step > 0:
+                raise ValueError(f"ascent_step must be positive, got {self.ascent_step}")
+        if self.max_ascent_iters < 0:
+            raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
+        if self.stall_tol < 0:
+            raise ValueError(f"stall_tol must be >= 0, got {self.stall_tol}")
+        if not 1 <= self.n0 <= self.flow.N:
+            raise ValueError(f"cylinder mode n0 = {self.n0} outside 1..{self.flow.N}")
         if self.n0 > _MAX_ACTIVE_PAIRS:
             raise ValueError(
                 f"cylinder mode n0 = {self.n0} lies outside the optimizer's active window: "
@@ -81,16 +88,7 @@ class SqueezeConfig:
 
     @property
     def n_active(self) -> int:
-        return min(2 * self.n0, _MAX_ACTIVE_PAIRS, self.N)
-
-    def flow_config(self) -> FlowConfig:
-        return FlowConfig(
-            N=self.N,
-            dt=self.dt,
-            integrator=self.integrator,
-            dealias_factor=self.dealias_factor,
-            linear_only=self.linear_only,
-        )
+        return min(2 * self.n0, _MAX_ACTIVE_PAIRS, self.flow.N)
 
 
 @dataclass(frozen=True)
@@ -132,11 +130,11 @@ def cylinder_radius(u: TrigState, n0: int, cyl_center: tuple[float, float] = (0.
 
 def _center_state(cfg: SqueezeConfig) -> TrigState:
     if cfg.center is None:
-        return TrigState.zero(cfg.N)
+        return TrigState.zero(cfg.flow.N)
     require_mean_zero(cfg.center, "squeeze center")
-    if cfg.center.n_modes > cfg.N:
+    if cfg.center.n_modes > cfg.flow.N:
         raise ValueError("ball center has more modes than the truncation")
-    return cfg.center.padded(cfg.N)
+    return cfg.center.padded(cfg.flow.N)
 
 
 def _embed(x: np.ndarray, center: TrigState, n_active: int, n_modes: int) -> TrigState:
@@ -161,8 +159,8 @@ def _image_radii(points, cfg: SqueezeConfig, center: TrigState) -> np.ndarray:
 
     Raises FlowError when any of the flows fails.
     """
-    u0s = [_embed(x, center, cfg.n_active, cfg.N) for x in points]
-    finals = integrate_batch(u0s, cfg.T, cfg.flow_config())
+    u0s = [_embed(x, center, cfg.n_active, cfg.flow.N) for x in points]
+    finals = integrate_batch(u0s, cfg.T, cfg.flow)
     return np.array([cylinder_radius(u, cfg.n0, cfg.cyl_center) for u in finals])
 
 
@@ -208,7 +206,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     seed_x[cfg.n0 - 1] = cfg.r
     starts.append(seed_x)
     for i in range(1, cfg.n_starts):
-        draw = sample_sphere(cfg.r, cfg.N, na, substream(cfg.seed, "start", i))
+        draw = sample_sphere(cfg.r, cfg.flow.N, na, substream(cfg.seed, "start", i))
         starts.append(_sphere_coords(center + draw, center, na))
 
     trajectories = []
@@ -268,11 +266,12 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     # Near-ties resolved toward the smoother witness (lower H^1 norm).
     contenders = [f for f in finals if f[0] >= best_val * (1.0 - 1e-12)]
     witnesses = [
-        (v, sobolev_norm(_embed(x, center, na, cfg.N), 1.0), sid, x) for v, sid, x in contenders
+        (v, sobolev_norm(_embed(x, center, na, cfg.flow.N), 1.0), sid, x)
+        for v, sid, x in contenders
     ]
     witnesses.sort(key=lambda t: (-t[0], t[1], t[2]))
     _, _, _, best_x = witnesses[0]
-    best_witness = _embed(_reproject(best_x, cfg.r), center, na, cfg.N)
+    best_witness = _embed(_reproject(best_x, cfg.r), center, na, cfg.flow.N)
 
     return SqueezeReport(
         config=cfg,
@@ -289,16 +288,15 @@ def ball_image_scan(cfg: SqueezeConfig, n_samples: int) -> ScanReport:
     Shows how far random (non-optimized) data falls below the witness-search
     supremum.  Samples are flowed in batches of _SCAN_BATCH.
     """
-    fcfg = cfg.flow_config()
     center = _center_state(cfg)
     u0s = [
-        center + sample_sphere(cfg.r, cfg.N, cfg.n_active, substream(cfg.seed, _SCAN_TAG, i))
+        center + sample_sphere(cfg.r, cfg.flow.N, cfg.n_active, substream(cfg.seed, _SCAN_TAG, i))
         for i in range(n_samples)
     ]
     radii = np.array([
         cylinder_radius(u, cfg.n0, cfg.cyl_center)
         for lo in range(0, n_samples, _SCAN_BATCH)
-        for u in integrate_batch(u0s[lo:lo + _SCAN_BATCH], cfg.T, fcfg)
+        for u in integrate_batch(u0s[lo:lo + _SCAN_BATCH], cfg.T, cfg.flow)
     ])
     levels = [round(0.1 * i, 1) for i in range(11)]
     quantiles = {lv: float(qv) for lv, qv in zip(levels, np.quantile(radii, levels))}

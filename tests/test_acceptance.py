@@ -122,7 +122,7 @@ def test_criterion_6_nonsqueezing_grid():
     for r in (0.5, 1.0):
         for n0 in (1, 2, 3):
             cfg = SqueezeConfig(
-                r=r, n0=n0, T=1.0, N=32, n_starts=16, dt=0.02,
+                r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02), n_starts=16,
                 max_ascent_iters=12, stall_tol=1e-5, seed=0,
             )
             rep = maximize_image_radius(cfg)
@@ -131,8 +131,8 @@ def test_criterion_6_nonsqueezing_grid():
             details.append(f"(r={r},n0={n0}): {ratio:.4f}r")
             lin = maximize_image_radius(
                 SqueezeConfig(
-                    r=r, n0=n0, T=1.0, N=32, n_starts=4, dt=0.02,
-                    max_ascent_iters=4, seed=0, linear_only=True,
+                    r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02, linear_only=True),
+                    n_starts=4, max_ascent_iters=4, seed=0,
                 )
             )
             ok = ok and abs(lin.achieved_radius / r - 1.0) < 1e-9

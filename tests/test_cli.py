@@ -119,6 +119,12 @@ class TestStateCsv:
         with pytest.raises(ValueError, match=r"state\.csv, line 3: non-finite coefficient"):
             read_state_csv(path)
 
+    def test_mode_above_n_modes_rejected(self, tmp_path):
+        path = self._rows(tmp_path, ["0,0,0", "1,0.5,0", "3,0.1,0"])
+        assert read_state_csv(path, 3).n_modes == 3
+        with pytest.raises(ValueError, match=r"state\.csv, line 4: mode k = 3 exceeds the truncation N = 2"):
+            read_state_csv(path, 2)
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.one_of(
@@ -146,6 +152,20 @@ class TestStateCsv:
         code, _ = run(tmp_path, monkeypatch, "simulate", text)
         assert code == 2
         assert "line 4: negative mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "squeeze"])
+    def test_huge_mode_exits_2_before_sizing_arrays(self, tmp_path, monkeypatch, capsys, command):
+        # The arrays used to be sized by the largest k before any check
+        # against N: numpy failed to allocate 72.8 TiB (traceback, exit 1).
+        path = self._rows(tmp_path, ["0,0,0", "10000000000000,1,0"])
+        if command == "simulate":
+            text = SIMULATE_T0.replace("preset = smooth", f"csv = {path}")
+        else:
+            text = ini({"squeeze": {"r": "0.5", "n0": "1", "T": "0.0", "N": "8", "center_csv": path}})
+        code, _ = run(tmp_path, monkeypatch, command, text)
+        assert code == 2
+        assert (f"state file {path}, line 3: mode k = 10000000000000 exceeds the truncation N = "
+                in capsys.readouterr().err)
 
 
 class TestSimulate:
@@ -194,8 +214,7 @@ amplitude = 50
         assert lines[0].startswith("bbmlab simulate: integration failed: state became non-finite")
 
     @pytest.mark.parametrize("key, value", [
-        ("dt", "inf"), ("dt", "nan"), ("dealias_factor", "inf"), ("dealias_factor", "nan"),
-        ("picard_tol", "nan"), ("midpoint_tol", "inf"),
+        ("dt", "inf"), ("dt", "nan"), ("picard_tol", "nan"), ("midpoint_tol", "inf"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
         text = SIMULATE_T0.replace("T = 0.0", "T = 0.1")
@@ -373,6 +392,25 @@ N = 32
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        # Each of these used to exit 0 having done no ascent, or (fd_step = 0)
+        # to fail on a nan gradient without naming fd_step.
+        ("fd_step", "0", "fd_step must be positive, got 0.0"),
+        ("ascent_step", "0", "ascent_step must be positive, got 0.0"),
+        ("ascent_step", "-0.1", "ascent_step must be positive, got -0.1"),
+        ("max_ascent_iters", "-3", "max_ascent_iters must be >= 0, got -3"),
+        ("stall_tol", "-1e-6", "stall_tol must be >= 0, got -1e-06"),
+        # Used to read "cylinder mode n0 = 1 outside 1..0".
+        ("N", "0", "N must be >= 1"),
+    ])
+    def test_setting_that_disables_the_search_exits_2(self, tmp_path, monkeypatch, capsys,
+                                                       key, value, message):
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", key: value}
+        code, outdir = run(tmp_path, monkeypatch, "squeeze", ini({"squeeze": keys}))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (outdir / "squeeze.csv").exists()
+
 
 class TestGalerkinAndOrbit:
     def test_galerkin_sweep(self, tmp_path, monkeypatch):
@@ -485,9 +523,8 @@ max_ascent_iters = 3
 
 
 FLOW_ALL_KEYS = {
-    "N": "16", "dt": "0.01", "T": "0.1", "integrator": "rk4", "dealias_factor": "1.5",
-    "picard_tol": "1e-12", "picard_max_iter": "60", "midpoint_tol": "1e-12",
-    "linear_only": "false",
+    "N": "16", "dt": "0.01", "T": "0.1", "integrator": "rk4", "picard_tol": "1e-12",
+    "picard_max_iter": "60", "midpoint_tol": "1e-12", "linear_only": "false",
 }
 STATE_ALL_KEYS = {
     "smooth": {"preset": "smooth", "scale": "0.5"},
@@ -519,11 +556,12 @@ SCHEMA_CASES = [(command, None) for command in ("estimates", "squeeze", "orbit")
 ]
 
 # Valid configs whose numeric values the fuzz below replaces one at a time.
-# The N keys are left out: the initial state is built at N before the key check.
+# The [flow] N keys are left out: the initial state is built at N before the
+# key check.
 FUZZ_CONFIGS = {
     "simulate": {
         "run": {"seed": "3"},
-        "flow": {"N": "8", "dt": "0.01", "T": "0.1", "dealias_factor": "1.5", "picard_tol": "1e-12",
+        "flow": {"N": "8", "dt": "0.01", "T": "0.1", "picard_tol": "1e-12",
                  "picard_max_iter": "60", "midpoint_tol": "1e-12", "trace_every": "10"},
         "state": {"preset": "smooth", "scale": "1.0"},
     },
@@ -546,7 +584,7 @@ FUZZ_KEYS = [
     for command, sections in FUZZ_CONFIGS.items()
     for section, keys in sections.items()
     for key in keys
-    if key not in ("N", "preset")
+    if key != "preset" and (section, key) != ("flow", "N")
 ]
 NUMERIC_TEXT = st.one_of(
     LINE_TEXT,
@@ -580,15 +618,32 @@ class TestConfigSchema:
         assert {section: set(keys) for section, keys in checked[0].resolved.items()} == expected
 
     def test_squeeze_dealias_factor_is_unknown(self, tmp_path, monkeypatch, capsys):
-        # SqueezeConfig has a dealias_factor field, but the INI schema skips it.
         text = ini({"squeeze": {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "dealias_factor": "2.0"}})
         code, _ = run(tmp_path, monkeypatch, "squeeze", text)
         assert code == 2
         assert "unknown config key(s) `dealias_factor` in [squeeze]" in capsys.readouterr().err
 
+    def test_flow_dealias_factor_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # The padded grid follows from N alone.
+        text = SIMULATE_T0.replace("[state]", "dealias_factor = 1.5\n[state]")
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert "unknown config key(s) `dealias_factor` in [flow]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["flow", "squeeze"])
+    def test_readme_schema_lists_the_keys_read(self, section):
+        # The README's schema table names every key the CLI reads, and no other.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        row = re.search(rf"^\| `\[{section}\]` \| (.*) \|$", readme, re.MULTILINE).group(1)
+        names = re.findall(r"`([A-Za-z0-9_/]+)`", re.sub(r"\([^)]*\)", "", row))
+        keys = {key for name in names for key in (
+            [name[:-4] + "_p", name[:-4] + "_q"] if name.endswith("_p/q") else [name])}
+        command = "simulate" if section == "flow" else "squeeze"
+        assert keys == set(ALL_KEYS[command][section])
+
     @pytest.mark.parametrize("name, expected", [
         ("simulate", {
-            "flow": {"N": 64, "T": 1.0, "dealias_factor": 1.5, "dt": 0.001, "integrator": "rk4",
+            "flow": {"N": 64, "T": 1.0, "dt": 0.001, "integrator": "rk4",
                      "linear_only": False, "midpoint_tol": 1e-12, "picard_max_iter": 60,
                      "picard_tol": 1e-12, "trace_every": 100},
             "run": {"outdir": "runs/simulate", "seed": 1},

@@ -13,7 +13,6 @@ from bbmlab.estimates import (
     flow_jacobian,
     multiplier_ratio,
     radial_orbit,
-    radial_orbit_period,
     smoothing_ratio,
     symplectic_defect,
 )
@@ -202,11 +201,11 @@ class TestFlowJacobian:
 
 class TestRadialOrbit:
     def test_half_pi_period_two(self):
-        period = radial_orbit_period(math.pi / 2.0, 1, 0.5)
+        period = radial_orbit(math.pi / 2.0, 1, 0.5)[0]
         assert abs(period - 2.0) < 1e-6
 
     def test_period_exceeds_one_near_boundary(self):
-        period = radial_orbit_period(0.999 * math.pi, 1, 0.3)
+        period = radial_orbit(0.999 * math.pi, 1, 0.3)[0]
         assert period > 1.0
         assert abs(period * 0.999 * math.pi - math.pi) < 1e-5 * math.pi
 
@@ -216,14 +215,14 @@ class TestRadialOrbit:
 
     @pytest.mark.parametrize("fprime", [0.1, 0.5, 1.0, 2.0, 3.0])
     def test_period_times_fprime_is_pi(self, fprime):
-        period = radial_orbit_period(fprime, 2, 0.5)
+        period = radial_orbit(fprime, 2, 0.5)[0]
         assert abs(period * fprime - math.pi) < 1e-5
 
     def test_range_guards(self):
         with pytest.raises(ValueError, match="fprime"):
-            radial_orbit_period(3.5, 1, 0.5)
+            radial_orbit(3.5, 1, 0.5)
         with pytest.raises(ValueError, match="radius2"):
-            radial_orbit_period(1.0, 1, 1.5)
+            radial_orbit(1.0, 1, 1.5)
 
 
 class TestSamplerDeterminism:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bbmlab.flow import integrate
+from bbmlab.flow import FlowConfig, integrate
 from bbmlab.sampling import substream
 from bbmlab.spectral import (
     TrigState,
@@ -88,9 +88,9 @@ class TestCylinderRadius:
             assert radius / 2.0 ** 0.25 - 1e-12 <= h_half <= radius + 1e-12
 
 
-def small_config(**kw):
-    base = dict(r=0.5, n0=1, T=0.5, N=16, n_starts=4, dt=0.02, max_ascent_iters=8,
-                stall_tol=1e-5, seed=0)
+def small_config(linear_only=False, **kw):
+    base = dict(r=0.5, n0=1, T=0.5, flow=FlowConfig(N=16, dt=0.02, linear_only=linear_only),
+                n_starts=4, max_ascent_iters=8, stall_tol=1e-5, seed=0)
     base.update(kw)
     return SqueezeConfig(**base)
 
@@ -141,17 +141,25 @@ class TestMaximize:
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n0"):
-            SqueezeConfig(r=0.5, n0=9, T=1.0, N=8)
+            SqueezeConfig(r=0.5, n0=9, T=1.0, flow=FlowConfig(N=8, dt=0.01))
         with pytest.raises(ValueError, match="radius"):
-            SqueezeConfig(r=0.0, n0=1, T=1.0, N=8)
+            SqueezeConfig(r=0.0, n0=1, T=1.0, flow=FlowConfig(N=8, dt=0.01))
 
-    @pytest.mark.parametrize("field", ["r", "T", "fd_step"])
+    @pytest.mark.parametrize("field", ["r", "T", "fd_step", "ascent_step", "stall_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_numbers_rejected(self, field, value):
         # T = inf used to reach the flow; fd_step = nan gave a nan gradient.
-        kw = {"r": 0.5, "n0": 1, "T": 1.0, "N": 8, field: value}
+        kw = {"r": 0.5, "n0": 1, "T": 1.0, "flow": FlowConfig(N=8, dt=0.01), field: value}
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             SqueezeConfig(**kw)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fd_step", 0.0), ("ascent_step", 0.0), ("ascent_step", -0.1), ("max_ascent_iters", -3),
+        ("stall_tol", -1e-6),
+    ])
+    def test_settings_that_disable_the_search_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be (positive|>= 0), got {value}"):
+            small_config(**{field: value})
 
     @pytest.mark.parametrize("n0, n_modes", [(17, 32), (33, 40)])
     def test_mode_outside_active_window_rejected(self, n0, n_modes):
@@ -159,21 +167,21 @@ class TestMaximize:
         # start used to land on another mode (n0 = 17) or index past the
         # window (n0 = 33).
         with pytest.raises(ValueError, match="at most 16 mode pairs"):
-            SqueezeConfig(r=0.5, n0=n0, T=1.0, N=n_modes)
+            SqueezeConfig(r=0.5, n0=n0, T=1.0, flow=FlowConfig(N=n_modes, dt=0.01))
 
     def test_batched_gradient_matches_serial_loop(self):
         cfg = small_config(n0=2)
         center = _center_state(cfg)
         na = cfg.n_active
-        draw = sample_sphere(cfg.r, cfg.N, na, substream(cfg.seed, "start", 1))
+        fcfg = cfg.flow
+        draw = sample_sphere(cfg.r, fcfg.N, na, substream(cfg.seed, "start", 1))
         x = _sphere_coords(center + draw, center, na)
-        fcfg = cfg.flow_config()
 
         def reproject(y):
             return (cfg.r / float(np.linalg.norm(y))) * y
 
         def objective(y):
-            final = integrate(_embed(y, center, na, cfg.N), cfg.T, fcfg).final
+            final = integrate(_embed(y, center, na, fcfg.N), cfg.T, fcfg).final
             return cylinder_radius(final, cfg.n0, cfg.cyl_center)
 
         serial = np.zeros(2 * na)
@@ -192,8 +200,8 @@ class TestMaximize:
     @pytest.mark.parametrize("extra, stage", [({"r": 40.0}, "at the seed"),
                                               ({"r": 37.0, "fd_step": 4.0}, "gradient")])
     def test_blown_up_start_abandoned_others_report(self, extra, stage, caplog):
-        cfg = SqueezeConfig(n0=1, T=4.0, N=8, n_starts=4, dt=0.5, max_ascent_iters=2,
-                            seed=0, **extra)
+        cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
+                            max_ascent_iters=2, seed=0, **extra)
         with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
             rep = maximize_image_radius(cfg)
         assert "start 3 abandoned" in caplog.text and stage in caplog.text
