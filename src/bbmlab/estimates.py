@@ -16,22 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .flow import FlowConfig, FlowError, free_evolution, integrate_batch, rk4_step
-from .sampling import sobolev_ball_state, substream
+from .sampling import sobolev_ball_rows, substream
 from .spectral import (
-    GridSamples,
+    MAX_MODES,
     SymplecticCoords,
     TrigState,
-    analyze,
-    dispersion_multiplier,
+    analyze_rows,
+    dispersion_symbol,
     from_symplectic,
     require_mean_zero,
     smooth_grid_size,
     sobolev_norm,
-    synthesize,
+    sobolev_norms,
+    synthesize_rows,
     to_symplectic,
+    wavenumbers,
 )
 
 DEFAULT_N_SWEEP = (16, 32, 64, 128)
+# Sample pairs per padded-grid product in estimate_constant.  The sweep runs
+# no faster with larger chunks, while its peak memory grows with them.
+_SWEEP_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -84,38 +89,53 @@ class EstimateReport:
         return self.sweep[ns[-1]].ratio < 1.10 * self.sweep[ns[-2]].ratio
 
 
-def exact_product(u: TrigState, v: TrigState) -> TrigState:
-    """Pointwise product as a trig polynomial with all 2N modes kept, alias-free.
+def _product_rows(u, v):
+    """Pointwise products of paired coefficient rows (mean, a, b), alias-free.
 
-    The grid has the smallest 5-smooth length >= 2 n_out + 1 (see
+    All n_u + n_v modes are kept.  The grid has the smallest 5-smooth length >= 2 n_out + 1 (see
     spectral.smooth_grid_size): 2 n_out + 1 itself is prime at N = 64.
     """
-    n_out = u.n_modes + v.n_modes
+    n_out = u[1].shape[1] + v[1].shape[1]
     m = smooth_grid_size(2 * n_out + 1)
-    vals = synthesize(u.padded(n_out), m).values * synthesize(v.padded(n_out), m).values
-    return analyze(GridSamples(vals), n_out)
+    return analyze_rows(synthesize_rows(*u, m) * synthesize_rows(*v, m), n_out)
+
+
+def _ratio_rows(u, v, s_top: float, r_u: float, r_v: float, name: str):
+    """||phi(D)(u v)||_{H^s_top} / (||u||_{H^r_u} ||v||_{H^r_v}) per row pair.
+
+    Returns the ratios and the two denominator norms, one entry per row.
+    """
+    norm_u = sobolev_norms(*u, r_u)
+    norm_v = sobolev_norms(*v, r_v)
+    if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
+        raise ValueError(f"{name} requires nonzero inputs")
+    _, a, b = _product_rows(u, v)
+    phi = dispersion_symbol(wavenumbers(a.shape[1]))
+    return sobolev_norms(0.0, phi * a, phi * b, s_top) / (norm_u * norm_v), norm_u, norm_v
+
+
+def _row(state: TrigState):
+    return state.mean, state.a[None], state.b[None]
+
+
+def exact_product(u: TrigState, v: TrigState) -> TrigState:
+    """Pointwise product as a trig polynomial with all 2N modes kept, alias-free."""
+    mean, a, b = _product_rows(_row(u), _row(v))
+    return TrigState(mean[0], a[0], b[0])
 
 
 def bilinear_ratio(u: TrigState, v: TrigState, s: float, r: float, rprime: float) -> float:
     """||phi(D)(u v)||_{H^s} / (||u||_{H^r} ||v||_{H^r'}) with the product exact."""
     require_mean_zero(u, "bilinear_ratio")
     require_mean_zero(v, "bilinear_ratio")
-    nu = sobolev_norm(u, r)
-    nv = sobolev_norm(v, rprime)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("bilinear_ratio requires nonzero inputs")
-    return sobolev_norm(dispersion_multiplier(exact_product(u, v)), s) / (nu * nv)
+    return float(_ratio_rows(_row(u), _row(v), s, r, rprime, "bilinear_ratio")[0][0])
 
 
 def multiplier_ratio(u: TrigState, v: TrigState, s: float, r: float) -> float:
     """||phi(D)(u v)||_{H^{s+1}} / (||u||_{H^r} ||v||_{H^s}): the one-derivative gain."""
     require_mean_zero(u, "multiplier_ratio")
     require_mean_zero(v, "multiplier_ratio")
-    nu = sobolev_norm(u, r)
-    nv = sobolev_norm(v, s)
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("multiplier_ratio requires nonzero inputs")
-    return sobolev_norm(dispersion_multiplier(exact_product(u, v)), s + 1.0) / (nu * nv)
+    return float(_ratio_rows(_row(u), _row(v), s + 1.0, r, s, "multiplier_ratio")[0][0])
 
 
 def check_exponents(s: float, r: float, rprime: float, mode: str = "bilinear") -> None:
@@ -145,22 +165,20 @@ def check_exponents(s: float, r: float, rprime: float, mode: str = "bilinear") -
         raise ValueError(f"unknown estimate mode {mode!r}")
 
 
-def _sample_pair(sampler: str, seed: int, idx: int, n_modes: int, r: float, rprime: float):
+def _sample_rows(sampler: str, seed: int, idx: range, n_modes: int, r: float, rprime: float):
+    """Coefficient rows (mean, a, b) of the u and v draws of samples idx at N = n_modes."""
     if sampler == "gaussian":
-        u = sobolev_ball_state(substream(seed, n_modes, idx, 0), n_modes, r, 1.0)
-        v = sobolev_ball_state(substream(seed, n_modes, idx, 1), n_modes, rprime, 1.0)
-        return u, v
-    if sampler == "adversarial":
-        # Near-resonant concentrated pairs cos(Kx), cos((K+-1)x), K swept to N.
-        if n_modes < 2:
-            raise ValueError("adversarial sampler needs at least 2 modes")
-        k = 1 + idx % (n_modes - 1)
-        delta = 1 if (idx // (n_modes - 1)) % 2 == 0 else -1
-        k2 = min(max(k + delta, 1), n_modes)
-        u = TrigState.single_mode(k, n_modes, a_k=1.0)
-        v = TrigState.single_mode(k2, n_modes, a_k=1.0)
-        return u, v
-    raise ValueError(f"unknown sampler {sampler!r}")
+        # Sample i always comes from the substreams (seed, N, i, 0) and (seed, N, i, 1).
+        u = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
+        v = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
+        return (0.0, *u), (0.0, *v)
+    # Near-resonant concentrated pairs cos(Kx), cos((K+-1)x), K swept to N.
+    i = np.arange(idx.start, idx.stop)[:, None]
+    k = 1 + i % (n_modes - 1)
+    k2 = np.clip(k + 1 - 2 * ((i // (n_modes - 1)) % 2), 1, n_modes)
+    modes = wavenumbers(n_modes)
+    zero = np.zeros((len(i), n_modes))
+    return (0.0, 1.0 * (modes == k), zero), (0.0, 1.0 * (modes == k2), zero)
 
 
 def estimate_constant(
@@ -176,27 +194,37 @@ def estimate_constant(
     """Observed supremum of the estimate's ratio over n_samples draws per truncation.
 
     Sample i at truncation N always uses the substream (seed, N, i), so the
-    supremum is non-decreasing in n_samples for a fixed seed.
+    supremum is non-decreasing in n_samples for a fixed seed.  The samples
+    are drawn and measured _SWEEP_BATCH at a time, with one padded-grid
+    product per chunk; the first sample reaching the supremum is reported.
     """
     check_exponents(s, r, rprime, mode)
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if sampler not in ("gaussian", "adversarial"):
+        raise ValueError(f"unknown sampler {sampler!r}")
+    if not n_sweep:
+        raise ValueError("N_list must name at least one truncation")
+    for n_modes in n_sweep:
+        if not 1 <= n_modes <= MAX_MODES:
+            raise ValueError(f"N_list entry N = {n_modes} outside 1..{MAX_MODES}")
+        if sampler == "adversarial" and n_modes < 2:
+            raise ValueError("adversarial sampler needs at least 2 modes")
+    s_top, r_v = (s, rprime) if mode == "bilinear" else (s + 1.0, s)
     sweep = {}
     for n_modes in n_sweep:
         best = None
-        for i in range(n_samples):
-            u, v = _sample_pair(sampler, seed, i, n_modes, r, rprime)
-            if mode == "bilinear":
-                ratio = bilinear_ratio(u, v, s, r, rprime)
-            else:
-                ratio = multiplier_ratio(u, v, s, r)
-            if best is None or ratio > best.ratio:
+        for lo in range(0, n_samples, _SWEEP_BATCH):
+            idx = range(lo, min(lo + _SWEEP_BATCH, n_samples))
+            u, v = _sample_rows(sampler, seed, idx, n_modes, r, rprime)
+            ratio, norm_u, norm_v = _ratio_rows(u, v, s_top, r, r_v, f"{mode}_ratio")
+            if not np.all(np.isfinite(ratio)):
+                raise ValueError(f"non-finite {mode} ratio among samples {idx} at N = {n_modes}")
+            j = int(np.argmax(ratio))
+            if best is None or ratio[j] > best.ratio:
                 best = EstimateSample(
-                    seed=i,
-                    s=s,
-                    r=r,
-                    rprime=rprime,
-                    ratio=ratio,
-                    norm_u=sobolev_norm(u, r),
-                    norm_v=sobolev_norm(v, s if mode == "multiplier" else rprime),
+                    seed=idx[j], s=s, r=r, rprime=rprime, ratio=float(ratio[j]),
+                    norm_u=float(norm_u[j]), norm_v=float(norm_v[j]),
                 )
         sweep[int(n_modes)] = best
     return EstimateReport(
@@ -346,6 +374,8 @@ def radial_orbit(
         raise ValueError(f"fprime_max must lie in (0, pi), got {fprime_max}")
     if not 0.0 < radius2 < 1.0:
         raise ValueError(f"radius2 must lie in (0, 1), got {radius2}")
+    if not 1 <= n_pairs <= MAX_MODES:
+        raise ValueError(f"n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}")
     amp = math.sqrt(radius2 / n_pairs)
     angles = 0.7 * np.arange(n_pairs)
     x = np.concatenate([amp * np.cos(angles), amp * np.sin(angles)])

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import (
+    MAX_MODES,
     TrigState,
     dispersion_symbol,
     project,
@@ -87,6 +88,8 @@ class FlowConfig:
             require_finite(name, getattr(self, name))
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.N > MAX_MODES:
+            raise ValueError(f"N must be <= {MAX_MODES} (spectral.MAX_MODES), got {self.N}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if self.integrator not in _INTEGRATORS:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .spectral import TrigState, sobolev_norm, wavenumbers, z_norm
+from .spectral import TrigState, sobolev_norms, wavenumbers, z_norm
 
 _MASK64 = (1 << 64) - 1
 
@@ -30,13 +30,38 @@ def substream(seed: int, *path) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=key))
 
 
-def gaussian_modes(rng: np.random.Generator, n_modes: int, decay: float) -> TrigState:
-    """Mean-zero state with a_k, b_k ~ N(0,1) scaled by <k>^{-decay}."""
+def sobolev_ball_rows(
+    rngs,
+    n_modes: int,
+    reg: float,
+    radius: float,
+    decay: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cos and sin coefficient rows (len(rngs), n_modes) of random mean-zero states.
+
+    Row i is drawn from rngs[i] alone (a_k then b_k ~ N(0,1), scaled by
+    <k>^{-decay}) and rescaled to H^reg norm exactly `radius`, so it does
+    not depend on the other rows.  The default spectral decay
+    <k>^{-(reg + 1/2 + 0.01)} concentrates mass near the critical
+    regularity, which is where the bilinear estimates are tightest; pass a
+    larger `decay` for smoother draws.
+    """
+    if n_modes < 1:
+        raise ValueError("truncation must be at least 1")
+    if decay is None:
+        decay = reg + 0.5 + 0.01
     k = wavenumbers(n_modes)
     w = (1.0 + k * k) ** (-decay / 2.0)
-    a = rng.standard_normal(n_modes) * w
-    b = rng.standard_normal(n_modes) * w
-    return TrigState.mean_zero(a, b)
+    draws = np.array([(rng.standard_normal(n_modes), rng.standard_normal(n_modes)) for rng in rngs])
+    a, b = draws[:, 0] * w, draws[:, 1] * w
+    nrm = sobolev_norms(0.0, a, b, reg)
+    if np.any(nrm == 0.0):
+        raise ValueError("degenerate zero draw")
+    scale = (radius / nrm)[:, None]
+    a, b = scale * a, scale * b
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("state coefficients must be finite")
+    return a, b
 
 
 def sobolev_ball_state(
@@ -46,19 +71,9 @@ def sobolev_ball_state(
     radius: float,
     decay: float | None = None,
 ) -> TrigState:
-    """Random state with H^reg norm exactly `radius`.
-
-    The default spectral decay <k>^{-(reg + 1/2 + 0.01)} concentrates mass
-    near the critical regularity, which is where the bilinear estimates are
-    tightest; pass a larger `decay` for smoother draws.
-    """
-    if decay is None:
-        decay = reg + 0.5 + 0.01
-    u = gaussian_modes(rng, n_modes, decay)
-    nrm = sobolev_norm(u, reg)
-    if nrm == 0.0:
-        raise ValueError("degenerate zero draw")
-    return (radius / nrm) * u
+    """Random state with H^reg norm exactly `radius`: one row of sobolev_ball_rows."""
+    a, b = sobolev_ball_rows([rng], n_modes, reg, radius, decay)
+    return TrigState.mean_zero(a[0], b[0])
 
 
 def z_sphere_state(rng: np.random.Generator, radius: float, n_modes: int, n_active: int) -> TrigState:

@@ -23,6 +23,11 @@ import numpy as np
 # Mean magnitudes below this count as zero for phase-space preconditions.
 MEAN_TOL = 1e-12
 
+# Largest truncation any experiment accepts, 128 times the largest shipped N:
+# every array sized from N then fits in memory (a state is 256 KiB), while a
+# request for 10^13 modes is rejected by name instead of failing to allocate.
+MAX_MODES = 1 << 14
+
 
 class ResolutionError(ValueError):
     """Sample grid too coarse for the requested truncation (aliasing risk)."""
@@ -209,6 +214,30 @@ def unit_sin_mode(k: int, n_modes: int) -> TrigState:
     return TrigState.single_mode(k, n_modes, b_k=c)
 
 
+def synthesize_rows(mean, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Values at x_j = 2 pi j / m of the coefficient rows (mean, a, b).
+
+    a and b have shape (rows, N) with m >= 2N+1; mean is a number or one
+    per row.  The inverse FFT acts on each row alone, so a row's values do
+    not depend on the rows stacked with it.
+    """
+    spec = np.zeros((a.shape[0], m // 2 + 1), dtype=complex)
+    spec[:, 0] = m * mean
+    spec[:, 1:a.shape[1] + 1] = 0.5 * m * (a - 1j * b)
+    return np.fft.irfft(spec, m, axis=-1)
+
+
+def analyze_rows(values: np.ndarray, n_modes: int):
+    """Coefficient rows (mean, a, b) of modes <= n_modes interpolating the grid rows.
+
+    values has shape (rows, M) with M >= 2 n_modes + 1; each row is
+    transformed alone.
+    """
+    m = values.shape[-1]
+    spec = np.fft.rfft(values, axis=-1)[:, :n_modes + 1]
+    return spec[:, 0].real / m, 2.0 * spec[:, 1:].real / m, -2.0 * spec[:, 1:].imag / m
+
+
 def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:
     """Evaluate the state at x_j = 2 pi j / M, j = 0..M-1.
 
@@ -220,10 +249,7 @@ def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:
     if m < 2 * n + 1:
         raise ResolutionError(f"resolution too low: M = {m} < 2N+1 = {2 * n + 1}")
     if method == "fft":
-        spec = np.zeros(m // 2 + 1, dtype=complex)
-        spec[0] = m * state.mean
-        spec[1:n + 1] = 0.5 * m * (state.a - 1j * state.b)
-        return GridSamples(np.fft.irfft(spec, m))
+        return GridSamples(synthesize_rows(state.mean, state.a[None], state.b[None], m)[0])
     if method == "direct":
         x = 2.0 * math.pi * np.arange(m) / m
         kx = np.outer(wavenumbers(n), x)
@@ -242,11 +268,19 @@ def analyze(samples: GridSamples, n_modes: int) -> TrigState:
         raise ResolutionError(
             f"aliasing risk: M = {m} < 2N+1 = {2 * n_modes + 1} samples for N = {n_modes} modes"
         )
-    spec = np.fft.rfft(samples.values)
-    mean = float(spec[0].real) / m
-    a = 2.0 * spec[1:n_modes + 1].real / m
-    b = -2.0 * spec[1:n_modes + 1].imag / m
-    return TrigState(mean, a, b)
+    mean, a, b = analyze_rows(samples.values[None], n_modes)
+    return TrigState(mean[0], a[0], b[0])
+
+
+def sobolev_norms(mean, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of the coefficient rows (mean, a, b), a and b of shape (..., N).
+
+    Each row's sum runs along the last axis exactly as for a single row, so
+    a row's norm does not depend on the rows stacked with it.
+    """
+    k = wavenumbers(a.shape[-1])
+    w = (1.0 + k * k) ** s
+    return np.sqrt(math.pi * np.sum(w * (a ** 2 + b ** 2), axis=-1) + 2.0 * math.pi * mean ** 2)
 
 
 def sobolev_norm(state: TrigState, s: float) -> float:
@@ -254,11 +288,7 @@ def sobolev_norm(state: TrigState, s: float) -> float:
 
     <k> = (1+k^2)^{1/2}; s may be negative.
     """
-    k = wavenumbers(state.n_modes)
-    w = (1.0 + k * k) ** s
-    total = math.pi * float(np.sum(w * (state.a ** 2 + state.b ** 2)))
-    total += 2.0 * math.pi * state.mean ** 2
-    return math.sqrt(total)
+    return float(sobolev_norms(state.mean, state.a, state.b, s))
 
 
 def _z_weights(n_modes: int) -> np.ndarray:

@@ -85,6 +85,12 @@ class SqueezeConfig:
             )
         if self.n_starts < 1:
             raise ValueError(f"need at least one start, got n_starts = {self.n_starts}")
+        if self.center is not None:
+            require_mean_zero(self.center, "center")
+            if self.center.n_modes > self.flow.N:
+                raise ValueError(
+                    f"center has {self.center.n_modes} modes, more than flow.N = {self.flow.N}"
+                )
 
     @property
     def n_active(self) -> int:
@@ -131,9 +137,6 @@ def cylinder_radius(u: TrigState, n0: int, cyl_center: tuple[float, float] = (0.
 def _center_state(cfg: SqueezeConfig) -> TrigState:
     if cfg.center is None:
         return TrigState.zero(cfg.flow.N)
-    require_mean_zero(cfg.center, "squeeze center")
-    if cfg.center.n_modes > cfg.flow.N:
-        raise ValueError("ball center has more modes than the truncation")
     return cfg.center.padded(cfg.flow.N)
 
 

@@ -1,13 +1,17 @@
 """Independent slow-path oracles for the spectral operations.
 
-Everything here works from the definitions (convolution sums, Riemann
-quadrature, trig calculus) without touching the package's FFT paths, so the
-fast implementations can be checked against it at 1e-12.
+Everything here but reference_estimate works from the definitions
+(convolution sums, Riemann quadrature, trig calculus) without touching the
+package's FFT paths, so the fast implementations can be checked against it
+at 1e-12.  reference_estimate is the pair-by-pair loop the batched estimate
+sweep must reproduce bit for bit.
 """
 
 import numpy as np
 
-from bbmlab.spectral import TrigState
+from bbmlab.estimates import bilinear_ratio, multiplier_ratio
+from bbmlab.sampling import sobolev_ball_state, substream
+from bbmlab.spectral import TrigState, sobolev_norm
 
 
 def complex_modes(state: TrigState) -> np.ndarray:
@@ -80,3 +84,29 @@ def oracle_analyze(values: np.ndarray, n_modes: int) -> TrigState:
     a = np.array([2.0 / m * np.sum(values * np.cos(k * x)) for k in range(1, n_modes + 1)])
     b = np.array([2.0 / m * np.sum(values * np.sin(k * x)) for k in range(1, n_modes + 1)])
     return TrigState(mean, a, b)
+
+
+def reference_estimate(s, r, rprime, n_samples, n_modes, sampler, mode, seed):
+    """(seed, ratio, norm_u, norm_v) of estimate_constant's sample at N = n_modes.
+
+    Pairs are drawn and measured one at a time.  Draw i comes from the
+    substreams (seed, N, i, 0/1), or is the adversarial pair cos(Kx),
+    cos((K +- 1)x); the first draw with the largest ratio wins.
+    """
+    best = None
+    for i in range(n_samples):
+        if sampler == "gaussian":
+            u = sobolev_ball_state(substream(seed, n_modes, i, 0), n_modes, r, 1.0)
+            v = sobolev_ball_state(substream(seed, n_modes, i, 1), n_modes, rprime, 1.0)
+        else:
+            k = 1 + i % (n_modes - 1)
+            delta = 1 if (i // (n_modes - 1)) % 2 == 0 else -1
+            u = TrigState.single_mode(k, n_modes, a_k=1.0)
+            v = TrigState.single_mode(min(max(k + delta, 1), n_modes), n_modes, a_k=1.0)
+        if mode == "bilinear":
+            row = (i, bilinear_ratio(u, v, s, r, rprime), sobolev_norm(u, r), sobolev_norm(v, rprime))
+        else:
+            row = (i, multiplier_ratio(u, v, s, r), sobolev_norm(u, r), sobolev_norm(v, s))
+        if best is None or row[1] > best[1]:
+            best = row
+    return best

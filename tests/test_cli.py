@@ -10,11 +10,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import cli
+from bbmlab import cli, estimates
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_manifest, write_state_csv
 from bbmlab.sampling import smooth_profile
-from bbmlab.spectral import TrigState, z_norm
+from bbmlab.spectral import MAX_MODES, TrigState, z_norm
 
 from conftest import random_state
 
@@ -338,6 +338,28 @@ N_list = 16
         _, outdir = run(tmp_path, monkeypatch, "estimates", text)
         assert (outdir / "estimate.csv").read_bytes() == first
 
+    @pytest.mark.parametrize("key, value, message", [
+        # n_samples < 1 used to run the whole sweep and then fail writing the
+        # CSV with an AttributeError traceback (exit 1).
+        ("n_samples", "0", "n_samples must be >= 1, got 0"),
+        ("n_samples", "-3", "n_samples must be >= 1, got -3"),
+        # Used to read only "truncation must be at least 1".
+        ("N_list", "0", f"N_list entry N = 0 outside 1..{MAX_MODES}"),
+        # Used to fail allocating the wavenumbers with a numpy traceback (exit 1).
+        ("N_list", "16, 10000000000000", f"N_list entry N = 10000000000000 outside 1..{MAX_MODES}"),
+    ])
+    def test_bad_sweep_size_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys,
+                                                    key, value, message):
+        def no_sampling(*args):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(estimates, "_sample_rows", no_sampling)
+        keys = {"s": "0.5", "r": "0.5", "rprime": "0.5", "n_samples": "10", "N_list": "16", key: value}
+        code, outdir = run(tmp_path, monkeypatch, "estimates", ini({"estimates": keys}))
+        assert code == 2
+        assert f"bbmlab estimates: {message}" in capsys.readouterr().err
+        assert not (outdir / "estimate.csv").exists()
+
 
 class TestSqueeze:
     def test_zero_horizon_reports_radius(self, tmp_path, monkeypatch, capsys):
@@ -410,6 +432,27 @@ N = 32
         assert code == 2
         assert message in capsys.readouterr().err
         assert not (outdir / "squeeze.csv").exists()
+
+
+@pytest.mark.parametrize("command, sections", [
+    ("simulate", {"flow": {"N": "10000000000000", "dt": "0.01", "T": "0.1"},
+                  "state": {"preset": "smooth"}}),
+    ("galerkin", {"flow": {"N": "10000000000000", "dt": "0.01", "T": "0.1"},
+                  "state": {"preset": "smooth"}}),
+    ("squeeze", {"squeeze": {"r": "0.5", "n0": "1", "T": "1.0", "N": "10000000000000"}}),
+])
+def test_mode_count_above_cap_exits_2(tmp_path, monkeypatch, capsys, command, sections):
+    # Used to pass every check and fail allocating the first state (exit 1).
+    code, _ = run(tmp_path, monkeypatch, command, ini(sections))
+    assert code == 2
+    assert f"bbmlab {command}: N must be <= {MAX_MODES}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_pairs", ["0", "10000000000000"])
+def test_orbit_pair_count_outside_range_exits_2(tmp_path, monkeypatch, capsys, n_pairs):
+    code, _ = run(tmp_path, monkeypatch, "orbit", ini({"orbit": {"n_pairs": n_pairs}}))
+    assert code == 2
+    assert f"bbmlab orbit: n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}" in capsys.readouterr().err
 
 
 class TestGalerkinAndOrbit:
@@ -556,8 +599,6 @@ SCHEMA_CASES = [(command, None) for command in ("estimates", "squeeze", "orbit")
 ]
 
 # Valid configs whose numeric values the fuzz below replaces one at a time.
-# The [flow] N keys are left out: the initial state is built at N before the
-# key check.
 FUZZ_CONFIGS = {
     "simulate": {
         "run": {"seed": "3"},
@@ -584,7 +625,7 @@ FUZZ_KEYS = [
     for command, sections in FUZZ_CONFIGS.items()
     for section, keys in sections.items()
     for key in keys
-    if key != "preset" and (section, key) != ("flow", "N")
+    if key != "preset"
 ]
 NUMERIC_TEXT = st.one_of(
     LINE_TEXT,

@@ -3,8 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbmlab.estimates import (
+    _SWEEP_BATCH,
     bilinear_ratio,
     canonical_form_matrix,
     check_exponents,
@@ -17,11 +20,20 @@ from bbmlab.estimates import (
     symplectic_defect,
 )
 from bbmlab.flow import FlowConfig
-from bbmlab.sampling import sobolev_ball_state, substream
-from bbmlab.spectral import TrigState, dispersion_symbol, unit_cos_mode
+from bbmlab.sampling import sobolev_ball_rows, sobolev_ball_state, substream
+from bbmlab.spectral import MAX_MODES, TrigState, dispersion_symbol, unit_cos_mode
 
 from conftest import random_state
-from oracles import oracle_product
+from oracles import oracle_product, reference_estimate
+
+# (sampler, mode, s, r, r') cases covering both samplers and both modes.
+SWEEP_CASES = [
+    ("gaussian", "bilinear", 0.5, 0.5, 0.5),
+    ("gaussian", "bilinear", 0.5, 0.5, 0.45),
+    ("gaussian", "multiplier", 0.0, 1.0, 0.0),
+    ("adversarial", "bilinear", 0.0, 0.0, 0.0),
+    ("adversarial", "multiplier", 0.0, 1.0, 0.0),
+]
 
 
 class TestBilinearRatio:
@@ -124,6 +136,69 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="inadmissible"):
             estimate_constant(0.5, 0.5, 0.2, 10)
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_count_below_one_rejected(self, n_samples):
+        # Used to run the sweep and fail writing the CSV of an empty report.
+        with pytest.raises(ValueError, match=f"^n_samples must be >= 1, got {n_samples}$"):
+            estimate_constant(0.5, 0.5, 0.5, n_samples, n_sweep=(16,))
+
+    @pytest.mark.parametrize("n_modes", [0, -1, MAX_MODES + 1, 10_000_000_000_000])
+    def test_truncation_outside_range_rejected(self, n_modes):
+        with pytest.raises(ValueError, match=f"^N_list entry N = {n_modes} outside 1..{MAX_MODES}$"):
+            estimate_constant(0.5, 0.5, 0.5, 10, n_sweep=(16, n_modes))
+
+    def test_bad_sweep_settings_rejected(self):
+        with pytest.raises(ValueError, match="N_list must name at least one truncation"):
+            estimate_constant(0.5, 0.5, 0.5, 10, n_sweep=())
+        with pytest.raises(ValueError, match="unknown sampler 'uniform'"):
+            estimate_constant(0.5, 0.5, 0.5, 10, sampler="uniform")
+        with pytest.raises(ValueError, match="adversarial sampler needs at least 2 modes"):
+            estimate_constant(0.5, 0.5, 0.5, 10, n_sweep=(16, 1), sampler="adversarial")
+
+
+class TestBatchedSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(SWEEP_CASES),
+        n_modes=st.integers(2, 64),
+        n_samples=st.sampled_from(
+            [1, _SWEEP_BATCH - 1, _SWEEP_BATCH, _SWEEP_BATCH + 1, 2 * _SWEEP_BATCH + 1]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_matches_pair_by_pair_loop(self, case, n_modes, n_samples, seed):
+        sampler, mode, s, r, rprime = case
+        rep = estimate_constant(s, r, rprime, n_samples, n_sweep=(n_modes,), sampler=sampler,
+                                mode=mode, seed=seed)
+        got = rep.sweep[n_modes]
+        want = reference_estimate(s, r, rprime, n_samples, n_modes, sampler, mode, seed)
+        assert (got.seed, got.ratio, got.norm_u, got.norm_v) == want
+
+    @pytest.mark.parametrize("mode, s, r, rprime", [
+        ("bilinear", 0.5, 0.5, 0.5), ("multiplier", 0.0, 1.0, 0.0),
+    ])
+    def test_first_of_tied_samples_wins_across_chunks(self, mode, s, r, rprime):
+        # The adversarial pairs repeat with period 2(N - 1) = 38, so every
+        # ratio ties with the one 38 samples later, which lies in a later chunk.
+        n_modes, period = 20, 38
+        n_samples = 3 * period
+        rep = estimate_constant(s, r, rprime, n_samples, n_sweep=(n_modes,),
+                                sampler="adversarial", mode=mode)
+        got = rep.sweep[n_modes]
+        assert got.seed < period
+        assert got.seed // _SWEEP_BATCH < (got.seed + period) // _SWEEP_BATCH
+        assert (got.seed, got.ratio, got.norm_u, got.norm_v) == reference_estimate(
+            s, r, rprime, n_samples, n_modes, "adversarial", mode, 0)
+
+    @pytest.mark.parametrize("n_modes, reg, radius, decay", [
+        (64, 0.5, 1.0, None), (17, 0.0, 0.3, 2.0), (1, 1.0, 2.5, None),
+    ])
+    def test_row_sampler_rows_equal_sobolev_ball_state(self, n_modes, reg, radius, decay):
+        paths = [(9, n_modes, i, 0) for i in range(_SWEEP_BATCH + 3)]
+        a, b = sobolev_ball_rows([substream(*p) for p in paths], n_modes, reg, radius, decay)
+        for row, path in enumerate(paths):
+            u = sobolev_ball_state(substream(*path), n_modes, reg, radius, decay)
+            assert np.array_equal(a[row], u.a) and np.array_equal(b[row], u.b)
+
 
 class TestSmoothingRatio:
     def test_zero_horizon(self):
@@ -223,6 +298,10 @@ class TestRadialOrbit:
             radial_orbit(3.5, 1, 0.5)
         with pytest.raises(ValueError, match="radius2"):
             radial_orbit(1.0, 1, 1.5)
+        # n_pairs = 0 used to divide by zero and 10^13 to fail allocating (exit 1).
+        for n_pairs in (0, MAX_MODES + 1, 10_000_000_000_000):
+            with pytest.raises(ValueError, match=f"^n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}$"):
+                radial_orbit(1.0, n_pairs, 0.5)
 
 
 class TestSamplerDeterminism:

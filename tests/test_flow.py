@@ -18,7 +18,7 @@ from bbmlab.flow import (
     rhs,
 )
 from bbmlab.sampling import smooth_profile, sobolev_ball_state, substream
-from bbmlab.spectral import TrigState, sobolev_norm
+from bbmlab.spectral import MAX_MODES, TrigState, sobolev_norm
 
 from conftest import random_state, trig_states
 from oracles import oracle_cubic_integral, oracle_rhs
@@ -398,3 +398,10 @@ class TestConfigValidation:
     def test_non_finite_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FlowConfig(**{"N": 4, "dt": 1e-2, field: value})
+
+    def test_mode_count_capped(self):
+        # 10^13 modes used to pass and then fail allocating the first state.
+        assert FlowConfig(N=MAX_MODES, dt=1e-2).N == MAX_MODES
+        for n_modes in (MAX_MODES + 1, 10_000_000_000_000):
+            with pytest.raises(ValueError, match=f"^N must be <= {MAX_MODES}"):
+                FlowConfig(N=n_modes, dt=1e-2)

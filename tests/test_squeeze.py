@@ -145,6 +145,17 @@ class TestMaximize:
         with pytest.raises(ValueError, match="radius"):
             SqueezeConfig(r=0.0, n0=1, T=1.0, flow=FlowConfig(N=8, dt=0.01))
 
+    def test_center_checked_at_construction(self):
+        # Both used to pass here and fail only once the search started.
+        flow = FlowConfig(N=8, dt=0.01)
+        with pytest.raises(ValueError, match="^center has 12 modes, more than flow.N = 8$"):
+            SqueezeConfig(r=0.5, n0=1, T=1.0, flow=flow, center=TrigState.zero(12))
+        with pytest.raises(ValueError, match="^center requires a mean-zero state"):
+            SqueezeConfig(r=0.5, n0=1, T=1.0, flow=flow, center=TrigState(0.5, [0.1], [0.0]))
+        cfg = SqueezeConfig(r=0.5, n0=1, T=1.0, flow=flow, center=unit_cos_mode(1, 4))
+        center = _center_state(cfg)
+        assert center.n_modes == 8 and np.array_equal(center.a, unit_cos_mode(1, 8).a)
+
     @pytest.mark.parametrize("field", ["r", "T", "fd_step", "ascent_step", "stall_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_numbers_rejected(self, field, value):
