@@ -56,7 +56,12 @@ def _bool(text: str) -> bool:
 
 
 def _list(cast):
-    return lambda text: [cast(part.strip()) for part in text.split(",") if part.strip()]
+    def parse(text: str) -> list:
+        values = [cast(part.strip()) for part in text.split(",") if part.strip()]
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
+    return parse
 
 
 _CASTS = {int: _int, float: _float, bool: _bool, str: str}
@@ -282,6 +287,11 @@ def cmd_galerkin(cfg: _Cfg) -> int:
     fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
     horizon = cfg.get("flow", "T", _float)
     n_small_list = cfg.get("galerkin", "N_small_list", _list(_int), [8, 16, 32])
+    for n_small in n_small_list:
+        if not 1 <= n_small <= fcfg.N:
+            raise ConfigError(
+                f"[galerkin] N_small_list entry {n_small} outside 1..{fcfg.N} ([flow] N = {fcfg.N})"
+            )
     outdir = _outdir(cfg, "galerkin")
     u0 = _initial_state(cfg, fcfg.N, seed)
     cfg.reject_unread()

@@ -90,12 +90,12 @@ class EstimateReport:
 
 
 def _product_rows(u, v):
-    """Pointwise products of paired coefficient rows (mean, a, b), alias-free.
+    """Pointwise products of paired coefficient rows (mean, c), alias-free.
 
     All n_u + n_v modes are kept.  The grid has the smallest 5-smooth length >= 2 n_out + 1 (see
     spectral.smooth_grid_size): 2 n_out + 1 itself is prime at N = 64.
     """
-    n_out = u[1].shape[1] + v[1].shape[1]
+    n_out = u[1].shape[-1] + v[1].shape[-1]
     m = smooth_grid_size(2 * n_out + 1)
     return analyze_rows(synthesize_rows(*u, m) * synthesize_rows(*v, m), n_out)
 
@@ -109,33 +109,29 @@ def _ratio_rows(u, v, s_top: float, r_u: float, r_v: float, name: str):
     norm_v = sobolev_norms(*v, r_v)
     if np.any(norm_u == 0.0) or np.any(norm_v == 0.0):
         raise ValueError(f"{name} requires nonzero inputs")
-    _, a, b = _product_rows(u, v)
-    phi = dispersion_symbol(wavenumbers(a.shape[1]))
-    return sobolev_norms(0.0, phi * a, phi * b, s_top) / (norm_u * norm_v), norm_u, norm_v
-
-
-def _row(state: TrigState):
-    return state.mean, state.a[None], state.b[None]
+    _, c = _product_rows(u, v)
+    phi = dispersion_symbol(wavenumbers(c.shape[-1]))
+    return sobolev_norms(0.0, phi * c, s_top) / (norm_u * norm_v), norm_u, norm_v
 
 
 def exact_product(u: TrigState, v: TrigState) -> TrigState:
     """Pointwise product as a trig polynomial with all 2N modes kept, alias-free."""
-    mean, a, b = _product_rows(_row(u), _row(v))
-    return TrigState(mean[0], a[0], b[0])
+    mean, c = _product_rows((u.mean, u.row), (v.mean, v.row))
+    return TrigState(mean, c.real, -c.imag)
 
 
 def bilinear_ratio(u: TrigState, v: TrigState, s: float, r: float, rprime: float) -> float:
     """||phi(D)(u v)||_{H^s} / (||u||_{H^r} ||v||_{H^r'}) with the product exact."""
     require_mean_zero(u, "bilinear_ratio")
     require_mean_zero(v, "bilinear_ratio")
-    return float(_ratio_rows(_row(u), _row(v), s, r, rprime, "bilinear_ratio")[0][0])
+    return float(_ratio_rows((u.mean, u.row), (v.mean, v.row), s, r, rprime, "bilinear_ratio")[0])
 
 
 def multiplier_ratio(u: TrigState, v: TrigState, s: float, r: float) -> float:
     """||phi(D)(u v)||_{H^{s+1}} / (||u||_{H^r} ||v||_{H^s}): the one-derivative gain."""
     require_mean_zero(u, "multiplier_ratio")
     require_mean_zero(v, "multiplier_ratio")
-    return float(_ratio_rows(_row(u), _row(v), s + 1.0, r, s, "multiplier_ratio")[0][0])
+    return float(_ratio_rows((u.mean, u.row), (v.mean, v.row), s + 1.0, r, s, "multiplier_ratio")[0])
 
 
 def check_exponents(s: float, r: float, rprime: float, mode: str = "bilinear") -> None:
@@ -166,19 +162,18 @@ def check_exponents(s: float, r: float, rprime: float, mode: str = "bilinear") -
 
 
 def _sample_rows(sampler: str, seed: int, idx: range, n_modes: int, r: float, rprime: float):
-    """Coefficient rows (mean, a, b) of the u and v draws of samples idx at N = n_modes."""
+    """Coefficient rows (mean, c) of the u and v draws of samples idx at N = n_modes."""
     if sampler == "gaussian":
         # Sample i always comes from the substreams (seed, N, i, 0) and (seed, N, i, 1).
-        u = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
-        v = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
-        return (0.0, *u), (0.0, *v)
+        ua, ub = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
+        va, vb = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
+        return (0.0, ua - 1j * ub), (0.0, va - 1j * vb)
     # Near-resonant concentrated pairs cos(Kx), cos((K+-1)x), K swept to N.
     i = np.arange(idx.start, idx.stop)[:, None]
     k = 1 + i % (n_modes - 1)
     k2 = np.clip(k + 1 - 2 * ((i // (n_modes - 1)) % 2), 1, n_modes)
     modes = wavenumbers(n_modes)
-    zero = np.zeros((len(i), n_modes))
-    return (0.0, 1.0 * (modes == k), zero), (0.0, 1.0 * (modes == k2), zero)
+    return (0.0, 1.0 * (modes == k) + 0j), (0.0, 1.0 * (modes == k2) + 0j)
 
 
 def estimate_constant(

@@ -17,14 +17,15 @@ Three integrators:
                         Gauss-Legendre collocation nodes, used to probe the
                         local contraction theory.
 
-All three share one stepping loop over (batch, 2N) arrays of coefficient
-rows [a_1..a_N, b_1..b_N]: the spectral kernels (``square_half``,
-``nonlinear``, ``rhs``, ``free``, ``znorm``) act on the last axis, with the
-FFTs taken along it.  ``integrate`` runs that loop on a single (2N,) row;
-``integrate_batch`` flows many independent states at once (rk4 and
-implicit midpoint; each midpoint row iterates to its own tolerance), which
-is how gradients, Jacobian columns and samples are evaluated.  A row that
-turns non-finite stops the loop with a ``FlowError``.
+All three share one stepping loop over (batch, N) complex arrays of
+half-spectrum rows c_k = a_k - i b_k (the layout of spectral.synthesize_rows):
+the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
+``znorm``) act on the last axis, with the FFTs taken along it.
+``integrate`` runs that loop on a single (N,) row; ``integrate_batch``
+flows many independent states at once (rk4 and implicit midpoint; each
+midpoint row iterates to its own tolerance), which is how gradients,
+Jacobian columns and samples are evaluated.  A row that turns non-finite
+stops the loop with a ``FlowError``.
 
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
@@ -41,11 +42,14 @@ import numpy as np
 from .spectral import (
     MAX_MODES,
     TrigState,
+    analyze_rows,
     dispersion_symbol,
     project,
     require_mean_zero,
     smooth_grid_size,
+    sobolev_norms,
     synthesize,
+    synthesize_rows,
     truncate,
     wavenumbers,
     z_norm,
@@ -118,11 +122,12 @@ class FlowResult:
 
 
 class _VecOps:
-    """Coefficient-row workspace on the last axis of (..., 2N) arrays.
+    """Coefficient-row workspace on the last axis of (..., N) complex arrays.
 
-    A row is y = [a_1..a_N, b_1..b_N] (mean omitted); every operation acts
-    row by row, so a (batch, 2N) array flows a batch of independent states
-    and a 1-D row is the batch-free case.
+    A row is the half spectrum c_k = a_k - i b_k, k = 1..N (mean omitted),
+    in the layout of spectral.synthesize_rows and analyze_rows.  Every
+    operation acts row by row, so a (batch, N) array flows a batch of
+    independent states and a 1-D row is the batch-free case.
 
     The padded grid has m_pad >= 3N+1 points, which keeps u^2 alias-free on
     modes 1..N (an even m_pad is fine: its Nyquist bin lies above every kept
@@ -135,7 +140,7 @@ class _VecOps:
         self.n = n
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
-        self.neg_phi = -self.phi
+        self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
         self.zw = math.pi * (1.0 + k * k) / k
         self.m_pad = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
@@ -144,54 +149,37 @@ class _VecOps:
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
-    def pack(self, state: TrigState) -> np.ndarray:
-        return np.concatenate([state.a, state.b])
+    def unpack(self, c: np.ndarray) -> TrigState:
+        # 0 - imag, not -imag: a mode that stays zero reads b = +0, as on real rows.
+        return TrigState.mean_zero(c.real, 0.0 - c.imag)
 
-    def unpack(self, y: np.ndarray) -> TrigState:
-        return TrigState.mean_zero(y[: self.n], y[self.n:])
-
-    def square_half(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def square_half(self, c: np.ndarray) -> np.ndarray:
         """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid."""
-        n, m = self.n, self.m_pad
-        spec = np.zeros(y.shape[:-1] + (m // 2 + 1,), dtype=complex)
-        spec[..., 1:n + 1] = 0.5 * m * (y[..., :n] - 1j * y[..., n:])
-        vals = np.fft.irfft(spec, m, axis=-1)
-        prod = np.fft.rfft(vals * vals, axis=-1)
-        qa = prod[..., 1:n + 1].real / m
-        qb = prod[..., 1:n + 1].imag / -m
-        return qa, qb
+        vals = synthesize_rows(0.0, c, self.m_pad)
+        # Halving the grid values is exact, so these are the bits of halving c.
+        return analyze_rows(vals * (0.5 * vals), self.n)[1]
 
-    def nonlinear(self, y: np.ndarray) -> np.ndarray:
+    def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """-dx (1-dxx)^{-1} (u^2/2): the quadratic part of the right-hand side."""
         if self.linear_only:
-            return np.zeros_like(y)
-        qa, qb = self.square_half(y)
-        return np.concatenate([self.neg_phi * qb, self.phi * qa], axis=-1)
+            return np.zeros_like(c)
+        return self.gen * self.square_half(c)
 
-    def rhs(self, y: np.ndarray) -> np.ndarray:
-        n = self.n
-        if self.linear_only:
-            wa, wb = y[..., :n], y[..., n:]
-        else:
-            qa, qb = self.square_half(y)
-            wa = y[..., :n] + qa
-            wb = y[..., n:] + qb
-        return np.concatenate([self.neg_phi * wb, self.phi * wa], axis=-1)
+    def rhs(self, c: np.ndarray) -> np.ndarray:
+        return self.gen * (c if self.linear_only else c + self.square_half(c))
 
-    def free(self, y: np.ndarray, t) -> np.ndarray:
+    def free(self, c: np.ndarray, t) -> np.ndarray:
         """Free rotation by t; an array t of shape (..., 1) gives each row its own time."""
-        n = self.n
         th = t * self.phi
-        c, s = np.cos(th), np.sin(th)
-        a, b = y[..., :n], y[..., n:]
-        return np.concatenate([a * c - b * s, a * s + b * c], axis=-1)
+        cos, sin = np.cos(th), np.sin(th)
+        # c e^{-i th} part by part: a complex product may fuse multiply-adds.
+        out = np.empty(np.broadcast_shapes(c.shape, th.shape), dtype=complex)
+        out.real = c.real * cos + c.imag * sin
+        out.imag = c.imag * cos - c.real * sin
+        return out
 
-    def l2(self, y: np.ndarray) -> np.ndarray:
-        return np.sqrt(math.pi * np.sum(y * y, axis=-1))
-
-    def znorm(self, y: np.ndarray) -> np.ndarray:
-        n = self.n
-        return np.sqrt(np.sum(self.zw * (y[..., :n] ** 2 + y[..., n:] ** 2), axis=-1))
+    def znorm(self, c: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.sum(self.zw * (c.real ** 2 + c.imag ** 2), axis=-1))
 
 
 def _padded(state: TrigState, cfg: FlowConfig, op: str) -> TrigState:
@@ -212,7 +200,7 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     """
     state = _padded(state, cfg, "rhs")
     ops = _VecOps.of(cfg)
-    return ops.unpack(ops.rhs(ops.pack(state)))
+    return ops.unpack(ops.rhs(state.row))
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -223,7 +211,7 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     """
     require_mean_zero(state, "free_evolution")
     ops = _VecOps(state.n_modes)
-    return ops.unpack(ops.free(ops.pack(state), t))
+    return ops.unpack(ops.free(state.row, t))
 
 
 def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -318,7 +306,7 @@ def _picard_subinterval(
     for _ in range(max_iter):
         integrals, _total = duhamel(ys)
         ys_new = ops.free(y0 + integrals, tau)
-        diff = float(np.max(ops.l2(ys_new - ys)))
+        diff = float(np.max(sobolev_norms(0.0, ys_new - ys, 0.0)))
         if diffs and diff >= diffs[-1] and diff > tol:
             grew += 1
             if grew >= 2 or not math.isfinite(diff):
@@ -346,7 +334,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
              record=None) -> tuple[np.ndarray, int, list]:
     """The one stepping loop: flow the rows of y over [0, t_span].
 
-    y is a (batch, 2N) array, or a single (2N,) row, which spares the
+    y is a (batch, N) array, or a single (N,) row, which spares the
     batch axis's per-call overhead on long serial flows; Picard takes only
     the single row.  Takes ceil(|t_span| / dt) equal steps.  Every
     trace_every steps, and after the last, calls record(t, y).  Raises
@@ -400,7 +388,7 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
     def record(t: float, row: np.ndarray) -> None:
         trace.append((t,) + invariants_of(ops.unpack(row)))
 
-    y, n_steps, picard_diffs = _advance(ops, ops.pack(state), t_span, cfg, trace_every, record)
+    y, n_steps, picard_diffs = _advance(ops, state.row, t_span, cfg, trace_every, record)
     return FlowResult(
         final=ops.unpack(y),
         trace=tuple(trace),
@@ -410,7 +398,7 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
 
 
 def integrate_batch(states, t_span: float, cfg: FlowConfig) -> tuple[TrigState, ...]:
-    """Flow independent states over [0, t_span] as one (batch, 2N) array.
+    """Flow independent states over [0, t_span] as one (batch, N) array.
 
     Entry i of the result is integrate(states[i], t_span, cfg).final: bit for
     bit under rk4, and to solver tolerance under implicit_midpoint, where
@@ -424,7 +412,7 @@ def integrate_batch(states, t_span: float, cfg: FlowConfig) -> tuple[TrigState, 
     if not states or t_span == 0.0:
         return tuple(states)
     ops = _VecOps.of(cfg)
-    y, _, _ = _advance(ops, np.array([ops.pack(u) for u in states]), t_span, cfg)
+    y, _, _ = _advance(ops, np.array([u.row for u in states]), t_span, cfg)
     return tuple(ops.unpack(row) for row in y)
 
 

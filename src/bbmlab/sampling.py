@@ -53,15 +53,14 @@ def sobolev_ball_rows(
     k = wavenumbers(n_modes)
     w = (1.0 + k * k) ** (-decay / 2.0)
     draws = np.array([(rng.standard_normal(n_modes), rng.standard_normal(n_modes)) for rng in rngs])
-    a, b = draws[:, 0] * w, draws[:, 1] * w
-    nrm = sobolev_norms(0.0, a, b, reg)
+    c = (draws[:, 0] - 1j * draws[:, 1]) * w
+    nrm = sobolev_norms(0.0, c, reg)
     if np.any(nrm == 0.0):
         raise ValueError("degenerate zero draw")
-    scale = (radius / nrm)[:, None]
-    a, b = scale * a, scale * b
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    c = (radius / nrm)[:, None] * c
+    if not np.all(np.isfinite(c)):
         raise ValueError("state coefficients must be finite")
-    return a, b
+    return c.real, -c.imag
 
 
 def sobolev_ball_state(

@@ -74,6 +74,11 @@ class TrigState:
     def n_modes(self) -> int:
         return len(self.a)
 
+    @property
+    def row(self) -> np.ndarray:
+        """Half-spectrum coefficient row c_k = a_k - i b_k, k = 1..N."""
+        return self.a - 1j * self.b
+
     @classmethod
     def zero(cls, n_modes: int) -> "TrigState":
         return cls(0.0, np.zeros(n_modes), np.zeros(n_modes))
@@ -214,28 +219,32 @@ def unit_sin_mode(k: int, n_modes: int) -> TrigState:
     return TrigState.single_mode(k, n_modes, b_k=c)
 
 
-def synthesize_rows(mean, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Values at x_j = 2 pi j / m of the coefficient rows (mean, a, b).
+def synthesize_rows(mean, c: np.ndarray, m: int) -> np.ndarray:
+    """Values at x_j = 2 pi j / m of the coefficient rows (mean, c).
 
-    a and b have shape (rows, N) with m >= 2N+1; mean is a number or one
-    per row.  The inverse FFT acts on each row alone, so a row's values do
-    not depend on the rows stacked with it.
+    c has shape (..., N) with m >= 2N+1; mean is a number or one per row.
+    With analyze_rows this holds the one half-spectrum layout: bin 0 of
+    the length-m real FFT is m * mean and bin k = 1..N is m c_k / 2.  The
+    inverse FFT acts on each row alone, so a row's values do not depend on
+    the rows stacked with it.
     """
-    spec = np.zeros((a.shape[0], m // 2 + 1), dtype=complex)
-    spec[:, 0] = m * mean
-    spec[:, 1:a.shape[1] + 1] = 0.5 * m * (a - 1j * b)
+    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    spec[..., 0] = m * mean
+    spec[..., 1:c.shape[-1] + 1] = 0.5 * m * c
     return np.fft.irfft(spec, m, axis=-1)
 
 
 def analyze_rows(values: np.ndarray, n_modes: int):
-    """Coefficient rows (mean, a, b) of modes <= n_modes interpolating the grid rows.
+    """Coefficient rows (mean, c) of modes <= n_modes interpolating the grid rows.
 
-    values has shape (rows, M) with M >= 2 n_modes + 1; each row is
-    transformed alone.
+    values has shape (..., M) with M >= 2 n_modes + 1; each row is
+    transformed alone.  c is scaled on its float view, as complex / real
+    would round the two parts together.
     """
     m = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)[:, :n_modes + 1]
-    return spec[:, 0].real / m, 2.0 * spec[:, 1:].real / m, -2.0 * spec[:, 1:].imag / m
+    spec = np.fft.rfft(values, axis=-1)
+    c = (2.0 * spec[..., 1:n_modes + 1].view(float) / m).view(complex)
+    return spec[..., 0].real / m, c
 
 
 def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:
@@ -249,7 +258,7 @@ def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:
     if m < 2 * n + 1:
         raise ResolutionError(f"resolution too low: M = {m} < 2N+1 = {2 * n + 1}")
     if method == "fft":
-        return GridSamples(synthesize_rows(state.mean, state.a[None], state.b[None], m)[0])
+        return GridSamples(synthesize_rows(state.mean, state.row, m))
     if method == "direct":
         x = 2.0 * math.pi * np.arange(m) / m
         kx = np.outer(wavenumbers(n), x)
@@ -268,19 +277,19 @@ def analyze(samples: GridSamples, n_modes: int) -> TrigState:
         raise ResolutionError(
             f"aliasing risk: M = {m} < 2N+1 = {2 * n_modes + 1} samples for N = {n_modes} modes"
         )
-    mean, a, b = analyze_rows(samples.values[None], n_modes)
-    return TrigState(mean[0], a[0], b[0])
+    mean, c = analyze_rows(samples.values, n_modes)
+    return TrigState(mean, c.real, -c.imag)
 
 
-def sobolev_norms(mean, a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """H^s norms of the coefficient rows (mean, a, b), a and b of shape (..., N).
+def sobolev_norms(mean, c: np.ndarray, s: float) -> np.ndarray:
+    """H^s norms of the coefficient rows (mean, c), c of shape (..., N).
 
     Each row's sum runs along the last axis exactly as for a single row, so
     a row's norm does not depend on the rows stacked with it.
     """
-    k = wavenumbers(a.shape[-1])
-    w = (1.0 + k * k) ** s
-    return np.sqrt(math.pi * np.sum(w * (a ** 2 + b ** 2), axis=-1) + 2.0 * math.pi * mean ** 2)
+    k = wavenumbers(c.shape[-1])
+    power = (1.0 + k * k) ** s * (c.real ** 2 + c.imag ** 2)
+    return np.sqrt(math.pi * np.sum(power, axis=-1) + 2.0 * math.pi * mean ** 2)
 
 
 def sobolev_norm(state: TrigState, s: float) -> float:
@@ -288,7 +297,7 @@ def sobolev_norm(state: TrigState, s: float) -> float:
 
     <k> = (1+k^2)^{1/2}; s may be negative.
     """
-    return float(sobolev_norms(state.mean, state.a, state.b, s))
+    return float(sobolev_norms(state.mean, state.row, s))
 
 
 def _z_weights(n_modes: int) -> np.ndarray:

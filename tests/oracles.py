@@ -1,17 +1,20 @@
 """Independent slow-path oracles for the spectral operations.
 
-Everything here but reference_estimate works from the definitions
-(convolution sums, Riemann quadrature, trig calculus) without touching the
-package's FFT paths, so the fast implementations can be checked against it
-at 1e-12.  reference_estimate is the pair-by-pair loop the batched estimate
-sweep must reproduce bit for bit.
+Everything here but reference_estimate and PairRowFlow works from the
+definitions (convolution sums, Riemann quadrature, trig calculus) without
+touching the package's FFT paths, so the fast implementations can be
+checked against it at 1e-12.  reference_estimate is the pair-by-pair loop
+the batched estimate sweep must reproduce bit for bit, and PairRowFlow the
+real-row flow core the complex-row one must reproduce bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
 from bbmlab.sampling import sobolev_ball_state, substream
-from bbmlab.spectral import TrigState, sobolev_norm
+from bbmlab.spectral import TrigState, smooth_grid_size, sobolev_norm
 
 
 def complex_modes(state: TrigState) -> np.ndarray:
@@ -110,3 +113,66 @@ def reference_estimate(s, r, rprime, n_samples, n_modes, sampler, mode, seed):
         if best is None or row[1] > best[1]:
             best = row
     return best
+
+
+class PairRowFlow:
+    """The flow core on real rows y = [a_1..a_N, b_1..b_N], one state at a time.
+
+    The same arithmetic as flow._VecOps on its complex rows c = a - i b,
+    written out on the cosine and sine parts: u^2/2 on the 5-smooth padded
+    grid, the rotation a cos - b sin, a sin + b cos, rk4 and the implicit
+    midpoint fixed point.  Every result must match the package bit for bit.
+    """
+
+    def __init__(self, n, linear_only=False):
+        k = np.arange(1, n + 1, dtype=float)
+        self.n = n
+        self.phi = k / (1.0 + k * k)
+        self.zw = math.pi * (1.0 + k * k) / k
+        self.m_pad = smooth_grid_size(3 * n + 1)
+        self.linear_only = linear_only
+
+    def rhs(self, y):
+        n, m = self.n, self.m_pad
+        wa, wb = y[:n], y[n:]
+        if not self.linear_only:
+            spec = np.zeros(m // 2 + 1, dtype=complex)
+            spec[1:n + 1] = 0.5 * m * (wa - 1j * wb)
+            vals = np.fft.irfft(spec, m)
+            prod = np.fft.rfft(vals * vals)
+            wa = wa + prod[1:n + 1].real / m
+            wb = wb + prod[1:n + 1].imag / -m
+        return np.concatenate([-self.phi * wb, self.phi * wa])
+
+    def free(self, y, t):
+        th = t * self.phi
+        c, s = np.cos(th), np.sin(th)
+        a, b = y[:self.n], y[self.n:]
+        return np.concatenate([a * c - b * s, a * s + b * c])
+
+    def rk4(self, y, h):
+        k1 = self.rhs(y)
+        k2 = self.rhs(y + 0.5 * h * k1)
+        k3 = self.rhs(y + 0.5 * h * k2)
+        k4 = self.rhs(y + h * k3)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def midpoint(self, y, h, tol):
+        z = y + h * self.rhs(y)
+        for _ in range(100):
+            z_new = y + h * self.rhs(0.5 * (y + z))
+            d = z_new - z
+            delta = math.sqrt(np.sum(self.zw * (d[:self.n] ** 2 + d[self.n:] ** 2)))
+            z = z_new
+            if not delta > tol:
+                return z
+        raise RuntimeError("reference midpoint iteration stalled")
+
+    def integrate(self, state, t_span, dt, integrator="rk4", tol=1e-12):
+        """Final (a, b) after ceil(|t_span| / dt) equal steps from state."""
+        n_steps = max(1, math.ceil(abs(t_span) / dt))
+        h = t_span / n_steps
+        y = np.concatenate([state.a, state.b])
+        for _ in range(n_steps):
+            y = self.rk4(y, h) if integrator == "rk4" else self.midpoint(y, h, tol)
+        return y[:self.n], y[self.n:]

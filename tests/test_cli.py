@@ -347,6 +347,7 @@ N_list = 16
         ("N_list", "0", f"N_list entry N = 0 outside 1..{MAX_MODES}"),
         # Used to fail allocating the wavenumbers with a numpy traceback (exit 1).
         ("N_list", "16, 10000000000000", f"N_list entry N = 10000000000000 outside 1..{MAX_MODES}"),
+        ("N_list", "", "[estimates] N_list must list at least one value"),
     ])
     def test_bad_sweep_size_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                     key, value, message):
@@ -475,6 +476,30 @@ N_small_list = 4, 8
         assert lines[0] == "N_small,defect"
         defects = [float(line.split(",")[1]) for line in lines[1:]]
         assert defects[0] > defects[1]
+
+    # An empty list used to exit 0 with a header-only CSV; N_small_list = 0, 8
+    # read "N must be >= 1" and an entry above N "n_small = 64 exceeds
+    # reference truncation 32", neither naming the key.
+    # The range error names [flow] N too, since a small N is as much at fault.
+    @pytest.mark.parametrize("command, keys, message", [
+        ("galerkin", {"N_small_list": ""}, "[galerkin] N_small_list must list at least one value"),
+        ("galerkin", {"N_small_list": "0, 8"}, "[galerkin] N_small_list entry 0 outside 1..32"),
+        ("galerkin", {"N_small_list": "8, 64"}, "[galerkin] N_small_list entry 64 outside 1..32 ([flow] N = 32)"),
+        ("orbit", {"fprime_list": ""}, "[orbit] fprime_list must list at least one value"),
+    ])
+    def test_bad_list_exits_2_before_any_flow(self, tmp_path, monkeypatch, capsys, command, keys,
+                                              message):
+        def no_flow(*args):
+            raise AssertionError("flow started")
+
+        monkeypatch.setattr(cli, "galerkin_defect", no_flow)
+        monkeypatch.setattr(cli, "radial_orbit", no_flow)
+        sections = {"flow": {"N": "32", "dt": "0.01", "T": "0.25"}, "state": {"preset": "smooth"}}
+        text = ini({**sections, command: keys} if command == "galerkin" else {command: keys})
+        code, outdir = run(tmp_path, monkeypatch, command, text)
+        assert code == 2
+        assert f"bbmlab {command}: {message}" in capsys.readouterr().err
+        assert not list(outdir.glob("*.csv"))
 
     def test_orbit_grid(self, tmp_path, monkeypatch):
         text = """

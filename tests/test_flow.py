@@ -21,7 +21,7 @@ from bbmlab.sampling import smooth_profile, sobolev_ball_state, substream
 from bbmlab.spectral import MAX_MODES, TrigState, sobolev_norm
 
 from conftest import random_state, trig_states
-from oracles import oracle_cubic_integral, oracle_rhs
+from oracles import PairRowFlow, oracle_cubic_integral, oracle_rhs
 
 
 def l2(u):
@@ -217,6 +217,60 @@ class TestIntegrateBatch:
             assert np.array_equal(row.a, integrate(u0, 0.5, cfg).final.a)
 
 
+def _same_bits(x, y):
+    """Equal bit for bit, so 0.0 and -0.0 differ (the state CSVs print -0)."""
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+class TestPairRowReference:
+    """The complex half-spectrum rows against the real [a, b] rows they replaced."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        data=st.data(),
+        batch=st.integers(1, 8),
+        dt=st.floats(0.02, 0.3),
+        t_span=st.floats(-1.0, 1.0),
+        linear_only=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_integrate_matches_bit_for_bit(self, n_modes, data, batch, dt, t_span, linear_only,
+                                           seed):
+        # Some states fill fewer modes than N, so zero modes (and their signs) are flowed too.
+        states = [
+            sobolev_ball_state(
+                substream(seed, "pairs", i), data.draw(st.integers(1, n_modes)), 0.5, 0.5
+            ).padded(n_modes)
+            for i in range(batch)
+        ]
+        ref = PairRowFlow(n_modes, linear_only)
+        for integ in ("rk4", "implicit_midpoint"):
+            cfg = FlowConfig(N=n_modes, dt=dt, integrator=integ, linear_only=linear_only)
+            rows = integrate_batch(states, t_span, cfg)
+            for u0, row in zip(states, rows):
+                a, b = ref.integrate(u0, t_span, dt, integ, cfg.midpoint_tol)
+                single = integrate(u0, t_span, cfg).final
+                assert _same_bits(single.a, a) and _same_bits(single.b, b)
+                assert _same_bits(row.a, a) and _same_bits(row.b, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        t=st.floats(-20.0, 20.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_free_evolution_and_rhs_match_bit_for_bit(self, n_modes, t, seed):
+        u = sobolev_ball_state(substream(seed, "pairs"), n_modes, 0.5, 1.0)
+        ref = PairRowFlow(n_modes)
+        y = np.concatenate([u.a, u.b])
+        for got, want in (
+            (free_evolution(u, t), ref.free(y, t)),
+            (rhs(u, FlowConfig(N=n_modes, dt=1e-3)), ref.rhs(y)),
+        ):
+            assert _same_bits(got.a, want[:n_modes]) and _same_bits(got.b, want[n_modes:])
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 class TestBlowUp:
@@ -253,14 +307,16 @@ def _serial_picard(ops, y0, h, tol, max_iter):
             [ops.free(ops.nonlinear(values[j]), -flat_tau[j]) for j in range(n_nodes)]
         ).reshape(n_panels, len(flow._PNODES), -1)
         panel_full = ph * np.einsum("j,pjd->pd", flow._PWEIGHTS, v)
-        prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
+        prefix = np.concatenate(
+            [np.zeros((1, v.shape[-1]), dtype=v.dtype), np.cumsum(panel_full, axis=0)]
+        )
         node_part = ph * np.einsum("ij,pjd->pid", flow._PINTEG, v)
         return (prefix[:-1, None, :] + node_part).reshape(n_nodes, -1), prefix[-1]
 
     for _ in range(max_iter):
         integrals, _ = duhamel(ys)
         ys_new = np.array([ops.free(y0 + integrals[j], flat_tau[j]) for j in range(n_nodes)])
-        diff = max(math.sqrt(math.pi * float(np.dot(d, d))) for d in ys_new - ys)
+        diff = max(math.sqrt(math.pi * float(np.vdot(d, d).real)) for d in ys_new - ys)
         diffs.append(diff)
         ys = ys_new
         if diff < tol:
@@ -282,8 +338,8 @@ class TestPicard:
             cfg = FlowConfig(N=32, dt=h, integrator="picard", picard_max_iter=200)
             res = integrate(u0, h, cfg)
             ops = flow._VecOps.of(cfg)
-            y_end, diffs = _serial_picard(ops, ops.pack(u0), h, cfg.picard_tol, 200)
-            assert np.max(np.abs(ops.pack(res.final) - y_end)) <= 1e-12
+            y_end, diffs = _serial_picard(ops, u0.row, h, cfg.picard_tol, 200)
+            assert np.max(np.abs(res.final.row - y_end)) <= 1e-12
             assert len(res.picard_diffs[0]) == len(diffs)
             assert np.max(np.abs(np.array(res.picard_diffs[0]) - diffs)) <= 1e-12
 
