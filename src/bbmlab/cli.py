@@ -22,7 +22,7 @@ from . import io as bio
 from .estimates import DEFAULT_N_SWEEP, estimate_constant, radial_orbit
 from .flow import FlowConfig, FlowError, integrate, galerkin_defect
 from .sampling import smooth_profile, sobolev_ball_state, substream
-from .spectral import TrigState, sobolev_norm, z_norm
+from .spectral import MAX_MODES, TrigState, sobolev_norm, z_norm
 from .squeeze import SqueezeConfig, maximize_image_radius
 
 ENV_OUTDIR = "BBMLAB_OUTDIR"
@@ -313,6 +313,13 @@ def cmd_orbit(cfg: _Cfg) -> int:
     fprimes = cfg.get("orbit", "fprime_list", _list(_float), [0.1, 0.5, 1.0, 2.0, 3.0])
     n_pairs = cfg.get("orbit", "n_pairs", _int, 1)
     radius2 = cfg.get("orbit", "radius2", _float, 0.5)
+    for fprime in fprimes:
+        if not 0.0 < fprime < math.pi:
+            raise ConfigError(f"[orbit] fprime_list entry {fprime} outside (0, pi)")
+    if not 0.0 < radius2 < 1.0:
+        raise ConfigError(f"[orbit] radius2 must lie in (0, 1), got {radius2}")
+    if not 1 <= n_pairs <= MAX_MODES:
+        raise ConfigError(f"[orbit] n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}")
     outdir = _outdir(cfg, "orbit")
     cfg.reject_unread()
 

@@ -15,21 +15,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, free_evolution, integrate_batch, rk4_step
+from .flow import FlowConfig, FlowError, _VecOps, _padded, integrate_batch, rk4_step
 from .sampling import sobolev_ball_rows, substream
 from .spectral import (
     MAX_MODES,
-    SymplecticCoords,
     TrigState,
     analyze_rows,
     dispersion_symbol,
-    from_symplectic,
+    pair_coords,
+    pair_rows,
     require_mean_zero,
     smooth_grid_size,
     sobolev_norm,
     sobolev_norms,
     synthesize_rows,
-    to_symplectic,
     wavenumbers,
 )
 
@@ -117,7 +116,7 @@ def _ratio_rows(u, v, s_top: float, r_u: float, r_v: float, name: str):
 def exact_product(u: TrigState, v: TrigState) -> TrigState:
     """Pointwise product as a trig polynomial with all 2N modes kept, alias-free."""
     mean, c = _product_rows((u.mean, u.row), (v.mean, v.row))
-    return TrigState(mean, c.real, -c.imag)
+    return TrigState.from_row(c, mean)
 
 
 def bilinear_ratio(u: TrigState, v: TrigState, s: float, r: float, rprime: float) -> float:
@@ -165,9 +164,9 @@ def _sample_rows(sampler: str, seed: int, idx: range, n_modes: int, r: float, rp
     """Coefficient rows (mean, c) of the u and v draws of samples idx at N = n_modes."""
     if sampler == "gaussian":
         # Sample i always comes from the substreams (seed, N, i, 0) and (seed, N, i, 1).
-        ua, ub = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
-        va, vb = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
-        return (0.0, ua - 1j * ub), (0.0, va - 1j * vb)
+        u = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
+        v = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
+        return (0.0, u), (0.0, v)
     # Near-resonant concentrated pairs cos(Kx), cos((K+-1)x), K swept to N.
     i = np.arange(idx.start, idx.stop)[:, None]
     k = 1 + i % (n_modes - 1)
@@ -249,16 +248,14 @@ def smoothing_ratio(
         raise ValueError("smoothing_ratio requires distinct initial states")
     if t_span == 0.0:
         return 0.0
+    ops = _VecOps.of(cfg)
+    c = c0 = np.array([_padded(u, cfg, "smoothing_ratio").row for u in (u0, v0)])
     best = 0.0
-    u0p, v0p = u0.padded(cfg.N), v0.padded(cfg.N)
-    uu, vv = u0p, v0p
     dt_seg = t_span / n_time_samples
     for i in range(1, n_time_samples + 1):
-        uu, vv = integrate_batch((uu, vv), dt_seg, cfg)
-        t = i * dt_seg
-        nl_u = free_evolution(uu, -t) - u0p
-        nl_v = free_evolution(vv, -t) - v0p
-        best = max(best, sobolev_norm(nl_u - nl_v, 0.5 + eps) / denom)
+        c = integrate_batch(c, dt_seg, cfg)
+        nl = ops.free(c, -i * dt_seg) - c0
+        best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
     return best
 
 
@@ -271,22 +268,6 @@ def canonical_form_matrix(n_pairs: int) -> np.ndarray:
     eye = np.eye(n_pairs)
     zero = np.zeros((n_pairs, n_pairs))
     return np.block([[zero, -eye], [eye, zero]])
-
-
-def _pq_vector(state: TrigState, n_pairs: int) -> np.ndarray:
-    coords = to_symplectic(state)
-    return np.concatenate([coords.p[:n_pairs], coords.q[:n_pairs]])
-
-
-def _bump(state: TrigState, coord: int, n_pairs: int, amount: float) -> TrigState:
-    coords = to_symplectic(state)
-    p = coords.p.copy()
-    q = coords.q.copy()
-    if coord < n_pairs:
-        p[coord] += amount
-    else:
-        q[coord - n_pairs] += amount
-    return from_symplectic(SymplecticCoords(p, q))
 
 
 def flow_jacobian(
@@ -310,17 +291,15 @@ def flow_jacobian(
         raise ValueError("at most 8 active mode pairs are supported")
     if active_modes > cfg.N:
         raise ValueError("active_modes exceeds the truncation")
-    u0 = u0.padded(cfg.N)
-    dim = 2 * active_modes
+    c0 = _padded(u0, cfg, "flow_jacobian").row
     step_sizes = (h, 0.5 * h) if check_step else (h,)
-    bumped = [
-        _bump(u0, i, active_modes, sign * step_size)
-        for step_size in step_sizes
-        for i in range(dim)
-        for sign in (1.0, -1.0)
-    ]
-    finals = integrate_batch(bumped, t_span, cfg)
-    pq = np.array([_pq_vector(u, active_modes) for u in finals]).reshape(len(step_sizes), dim, 2, dim)
+    # Row k bumps coordinate i (p_i, or q_{i-n} at column N + i - n) by sign * step.
+    cols = np.r_[0:active_modes, cfg.N:cfg.N + active_modes]
+    amounts = [sign * step_size for step_size in step_sizes for _ in cols for sign in (1.0, -1.0)]
+    x = np.tile(pair_coords(c0, cfg.N), (len(amounts), 1))
+    x[np.arange(len(amounts)), np.tile(np.repeat(cols, 2), len(step_sizes))] += amounts
+    finals = integrate_batch(pair_rows(x, cfg.N), t_span, cfg)
+    pq = pair_coords(finals, active_modes).reshape(len(step_sizes), len(cols), 2, len(cols))
     jacs = [(pq[j, :, 0] - pq[j, :, 1]).T / (2.0 * s) for j, s in enumerate(step_sizes)]
     jh = jacs[0]
     if check_step:

@@ -21,11 +21,12 @@ All three share one stepping loop over (batch, N) complex arrays of
 half-spectrum rows c_k = a_k - i b_k (the layout of spectral.synthesize_rows):
 the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
 ``znorm``) act on the last axis, with the FFTs taken along it.
-``integrate`` runs that loop on a single (N,) row; ``integrate_batch``
-flows many independent states at once (rk4 and implicit midpoint; each
-midpoint row iterates to its own tolerance), which is how gradients,
-Jacobian columns and samples are evaluated.  A row that turns non-finite
-stops the loop with a ``FlowError``.
+``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
+``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
+iterates to its own tolerance; Picard flows row by row): the witness
+search, the flow Jacobian and the smoothing ratio build their rows with
+spectral.pair_rows and read them with spectral.pair_coords.  A row that
+turns non-finite stops the loop with a ``FlowError``.
 
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
@@ -149,10 +150,6 @@ class _VecOps:
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
-    def unpack(self, c: np.ndarray) -> TrigState:
-        # 0 - imag, not -imag: a mode that stays zero reads b = +0, as on real rows.
-        return TrigState.mean_zero(c.real, 0.0 - c.imag)
-
     def square_half(self, c: np.ndarray) -> np.ndarray:
         """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid."""
         vals = synthesize_rows(0.0, c, self.m_pad)
@@ -200,7 +197,7 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     """
     state = _padded(state, cfg, "rhs")
     ops = _VecOps.of(cfg)
-    return ops.unpack(ops.rhs(state.row))
+    return TrigState.from_row(ops.rhs(state.row))
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -211,7 +208,7 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     """
     require_mean_zero(state, "free_evolution")
     ops = _VecOps(state.n_modes)
-    return ops.unpack(ops.free(state.row, t))
+    return TrigState.from_row(ops.free(state.row, t))
 
 
 def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
@@ -386,34 +383,33 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
     trace = [(0.0,) + invariants_of(state)] if trace_every else []
 
     def record(t: float, row: np.ndarray) -> None:
-        trace.append((t,) + invariants_of(ops.unpack(row)))
+        trace.append((t,) + invariants_of(TrigState.from_row(row)))
 
     y, n_steps, picard_diffs = _advance(ops, state.row, t_span, cfg, trace_every, record)
     return FlowResult(
-        final=ops.unpack(y),
+        final=TrigState.from_row(y),
         trace=tuple(trace),
         steps=n_steps,
         picard_diffs=tuple(picard_diffs),
     )
 
 
-def integrate_batch(states, t_span: float, cfg: FlowConfig) -> tuple[TrigState, ...]:
-    """Flow independent states over [0, t_span] as one (batch, N) array.
+def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
+    """Flow the independent coefficient rows c, shape (batch, cfg.N), over [0, t_span].
 
-    Entry i of the result is integrate(states[i], t_span, cfg).final: bit for
-    bit under rk4, and to solver tolerance under implicit_midpoint, where
-    each row iterates until its own residual meets midpoint_tol.  The
-    Picard integrator solves one state at a time, so its states are flowed
-    in turn.
+    Row i of the result is integrate(TrigState.from_row(c[i]), t_span,
+    cfg).final as a row: bit for bit under rk4, and to solver tolerance
+    under implicit_midpoint, where each row iterates until its own residual
+    meets midpoint_tol.  The Picard integrator solves one row at a time.
     """
-    states = [_padded(u, cfg, "integrate_batch") for u in states]
-    if cfg.integrator == "picard":
-        return tuple(integrate(u, t_span, cfg).final for u in states)
-    if not states or t_span == 0.0:
-        return tuple(states)
+    if c.ndim != 2 or c.shape[1] != cfg.N:
+        raise ValueError(f"integrate_batch needs rows of shape (batch, {cfg.N}), got {c.shape}")
+    if not len(c) or t_span == 0.0:
+        return c.copy()
     ops = _VecOps.of(cfg)
-    y, _, _ = _advance(ops, np.array([u.row for u in states]), t_span, cfg)
-    return tuple(ops.unpack(row) for row in y)
+    if cfg.integrator == "picard":
+        return np.array([_advance(ops, row, t_span, cfg)[0] for row in c])
+    return _advance(ops, c, t_span, cfg)[0]
 
 
 def invariants_of(state: TrigState) -> tuple[float, float, float]:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .spectral import TrigState, sobolev_norms, wavenumbers, z_norm
+from .spectral import TrigState, pair_rows, sobolev_norms, wavenumbers, z_norm
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,8 +36,8 @@ def sobolev_ball_rows(
     reg: float,
     radius: float,
     decay: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cos and sin coefficient rows (len(rngs), n_modes) of random mean-zero states.
+) -> np.ndarray:
+    """Coefficient rows c = a - i b, shape (len(rngs), n_modes), of random mean-zero states.
 
     Row i is drawn from rngs[i] alone (a_k then b_k ~ N(0,1), scaled by
     <k>^{-decay}) and rescaled to H^reg norm exactly `radius`, so it does
@@ -60,7 +60,7 @@ def sobolev_ball_rows(
     c = (radius / nrm)[:, None] * c
     if not np.all(np.isfinite(c)):
         raise ValueError("state coefficients must be finite")
-    return c.real, -c.imag
+    return c
 
 
 def sobolev_ball_state(
@@ -71,16 +71,14 @@ def sobolev_ball_state(
     decay: float | None = None,
 ) -> TrigState:
     """Random state with H^reg norm exactly `radius`: one row of sobolev_ball_rows."""
-    a, b = sobolev_ball_rows([rng], n_modes, reg, radius, decay)
-    return TrigState.mean_zero(a[0], b[0])
+    return TrigState.from_row(sobolev_ball_rows([rng], n_modes, reg, radius, decay)[0])
 
 
-def z_sphere_state(rng: np.random.Generator, radius: float, n_modes: int, n_active: int) -> TrigState:
-    """Uniform direction on the Z sphere of the first n_active mode pairs."""
+def z_sphere_row(rng: np.random.Generator, radius: float, n_modes: int, n_active: int) -> np.ndarray:
+    """Row (n_modes,) of a uniform direction on the Z sphere of the first n_active mode pairs."""
     if not 1 <= n_active <= n_modes:
         raise ValueError(f"n_active = {n_active} outside 1..{n_modes}")
-    from .spectral import SymplecticCoords, from_symplectic  # local to avoid cycle noise
-
+    # The norm sums over all n_modes pairs, zeros included, as the draw always has.
     p = np.zeros(n_modes)
     q = np.zeros(n_modes)
     p[:n_active] = rng.standard_normal(n_active)
@@ -88,7 +86,12 @@ def z_sphere_state(rng: np.random.Generator, radius: float, n_modes: int, n_acti
     nrm = math.sqrt(float(np.sum(p * p + q * q)))
     if nrm == 0.0:
         raise ValueError("degenerate zero draw")
-    return from_symplectic(SymplecticCoords(radius * p / nrm, radius * q / nrm))
+    return pair_rows(np.concatenate([radius * p / nrm, radius * q / nrm]), n_modes)
+
+
+def z_sphere_state(rng: np.random.Generator, radius: float, n_modes: int, n_active: int) -> TrigState:
+    """Uniform direction on the Z sphere of the first n_active pairs: z_sphere_row as a state."""
+    return TrigState.from_row(z_sphere_row(rng, radius, n_modes, n_active))
 
 
 def smooth_profile(n_modes: int, k_max: int = 20) -> TrigState:

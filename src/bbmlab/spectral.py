@@ -80,6 +80,11 @@ class TrigState:
         return self.a - 1j * self.b
 
     @classmethod
+    def from_row(cls, c: np.ndarray, mean: float = 0.0) -> "TrigState":
+        """State of the half-spectrum row c = a - i b; b = 0 - imag, so a zero mode has b = +0."""
+        return cls(mean, c.real, 0.0 - c.imag)
+
+    @classmethod
     def zero(cls, n_modes: int) -> "TrigState":
         return cls(0.0, np.zeros(n_modes), np.zeros(n_modes))
 
@@ -207,6 +212,33 @@ def basis_scale(n_modes: int) -> np.ndarray:
     return np.sqrt(k / (math.pi * (k * k + 1.0)))
 
 
+def pair_coords(c: np.ndarray, n_pairs: int) -> np.ndarray:
+    """Pair coordinates [p_1..p_n, q_1..q_n] (n = n_pairs) of the rows c (..., N).
+
+    With c = a - i b: p_k = a_k / basis_scale_k, q_k = b_k / basis_scale_k.
+    """
+    if not 1 <= n_pairs <= c.shape[-1]:
+        raise ValueError(f"n_pairs = {n_pairs} outside 1..{c.shape[-1]}")
+    scale = basis_scale(n_pairs)
+    head = c[..., :n_pairs]
+    return np.concatenate([head.real / scale, (0.0 - head.imag) / scale], axis=-1)
+
+
+def pair_rows(x: np.ndarray, n_modes: int) -> np.ndarray:
+    """Rows c (..., n_modes) of the pair coordinates x (..., 2n), zero above mode n.
+
+    The inverse of pair_coords; the imaginary part is 0 - b_k, +0 on a zero mode.
+    """
+    n = x.shape[-1] // 2
+    if x.shape[-1] % 2 or n > n_modes:
+        raise ValueError(f"need 2n <= {2 * n_modes} pair coordinates, got {x.shape[-1]}")
+    scale = basis_scale(n)
+    c = np.zeros(x.shape[:-1] + (n_modes,), dtype=complex)
+    c.real[..., :n] = x[..., :n] * scale
+    c.imag[..., :n] = 0.0 - x[..., n:] * scale
+    return c
+
+
 def unit_cos_mode(k: int, n_modes: int) -> TrigState:
     """Z-normalized cosine mode: sqrt(k/(pi(k^2+1))) cos(kx)."""
     c = float(basis_scale(n_modes)[k - 1])
@@ -278,7 +310,7 @@ def analyze(samples: GridSamples, n_modes: int) -> TrigState:
             f"aliasing risk: M = {m} < 2N+1 = {2 * n_modes + 1} samples for N = {n_modes} modes"
         )
     mean, c = analyze_rows(samples.values, n_modes)
-    return TrigState(mean, c.real, -c.imag)
+    return TrigState.from_row(c, mean)
 
 
 def sobolev_norms(mean, c: np.ndarray, s: float) -> np.ndarray:
@@ -371,10 +403,8 @@ def apply_J(state: TrigState) -> TrigState:
 def to_symplectic(state: TrigState) -> SymplecticCoords:
     """Coordinates in the Z-orthonormal basis: p_n = a_n sqrt(pi(n^2+1)/n)."""
     require_mean_zero(state, "to_symplectic")
-    scale = basis_scale(state.n_modes)
-    return SymplecticCoords(state.a / scale, state.b / scale)
+    return SymplecticCoords(*np.split(pair_coords(state.row, state.n_modes), 2))
 
 
 def from_symplectic(coords: SymplecticCoords) -> TrigState:
-    scale = basis_scale(coords.n_modes)
-    return TrigState(0.0, coords.p * scale, coords.q * scale)
+    return TrigState.from_row(pair_rows(np.concatenate([coords.p, coords.q]), coords.n_modes))

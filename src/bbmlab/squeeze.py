@@ -17,15 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flow import FlowConfig, FlowError, integrate_batch, require_finite
-from .sampling import substream, z_sphere_state
-from .spectral import (
-    SymplecticCoords,
-    TrigState,
-    from_symplectic,
-    require_mean_zero,
-    sobolev_norm,
-    to_symplectic,
-)
+from .sampling import substream, z_sphere_row, z_sphere_state
+from .spectral import TrigState, pair_coords, pair_rows, require_mean_zero, sobolev_norms
 
 log = logging.getLogger(__name__)
 
@@ -123,51 +116,40 @@ def sample_sphere(r: float, n_modes: int, n_active: int, seed) -> TrigState:
     return z_sphere_state(rng, r, n_modes, n_active)
 
 
+def _radii(c: np.ndarray, n0: int, cyl_center: tuple[float, float]) -> np.ndarray:
+    """Distance of the mode-n0 pair of each row c (..., N) from the cylinder axis point."""
+    pq = np.atleast_2d(pair_coords(c, n0))[:, [n0 - 1, -1]].tolist()
+    # math.hypot, not np.hypot: the two round differently in the last bit.
+    return np.array([math.hypot(p - cyl_center[0], q - cyl_center[1]) for p, q in pq])
+
+
 def cylinder_radius(u: TrigState, n0: int, cyl_center: tuple[float, float] = (0.0, 0.0)) -> float:
     """Distance of the mode-n0 pair coordinates from the cylinder axis point."""
     require_mean_zero(u, "cylinder_radius")
     if n0 > u.n_modes:
         raise ValueError(f"cylinder mode n0 = {n0} exceeds truncation {u.n_modes}")
-    coords = to_symplectic(u)
-    dp = coords.p[n0 - 1] - cyl_center[0]
-    dq = coords.q[n0 - 1] - cyl_center[1]
-    return math.hypot(dp, dq)
+    return float(_radii(u.row, n0, cyl_center)[0])
 
 
 def _center_state(cfg: SqueezeConfig) -> TrigState:
-    if cfg.center is None:
-        return TrigState.zero(cfg.flow.N)
-    return cfg.center.padded(cfg.flow.N)
-
-
-def _embed(x: np.ndarray, center: TrigState, n_active: int, n_modes: int) -> TrigState:
-    p = np.zeros(n_modes)
-    q = np.zeros(n_modes)
-    p[:n_active] = x[:n_active]
-    q[:n_active] = x[n_active:]
-    return center + from_symplectic(SymplecticCoords(p, q))
-
-
-def _sphere_coords(state: TrigState, center: TrigState, n_active: int) -> np.ndarray:
-    coords = to_symplectic(state - center)
-    return np.concatenate([coords.p[:n_active], coords.q[:n_active]])
+    return (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N)
 
 
 def _reproject(x: np.ndarray, r: float) -> np.ndarray:
     return (r / float(np.linalg.norm(x))) * x
 
 
-def _image_radii(points, cfg: SqueezeConfig, center: TrigState) -> np.ndarray:
-    """Cylinder radius of the time-T image of each sphere point, flowed as one batch.
+def _image_radii(points: np.ndarray, cfg: SqueezeConfig, center: np.ndarray) -> np.ndarray:
+    """Cylinder radius of the time-T image of each row of points, flowed as one batch.
 
+    A row holds 2 n_active pair coordinates relative to the center row.
     Raises FlowError when any of the flows fails.
     """
-    u0s = [_embed(x, center, cfg.n_active, cfg.flow.N) for x in points]
-    finals = integrate_batch(u0s, cfg.T, cfg.flow)
-    return np.array([cylinder_radius(u, cfg.n0, cfg.cyl_center) for u in finals])
+    finals = integrate_batch(center + pair_rows(points, cfg.flow.N), cfg.T, cfg.flow)
+    return _radii(finals, cfg.n0, cfg.cyl_center)
 
 
-def _fd_gradient(x: np.ndarray, cfg: SqueezeConfig, center: TrigState) -> np.ndarray:
+def _fd_gradient(x: np.ndarray, cfg: SqueezeConfig, center: np.ndarray) -> np.ndarray:
     """Central differences of the image radius in each active coordinate.
 
     All 2 len(x) perturbed points are flowed as one batch.
@@ -177,7 +159,7 @@ def _fd_gradient(x: np.ndarray, cfg: SqueezeConfig, center: TrigState) -> np.nda
         e = np.zeros(len(x))
         e[i] = cfg.fd_step
         points += [_reproject(x + e, cfg.r), _reproject(x - e, cfg.r)]
-    radii = _image_radii(points, cfg, center)
+    radii = _image_radii(np.array(points), cfg, center)
     return (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
 
 
@@ -194,13 +176,14 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     whose seed or gradient fails is abandoned.
     """
     t_begin = time.perf_counter()
-    center = _center_state(cfg)
+    center_state = _center_state(cfg)
+    center = center_state.row
     na = cfg.n_active
     alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
 
     def objective(x: np.ndarray) -> float:
         try:
-            return float(_image_radii([x], cfg, center)[0])
+            return float(_image_radii(x[None], cfg, center)[0])
         except FlowError:
             return float("nan")
 
@@ -209,8 +192,9 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     seed_x[cfg.n0 - 1] = cfg.r
     starts.append(seed_x)
     for i in range(1, cfg.n_starts):
-        draw = sample_sphere(cfg.r, cfg.flow.N, na, substream(cfg.seed, "start", i))
-        starts.append(_sphere_coords(center + draw, center, na))
+        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na)
+        # The offset of the point center + draw from center: it may differ from draw in the last bit.
+        starts.append(pair_coords((center + draw) - center, na))
 
     trajectories = []
     finals = []
@@ -269,12 +253,13 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     # Near-ties resolved toward the smoother witness (lower H^1 norm).
     contenders = [f for f in finals if f[0] >= best_val * (1.0 - 1e-12)]
     witnesses = [
-        (v, sobolev_norm(_embed(x, center, na, cfg.flow.N), 1.0), sid, x)
+        (v, float(sobolev_norms(center_state.mean, center + pair_rows(x, cfg.flow.N), 1.0)), sid, x)
         for v, sid, x in contenders
     ]
     witnesses.sort(key=lambda t: (-t[0], t[1], t[2]))
     _, _, _, best_x = witnesses[0]
-    best_witness = _embed(_reproject(best_x, cfg.r), center, na, cfg.flow.N)
+    best_witness = center_state + TrigState.from_row(
+        pair_rows(_reproject(best_x, cfg.r), cfg.flow.N))
 
     return SqueezeReport(
         config=cfg,
@@ -291,15 +276,13 @@ def ball_image_scan(cfg: SqueezeConfig, n_samples: int) -> ScanReport:
     Shows how far random (non-optimized) data falls below the witness-search
     supremum.  Samples are flowed in batches of _SCAN_BATCH.
     """
-    center = _center_state(cfg)
-    u0s = [
-        center + sample_sphere(cfg.r, cfg.flow.N, cfg.n_active, substream(cfg.seed, _SCAN_TAG, i))
+    rows = _center_state(cfg).row + np.array([
+        z_sphere_row(substream(cfg.seed, _SCAN_TAG, i), cfg.r, cfg.flow.N, cfg.n_active)
         for i in range(n_samples)
-    ]
-    radii = np.array([
-        cylinder_radius(u, cfg.n0, cfg.cyl_center)
+    ])
+    radii = np.concatenate([
+        _radii(integrate_batch(rows[lo:lo + _SCAN_BATCH], cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)
         for lo in range(0, n_samples, _SCAN_BATCH)
-        for u in integrate_batch(u0s[lo:lo + _SCAN_BATCH], cfg.T, cfg.flow)
     ])
     levels = [round(0.1 * i, 1) for i in range(11)]
     quantiles = {lv: float(qv) for lv, qv in zip(levels, np.quantile(radii, levels))}

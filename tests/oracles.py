@@ -1,11 +1,13 @@
 """Independent slow-path oracles for the spectral operations.
 
-Everything here but reference_estimate and PairRowFlow works from the
-definitions (convolution sums, Riemann quadrature, trig calculus) without
-touching the package's FFT paths, so the fast implementations can be
-checked against it at 1e-12.  reference_estimate is the pair-by-pair loop
-the batched estimate sweep must reproduce bit for bit, and PairRowFlow the
-real-row flow core the complex-row one must reproduce bit for bit.
+Everything here but reference_estimate, reference_flow_jacobian and
+PairRowFlow works from the definitions (convolution sums, Riemann
+quadrature, trig calculus) without touching the package's FFT paths, so the
+fast implementations can be checked against it at 1e-12.
+reference_estimate is the pair-by-pair loop the batched estimate sweep must
+reproduce bit for bit, reference_flow_jacobian the state-by-state bump loop
+flow_jacobian must reproduce bit for bit, and PairRowFlow the real-row flow
+core the complex-row one must reproduce bit for bit.
 """
 
 import math
@@ -13,8 +15,9 @@ import math
 import numpy as np
 
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
+from bbmlab.flow import integrate
 from bbmlab.sampling import sobolev_ball_state, substream
-from bbmlab.spectral import TrigState, smooth_grid_size, sobolev_norm
+from bbmlab.spectral import TrigState, basis_scale, smooth_grid_size, sobolev_norm
 
 
 def complex_modes(state: TrigState) -> np.ndarray:
@@ -113,6 +116,33 @@ def reference_estimate(s, r, rprime, n_samples, n_modes, sampler, mode, seed):
         if best is None or row[1] > best[1]:
             best = row
     return best
+
+
+def reference_flow_jacobian(u0, t_span, active_modes, h, cfg):
+    """Central-difference Jacobian in the first active_modes pair coordinates.
+
+    One TrigState per bumped state: every mode's pair coordinates are
+    p = a / scale, q = b / scale and go back as a = p scale, b = q scale
+    (scale = basis_scale), the bumped state is flowed alone by integrate,
+    and its image is read the same way.  Column i bumps p_i (i < n) or
+    q_{i-n}.
+    """
+    u0 = u0.padded(cfg.N)
+    scale = basis_scale(cfg.N)
+    n = active_modes
+    jac = np.zeros((2 * n, 2 * n))
+    for i in range(2 * n):
+        images = []
+        for sign in (1.0, -1.0):
+            p, q = u0.a / scale, u0.b / scale
+            if i < n:
+                p[i] += sign * h
+            else:
+                q[i - n] += sign * h
+            final = integrate(TrigState(0.0, p * scale, q * scale), t_span, cfg).final
+            images.append(np.concatenate([final.a[:n] / scale[:n], final.b[:n] / scale[:n]]))
+        jac[:, i] = (images[0] - images[1]) / (2.0 * h)
+    return jac
 
 
 class PairRowFlow:

@@ -453,7 +453,29 @@ def test_mode_count_above_cap_exits_2(tmp_path, monkeypatch, capsys, command, se
 def test_orbit_pair_count_outside_range_exits_2(tmp_path, monkeypatch, capsys, n_pairs):
     code, _ = run(tmp_path, monkeypatch, "orbit", ini({"orbit": {"n_pairs": n_pairs}}))
     assert code == 2
-    assert f"bbmlab orbit: n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"bbmlab orbit: [orbit] n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}" in err
+
+
+# fprime_list = 0.5, 5 used to integrate the 0.5 orbit (~1 s) and then exit 2
+# with "fprime_max must lie in (0, pi), got 5.0"; neither that nor the radius2
+# message named [orbit].
+@pytest.mark.parametrize("keys, message", [
+    ({"fprime_list": "0.5, 5"}, "[orbit] fprime_list entry 5.0 outside (0, pi)"),
+    ({"fprime_list": "0, 0.5"}, "[orbit] fprime_list entry 0.0 outside (0, pi)"),
+    ({"fprime_list": "0.5", "radius2": "2"}, "[orbit] radius2 must lie in (0, 1), got 2.0"),
+    ({"radius2": "0"}, "[orbit] radius2 must lie in (0, 1), got 0.0"),
+])
+def test_orbit_value_outside_range_exits_2_before_any_orbit(tmp_path, monkeypatch, capsys, keys,
+                                                            message):
+    def no_orbit(*args):
+        raise AssertionError("orbit started")
+
+    monkeypatch.setattr(cli, "radial_orbit", no_orbit)
+    code, outdir = run(tmp_path, monkeypatch, "orbit", ini({"orbit": keys}))
+    assert code == 2
+    assert f"bbmlab orbit: {message}" in capsys.readouterr().err
+    assert not (outdir / "orbit.csv").exists()
 
 
 class TestGalerkinAndOrbit:

@@ -24,7 +24,7 @@ from bbmlab.sampling import sobolev_ball_rows, sobolev_ball_state, substream
 from bbmlab.spectral import MAX_MODES, TrigState, dispersion_symbol, unit_cos_mode
 
 from conftest import random_state
-from oracles import oracle_product, reference_estimate
+from oracles import oracle_product, reference_estimate, reference_flow_jacobian
 
 # (sampler, mode, s, r, r') cases covering both samplers and both modes.
 SWEEP_CASES = [
@@ -194,10 +194,10 @@ class TestBatchedSweep:
     ])
     def test_row_sampler_rows_equal_sobolev_ball_state(self, n_modes, reg, radius, decay):
         paths = [(9, n_modes, i, 0) for i in range(_SWEEP_BATCH + 3)]
-        a, b = sobolev_ball_rows([substream(*p) for p in paths], n_modes, reg, radius, decay)
+        c = sobolev_ball_rows([substream(*p) for p in paths], n_modes, reg, radius, decay)
         for row, path in enumerate(paths):
             u = sobolev_ball_state(substream(*path), n_modes, reg, radius, decay)
-            assert np.array_equal(a[row], u.a) and np.array_equal(b[row], u.b)
+            assert np.array_equal(c[row], u.row)
 
 
 class TestSmoothingRatio:
@@ -252,6 +252,15 @@ class TestFlowJacobian:
         cfg = FlowConfig(N=6, dt=5e-3, integrator="implicit_midpoint", midpoint_tol=1e-13)
         jac = flow_jacobian(u0, 0.5, 6, 1e-4, cfg, check_step=False)
         assert symplectic_defect(jac) < 1e-5
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_matches_trigstate_bump_loop(self, integrator):
+        # Six modes padded to N = 8, so unbumped zero modes are flowed too.
+        u0 = sobolev_ball_state(substream(7, "jac"), 6, 0.5, 0.5, decay=2.0)
+        cfg = FlowConfig(N=8, dt=0.01, integrator=integrator, midpoint_tol=1e-13)
+        jac = flow_jacobian(u0, 0.25, 4, 1e-4, cfg, check_step=False)
+        want = reference_flow_jacobian(u0, 0.25, 4, 1e-4, cfg)
+        assert np.array_equal(jac.view(np.uint64), want.view(np.uint64))
 
     def test_step_bounds_enforced(self):
         u0 = random_state(2, 8)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bbmlab.estimates import exact_product
+from bbmlab.sampling import sobolev_ball_state, substream
 from bbmlab.spectral import (
     GridSamples,
     ResolutionError,
@@ -11,8 +13,11 @@ from bbmlab.spectral import (
     TrigState,
     analyze,
     apply_J,
+    basis_scale,
     dispersion_multiplier,
     from_symplectic,
+    pair_coords,
+    pair_rows,
     project,
     smooth_grid_size,
     sobolev_norm,
@@ -112,6 +117,13 @@ class TestSynthesizeAnalyze:
             assert np.max(np.abs(v.a - u.a)) < 1e-12
             assert np.max(np.abs(v.b - u.b)) < 1e-12
             assert abs(v.mean - u.mean) < 1e-12
+
+    def test_zero_modes_read_b_plus_zero(self):
+        # analyze and exact_product used to read b = -imag, so cos x gave b = [-0., 0., -0.].
+        cos1, cos2 = TrigState.single_mode(1, 3, a_k=1.0), TrigState.single_mode(2, 3, a_k=1.0)
+        for u in (analyze(synthesize(cos1, 7), 3), exact_product(cos1, cos2)):
+            zeros = u.b[u.b == 0.0]
+            assert zeros.size and not np.any(np.signbit(zeros))
 
     @settings(max_examples=40, deadline=None)
     @given(trig_states())
@@ -251,6 +263,41 @@ class TestSymplecticCoords:
         u = TrigState.single_mode(2, 2, a_k=1.0)
         coords = to_symplectic(u)
         assert abs(coords.p[1] - math.sqrt(math.pi * 5.0 / 2.0)) < 1e-13
+
+
+class TestPairMaps:
+    @settings(max_examples=60, deadline=None)
+    @given(n_modes=st.integers(1, 64), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_symplectic_coords(self, n_modes, data, seed):
+        # Some states fill fewer modes than N, so zero modes are mapped too.
+        n_pairs = data.draw(st.integers(1, n_modes))
+        n_filled = data.draw(st.integers(1, n_modes))
+        u = sobolev_ball_state(substream(seed, "pairs"), n_filled, 0.5, 1.0).padded(n_modes)
+        coords = to_symplectic(u)
+        x = pair_coords(u.row, n_pairs)
+        # == compares nonzero entries bit for bit and lets +0 equal -0.
+        assert np.array_equal(x, np.concatenate([coords.p[:n_pairs], coords.q[:n_pairs]]))
+        scale = basis_scale(n_pairs)
+        assert np.array_equal(x, np.concatenate([u.a[:n_pairs] / scale, u.b[:n_pairs] / scale]))
+        p, q = np.zeros(n_modes), np.zeros(n_modes)
+        p[:n_pairs], q[:n_pairs] = x[:n_pairs], x[n_pairs:]
+        v = from_symplectic(SymplecticCoords(p, q))
+        w = TrigState.from_row(pair_rows(x, n_modes))
+        assert np.array_equal(w.a, v.a) and np.array_equal(w.b, v.b)
+        assert np.array_equal(w.a[:n_pairs], x[:n_pairs] * scale)
+        assert np.array_equal(w.b[:n_pairs], x[n_pairs:] * scale)
+
+    def test_batch_rows_and_range_checks(self):
+        x = np.array([[1.0, 2.0], [3.0, -4.0]])
+        c = pair_rows(x, 3)
+        assert c.shape == (2, 3) and np.all(c[:, 1:] == 0.0)
+        assert np.array_equal(pair_coords(c, 1), x)
+        assert not np.signbit(pair_rows(np.array([1.0, 0.0]), 1).imag[0])
+        with pytest.raises(ValueError, match="n_pairs = 4 outside 1..3"):
+            pair_coords(c, 4)
+        for length in (4, 3):
+            with pytest.raises(ValueError, match=f"need 2n <= 2 pair coordinates, got {length}"):
+                pair_rows(np.zeros(length), 1)
 
 
 class TestSmoothGridSize:

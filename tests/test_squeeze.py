@@ -8,7 +8,9 @@ from scipy import stats
 from bbmlab.flow import FlowConfig, integrate
 from bbmlab.sampling import substream
 from bbmlab.spectral import (
+    SymplecticCoords,
     TrigState,
+    from_symplectic,
     sobolev_norm,
     to_symplectic,
     unit_cos_mode,
@@ -18,9 +20,7 @@ from bbmlab.spectral import (
 from bbmlab.squeeze import (
     SqueezeConfig,
     _center_state,
-    _embed,
     _fd_gradient,
-    _sphere_coords,
     ball_image_scan,
     cylinder_radius,
     maximize_image_radius,
@@ -72,6 +72,15 @@ class TestCylinderRadius:
         base = cylinder_radius(u, 3)
         shifted = u + 0.9 * unit_cos_mode(5, 8) + 0.4 * unit_sin_mode(1, 8)
         assert abs(cylinder_radius(shifted, 3) - base) < 1e-12
+
+    def test_equals_math_hypot_of_pair_coordinates(self):
+        # Bit for bit: np.hypot rounds differently from math.hypot in about 0.5% of cases.
+        for i in range(400):
+            u = random_state(i, 8)
+            n0 = 1 + i % 8
+            coords = to_symplectic(u)
+            want = math.hypot(coords.p[n0 - 1] - 0.1, coords.q[n0 - 1] + 0.2)
+            assert cylinder_radius(u, n0, (0.1, -0.2)) == want
 
     def test_fourier_size_identity(self):
         # radius = sqrt(a^2+b^2) sqrt(pi (n0^2+1)/n0); in H^{1/2} terms the
@@ -182,17 +191,19 @@ class TestMaximize:
 
     def test_batched_gradient_matches_serial_loop(self):
         cfg = small_config(n0=2)
-        center = _center_state(cfg)
         na = cfg.n_active
         fcfg = cfg.flow
-        draw = sample_sphere(cfg.r, fcfg.N, na, substream(cfg.seed, "start", 1))
-        x = _sphere_coords(center + draw, center, na)
+        coords = to_symplectic(sample_sphere(cfg.r, fcfg.N, na, substream(cfg.seed, "start", 1)))
+        x = np.concatenate([coords.p[:na], coords.q[:na]])
 
         def reproject(y):
             return (cfg.r / float(np.linalg.norm(y))) * y
 
         def objective(y):
-            final = integrate(_embed(y, center, na, fcfg.N), cfg.T, fcfg).final
+            p = np.zeros(fcfg.N)
+            q = np.zeros(fcfg.N)
+            p[:na], q[:na] = y[:na], y[na:]
+            final = integrate(from_symplectic(SymplecticCoords(p, q)), cfg.T, fcfg).final
             return cylinder_radius(final, cfg.n0, cfg.cyl_center)
 
         serial = np.zeros(2 * na)
@@ -202,7 +213,7 @@ class TestMaximize:
             serial[i] = (objective(reproject(x + e)) - objective(reproject(x - e))) / (
                 2.0 * cfg.fd_step
             )
-        assert np.array_equal(_fd_gradient(x, cfg, center), serial)
+        assert np.array_equal(_fd_gradient(x, cfg, np.zeros(fcfg.N, dtype=complex)), serial)
 
     # r = 40: the flow from start 3 blows up at its seed; r = 37 with a wide
     # difference step: start 3's seed flows, one of its gradient points does not.
