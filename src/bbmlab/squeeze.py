@@ -5,6 +5,12 @@ of the time-T image of the flow.  The experiment produces a lower bound for
 the supremum: a witness close to the ball radius r illustrates numerically
 that the image cannot fit in a thinner cylinder.  Values above r are
 legitimate (the statement is one-sided) and are never clamped.
+
+The multistart ascent runs its starts in lock step: each batch of flows
+holds one group of rows per live start, in chunks of _ROW_CHUNK rows, and
+every start keeps its own step size and stop state, so each path is the one
+the start would take alone.  A batch whose flow fails is flowed again one
+start at a time, and only the starts whose own flows fail are affected.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,8 +31,10 @@ log = logging.getLogger(__name__)
 _SCAN_TAG = 0x5CA7
 # Cap on the optimizer's active window: each gradient flows 4 states per pair.
 _MAX_ACTIVE_PAIRS = 16
-# Scan samples flowed per batch, which bounds the batch's memory.
-_SCAN_BATCH = 256
+# Rows flowed per integrate_batch call, for the scan and the lock-step search
+# alike: near 100 rows the cost per row-step is lowest, and the chunk bounds
+# a batch's memory.
+_ROW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -139,28 +147,76 @@ def _reproject(x: np.ndarray, r: float) -> np.ndarray:
     return (r / float(np.linalg.norm(x))) * x
 
 
-def _image_radii(points: np.ndarray, cfg: SqueezeConfig, center: np.ndarray) -> np.ndarray:
-    """Cylinder radius of the time-T image of each row of points, flowed as one batch.
+def _flowed_radii(rows: np.ndarray, cfg: SqueezeConfig) -> np.ndarray:
+    """Cylinder radius of the time-T image of each coefficient row, in chunks of _ROW_CHUNK rows.
 
-    A row holds 2 n_active pair coordinates relative to the center row.
     Raises FlowError when any of the flows fails.
     """
-    finals = integrate_batch(center + pair_rows(points, cfg.flow.N), cfg.T, cfg.flow)
-    return _radii(finals, cfg.n0, cfg.cyl_center)
+    return np.concatenate([
+        _radii(integrate_batch(rows[lo:lo + _ROW_CHUNK], cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)
+        for lo in range(0, len(rows), _ROW_CHUNK)
+    ])
 
 
-def _fd_gradient(x: np.ndarray, cfg: SqueezeConfig, center: np.ndarray) -> np.ndarray:
-    """Central differences of the image radius in each active coordinate.
+def _radii_per_start(groups: list, cfg: SqueezeConfig, center: np.ndarray) -> list:
+    """Image radii of each start's group of points, every group flowed in one batch.
 
-    All 2 len(x) perturbed points are flowed as one batch.
+    A point holds 2 n_active pair coordinates relative to the center row.
+    When the batch raises FlowError, each group is flowed again on its own,
+    as a serial search would flow it, so a failing flow costs only its own
+    start: that group's entry is then the FlowError it raised.
     """
-    points = []
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = cfg.fd_step
-        points += [_reproject(x + e, cfg.r), _reproject(x - e, cfg.r)]
-    radii = _image_radii(np.array(points), cfg, center)
-    return (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
+    rows = [center + pair_rows(points, cfg.flow.N) for points in groups]
+    try:
+        radii = _flowed_radii(np.concatenate(rows), cfg)
+    except FlowError:
+        per_start = []
+        for start_rows in rows:
+            try:
+                per_start.append(_flowed_radii(start_rows, cfg))
+            except FlowError as exc:
+                per_start.append(exc)
+        return per_start
+    return np.split(radii, np.cumsum([len(start_rows) for start_rows in rows[:-1]]))
+
+
+def _objectives(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> list[float]:
+    """Image radius of each point of xs, nan where its flow fails."""
+    return [float("nan") if isinstance(radii, FlowError) else float(radii[0])
+            for radii in _radii_per_start([x[None] for x in xs], cfg, center)]
+
+
+def _fd_gradients(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> list:
+    """Central differences of the image radius in each active coordinate of each point of xs.
+
+    The 2 len(x) perturbed points of every x in xs are flowed together, as
+    one batch in chunks of _ROW_CHUNK rows.  The entry of a point whose
+    perturbed flows fail is the FlowError they raised.
+    """
+    groups = []
+    for x in xs:
+        points = []
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = cfg.fd_step
+            points += [_reproject(x + e, cfg.r), _reproject(x - e, cfg.r)]
+        groups.append(np.array(points))
+    return [radii if isinstance(radii, FlowError)
+            else (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
+            for radii in _radii_per_start(groups, cfg, center)]
+
+
+@dataclass
+class _Start:
+    """One ascent start: its point x on the sphere, objective val, step alpha and history."""
+
+    start_id: int
+    x: np.ndarray
+    val: float
+    alpha: float
+    traj: list
+    gains: list = field(default_factory=list)
+    abandoned: bool = False
 
 
 def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
@@ -171,9 +227,17 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     differences in the active pair coordinates; every step reprojects to the
     sphere, so the per-start objective sequence is non-decreasing.  The pure
     mode-n0 state is always among the starts, which pins the report to at
-    least the rigid-rotation baseline.  A flow that fails counts as a
-    non-finite objective: the line search halves its step, and a start
-    whose seed or gradient fails is abandoned.
+    least the rigid-rotation baseline.
+
+    The starts advance in lock step, one ascent iteration at a time: every
+    seed objective is flowed in one batch, so are the gradient points of
+    every live start, and so is each line-search round's candidate of every
+    start that has not yet gained.  Each start keeps its own point, step
+    size and recent gains, so its path is the one it would take alone: a
+    flowed row has the same bits in any batch.  A flow that fails counts as
+    a non-finite objective: the line search halves its step, and a start
+    whose seed or gradient fails is abandoned.  A batch that fails is flowed
+    again one start at a time, so a failing flow costs only its own start.
     """
     t_begin = time.perf_counter()
     center_state = _center_state(cfg)
@@ -181,71 +245,58 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     na = cfg.n_active
     alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
 
-    def objective(x: np.ndarray) -> float:
-        try:
-            return float(_image_radii(x[None], cfg, center)[0])
-        except FlowError:
-            return float("nan")
-
-    starts = []
     seed_x = np.zeros(2 * na)
     seed_x[cfg.n0 - 1] = cfg.r
-    starts.append(seed_x)
+    xs = [seed_x]
     for i in range(1, cfg.n_starts):
         draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na)
         # The offset of the point center + draw from center: it may differ from draw in the last bit.
-        starts.append(pair_coords((center + draw) - center, na))
+        xs.append(pair_coords((center + draw) - center, na))
+    xs = [_reproject(x, cfg.r) for x in xs]
 
-    trajectories = []
-    finals = []
-    for start_id, x in enumerate(starts):
-        x = _reproject(x, cfg.r)
-        val = objective(x)
+    starts = []
+    for start_id, (x, val) in enumerate(zip(xs, _objectives(xs, cfg, center))):
+        start = _Start(start_id, x, val, alpha0, [(0, val)])
         if not math.isfinite(val):
             log.warning("start %d abandoned: non-finite objective at the seed", start_id)
-            trajectories.append(((0, float("nan")),))
-            continue
-        traj = [(0, val)]
-        alpha = alpha0
-        gains: list[float] = []
-        abandoned = False
-        for it in range(1, cfg.max_ascent_iters + 1):
-            try:
-                grad = _fd_gradient(x, cfg, center)
-            except FlowError as exc:
-                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
-                            start_id, it, exc)
-                abandoned = True
-                break
-            xhat = x / float(np.linalg.norm(x))
-            tang = grad - float(grad @ xhat) * xhat
-            tnorm = float(np.linalg.norm(tang))
-            if tnorm == 0.0:
-                break
-            a = alpha
-            accepted = False
-            for _ in range(21):
-                cand = _reproject(x + a * tang, cfg.r)
-                cand_val = objective(cand)
-                if not math.isfinite(cand_val):
-                    a *= 0.5
-                    continue
-                if cand_val > val:
-                    accepted = True
-                    break
-                a *= 0.5
-            if not accepted:
-                break
-            gains.append(cand_val - val)
-            x, val = cand, cand_val
-            traj.append((it, val))
-            alpha = min(2.0 * a, alpha0)
-            if len(gains) >= 5 and sum(gains[-5:]) < cfg.stall_tol:
-                break
-        trajectories.append(tuple(traj))
-        if not abandoned:
-            finals.append((val, start_id, x))
+            start.abandoned = True
+        starts.append(start)
 
+    live = [s for s in starts if not s.abandoned]
+    for it in range(1, cfg.max_ascent_iters + 1):
+        if not live:
+            break
+        searching = []
+        for s, grad in zip(live, _fd_gradients([s.x for s in live], cfg, center)):
+            if isinstance(grad, FlowError):
+                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
+                            s.start_id, it, grad)
+                s.abandoned = True
+                continue
+            xhat = s.x / float(np.linalg.norm(s.x))
+            tang = grad - float(grad @ xhat) * xhat
+            if float(np.linalg.norm(tang)) != 0.0:
+                searching.append((s, tang, s.alpha))
+        # Line search: halve a start's step until its candidate gains, at most 21 tries.
+        for _ in range(21):
+            if not searching:
+                break
+            cands = [_reproject(s.x + a * tang, cfg.r) for s, tang, a in searching]
+            still = []
+            for (s, tang, a), cand, cand_val in zip(searching, cands, _objectives(cands, cfg, center)):
+                if not (math.isfinite(cand_val) and cand_val > s.val):
+                    still.append((s, tang, 0.5 * a))
+                    continue
+                s.gains.append(cand_val - s.val)
+                s.x, s.val = cand, cand_val
+                s.traj.append((it, cand_val))
+                s.alpha = min(2.0 * a, alpha0)
+            searching = still
+        # A start goes on only if it gained in this iteration and has not stalled.
+        live = [s for s in live if s.traj[-1][0] == it
+                and not (len(s.gains) >= 5 and sum(s.gains[-5:]) < cfg.stall_tol)]
+
+    finals = [(s.val, s.start_id, s.x) for s in starts if not s.abandoned]
     if not finals:
         raise FlowError("all starts abandoned: every ascent start hit a failing flow")
 
@@ -265,7 +316,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
         config=cfg,
         best_witness=best_witness,
         achieved_radius=best_val,
-        trajectories=tuple(trajectories),
+        trajectories=tuple(tuple(s.traj) for s in starts),
         wall_time=time.perf_counter() - t_begin,
     )
 
@@ -274,16 +325,15 @@ def ball_image_scan(cfg: SqueezeConfig, n_samples: int) -> ScanReport:
     """Cylinder radii of the flowed images of uniform sphere samples.
 
     Shows how far random (non-optimized) data falls below the witness-search
-    supremum.  Samples are flowed in batches of _SCAN_BATCH.
+    supremum.  Samples are flowed in chunks of _ROW_CHUNK.
     """
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     rows = _center_state(cfg).row + np.array([
         z_sphere_row(substream(cfg.seed, _SCAN_TAG, i), cfg.r, cfg.flow.N, cfg.n_active)
         for i in range(n_samples)
     ])
-    radii = np.concatenate([
-        _radii(integrate_batch(rows[lo:lo + _SCAN_BATCH], cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)
-        for lo in range(0, n_samples, _SCAN_BATCH)
-    ])
+    radii = _flowed_radii(rows, cfg)
     levels = [round(0.1 * i, 1) for i in range(11)]
     quantiles = {lv: float(qv) for lv, qv in zip(levels, np.quantile(radii, levels))}
     return ScanReport(config=cfg, radii=radii, quantiles=quantiles)

@@ -1,23 +1,39 @@
 """Independent slow-path oracles for the spectral operations.
 
-Everything here but reference_estimate, reference_flow_jacobian and
-PairRowFlow works from the definitions (convolution sums, Riemann
-quadrature, trig calculus) without touching the package's FFT paths, so the
-fast implementations can be checked against it at 1e-12.
+Everything here but reference_estimate, reference_flow_jacobian,
+reference_maximize_image_radius and PairRowFlow works from the definitions
+(convolution sums, Riemann quadrature, trig calculus) without touching the
+package's FFT paths, so the fast implementations can be checked against it
+at 1e-12.
 reference_estimate is the pair-by-pair loop the batched estimate sweep must
 reproduce bit for bit, reference_flow_jacobian the state-by-state bump loop
-flow_jacobian must reproduce bit for bit, and PairRowFlow the real-row flow
-core the complex-row one must reproduce bit for bit.
+flow_jacobian must reproduce bit for bit, reference_maximize_image_radius
+the start-by-start ascent the lock-step witness search must reproduce bit
+for bit, and PairRowFlow the real-row flow core the complex-row one must
+reproduce bit for bit.
 """
 
+import logging
 import math
+import time
 
 import numpy as np
 
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
-from bbmlab.flow import integrate
-from bbmlab.sampling import sobolev_ball_state, substream
-from bbmlab.spectral import TrigState, basis_scale, smooth_grid_size, sobolev_norm
+from bbmlab.flow import FlowError, integrate, integrate_batch
+from bbmlab.sampling import sobolev_ball_state, substream, z_sphere_row
+from bbmlab.spectral import (
+    TrigState,
+    basis_scale,
+    pair_coords,
+    pair_rows,
+    smooth_grid_size,
+    sobolev_norm,
+    sobolev_norms,
+)
+from bbmlab.squeeze import SqueezeReport
+
+log = logging.getLogger("bbmlab.squeeze")
 
 
 def complex_modes(state: TrigState) -> np.ndarray:
@@ -143,6 +159,117 @@ def reference_flow_jacobian(u0, t_span, active_modes, h, cfg):
             images.append(np.concatenate([final.a[:n] / scale[:n], final.b[:n] / scale[:n]]))
         jac[:, i] = (images[0] - images[1]) / (2.0 * h)
     return jac
+
+
+def reference_maximize_image_radius(cfg):
+    """maximize_image_radius with its starts run one after another.
+
+    Each start ascends alone to its end before the next one begins: its
+    seed and each line-search candidate are flowed as a one-row batch, and
+    each gradient's 4 n_active perturbed points as one batch of their own.
+    A start whose seed or gradient flow fails is abandoned, with the log
+    messages of the search.
+    """
+    t_begin = time.perf_counter()
+    center_state = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N)
+    center = center_state.row
+    na = cfg.n_active
+    alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
+
+    def reproject(x):
+        return (cfg.r / float(np.linalg.norm(x))) * x
+
+    def image_radii(points):
+        finals = integrate_batch(center + pair_rows(points, cfg.flow.N), cfg.T, cfg.flow)
+        pq = pair_coords(finals, cfg.n0)
+        return np.array([math.hypot(p - cfg.cyl_center[0], q - cfg.cyl_center[1])
+                         for p, q in zip(pq[:, cfg.n0 - 1].tolist(), pq[:, -1].tolist())])
+
+    def objective(x):
+        try:
+            return float(image_radii(x[None])[0])
+        except FlowError:
+            return float("nan")
+
+    def fd_gradient(x):
+        points = []
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = cfg.fd_step
+            points += [reproject(x + e), reproject(x - e)]
+        radii = image_radii(np.array(points))
+        return (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
+
+    starts = []
+    seed_x = np.zeros(2 * na)
+    seed_x[cfg.n0 - 1] = cfg.r
+    starts.append(seed_x)
+    for i in range(1, cfg.n_starts):
+        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na)
+        starts.append(pair_coords((center + draw) - center, na))
+
+    trajectories = []
+    finals = []
+    for start_id, x in enumerate(starts):
+        x = reproject(x)
+        val = objective(x)
+        if not math.isfinite(val):
+            log.warning("start %d abandoned: non-finite objective at the seed", start_id)
+            trajectories.append(((0, float("nan")),))
+            continue
+        traj = [(0, val)]
+        alpha = alpha0
+        gains = []
+        abandoned = False
+        for it in range(1, cfg.max_ascent_iters + 1):
+            try:
+                grad = fd_gradient(x)
+            except FlowError as exc:
+                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
+                            start_id, it, exc)
+                abandoned = True
+                break
+            xhat = x / float(np.linalg.norm(x))
+            tang = grad - float(grad @ xhat) * xhat
+            if float(np.linalg.norm(tang)) == 0.0:
+                break
+            a = alpha
+            accepted = False
+            for _ in range(21):
+                cand = reproject(x + a * tang)
+                cand_val = objective(cand)
+                if not math.isfinite(cand_val):
+                    a *= 0.5
+                    continue
+                if cand_val > val:
+                    accepted = True
+                    break
+                a *= 0.5
+            if not accepted:
+                break
+            gains.append(cand_val - val)
+            x, val = cand, cand_val
+            traj.append((it, val))
+            alpha = min(2.0 * a, alpha0)
+            if len(gains) >= 5 and sum(gains[-5:]) < cfg.stall_tol:
+                break
+        trajectories.append(tuple(traj))
+        if not abandoned:
+            finals.append((val, start_id, x))
+
+    if not finals:
+        raise FlowError("all starts abandoned: every ascent start hit a failing flow")
+    best_val = max(v for v, _, _ in finals)
+    contenders = [f for f in finals if f[0] >= best_val * (1.0 - 1e-12)]
+    witnesses = [
+        (v, float(sobolev_norms(center_state.mean, center + pair_rows(x, cfg.flow.N), 1.0)), sid, x)
+        for v, sid, x in contenders
+    ]
+    witnesses.sort(key=lambda t: (-t[0], t[1], t[2]))
+    best_x = witnesses[0][3]
+    best_witness = center_state + TrigState.from_row(pair_rows(reproject(best_x), cfg.flow.N))
+    return SqueezeReport(cfg, best_witness, best_val, tuple(trajectories),
+                         time.perf_counter() - t_begin)
 
 
 class PairRowFlow:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bbmlab.flow import FlowConfig, integrate
-from bbmlab.sampling import substream
+from bbmlab import squeeze
+from bbmlab.flow import FlowConfig, integrate, integrate_batch
+from bbmlab.sampling import substream, z_sphere_row
 from bbmlab.spectral import (
     SymplecticCoords,
     TrigState,
@@ -18,9 +19,12 @@ from bbmlab.spectral import (
     z_norm,
 )
 from bbmlab.squeeze import (
+    _ROW_CHUNK,
     SqueezeConfig,
     _center_state,
-    _fd_gradient,
+    _fd_gradients,
+    _flowed_radii,
+    _radii,
     ball_image_scan,
     cylinder_radius,
     maximize_image_radius,
@@ -28,6 +32,7 @@ from bbmlab.squeeze import (
 )
 
 from conftest import random_state
+from oracles import reference_maximize_image_radius
 
 
 class TestSampleSphere:
@@ -190,11 +195,15 @@ class TestMaximize:
             SqueezeConfig(r=0.5, n0=n0, T=1.0, flow=FlowConfig(N=n_modes, dt=0.01))
 
     def test_batched_gradient_matches_serial_loop(self):
+        # The gradients of three starts, flowed as one batch, each equal to
+        # its own serial loop of one-state flows bit for bit.
         cfg = small_config(n0=2)
         na = cfg.n_active
         fcfg = cfg.flow
-        coords = to_symplectic(sample_sphere(cfg.r, fcfg.N, na, substream(cfg.seed, "start", 1)))
-        x = np.concatenate([coords.p[:na], coords.q[:na]])
+        xs = []
+        for i in range(1, 4):
+            coords = to_symplectic(sample_sphere(cfg.r, fcfg.N, na, substream(cfg.seed, "start", i)))
+            xs.append(np.concatenate([coords.p[:na], coords.q[:na]]))
 
         def reproject(y):
             return (cfg.r / float(np.linalg.norm(y))) * y
@@ -206,14 +215,17 @@ class TestMaximize:
             final = integrate(from_symplectic(SymplecticCoords(p, q)), cfg.T, fcfg).final
             return cylinder_radius(final, cfg.n0, cfg.cyl_center)
 
-        serial = np.zeros(2 * na)
-        for i in range(2 * na):
-            e = np.zeros(2 * na)
-            e[i] = cfg.fd_step
-            serial[i] = (objective(reproject(x + e)) - objective(reproject(x - e))) / (
-                2.0 * cfg.fd_step
-            )
-        assert np.array_equal(_fd_gradient(x, cfg, np.zeros(fcfg.N, dtype=complex)), serial)
+        grads = _fd_gradients(xs, cfg, np.zeros(fcfg.N, dtype=complex))
+        assert len(grads) == len(xs)
+        for x, grad in zip(xs, grads):
+            serial = np.zeros(2 * na)
+            for i in range(2 * na):
+                e = np.zeros(2 * na)
+                e[i] = cfg.fd_step
+                serial[i] = (objective(reproject(x + e)) - objective(reproject(x - e))) / (
+                    2.0 * cfg.fd_step
+                )
+            assert np.array_equal(grad, serial)
 
     # r = 40: the flow from start 3 blows up at its seed; r = 37 with a wide
     # difference step: start 3's seed flows, one of its gradient points does not.
@@ -234,7 +246,121 @@ class TestMaximize:
         assert rep.achieved_radius == best
 
 
+def bench_cell(r, n0, linear_only):
+    """A witness_search benchmark cell: N = 32, T = 1, two starts."""
+    if linear_only:
+        return SqueezeConfig(r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02, linear_only=True),
+                             n_starts=2, max_ascent_iters=2, seed=0)
+    return SqueezeConfig(r=r, n0=n0, T=1.0, flow=FlowConfig(N=32, dt=0.02), n_starts=2,
+                         max_ascent_iters=3, stall_tol=1e-5, seed=0)
+
+
+def assert_same_search(rep, ref):
+    # repr, not ==: an abandoned start's trajectory holds nan.
+    assert repr(rep.trajectories) == repr(ref.trajectories)
+    assert rep.achieved_radius == ref.achieved_radius
+    assert np.array_equal(rep.best_witness.a, ref.best_witness.a)
+    assert np.array_equal(rep.best_witness.b, ref.best_witness.b)
+    assert rep.best_witness.mean == ref.best_witness.mean
+
+
+class TestLockStep:
+    """The lock-step search against the start-by-start oracle, bit for bit."""
+
+    @pytest.mark.parametrize("r, n0", [(0.5, 1), (0.5, 3), (1.0, 1), (1.0, 3)])
+    @pytest.mark.parametrize("linear_only", [False, True])
+    def test_benchmark_cells(self, r, n0, linear_only):
+        cfg = bench_cell(r, n0, linear_only)
+        assert_same_search(maximize_image_radius(cfg), reference_maximize_image_radius(cfg))
+
+    @pytest.mark.parametrize("kw", [
+        # Criterion 6's widest cell: 16 starts x 24 gradient points, three row chunks.
+        dict(r=1.0, n0=3, T=1.0, flow=FlowConfig(N=32, dt=0.02), n_starts=16,
+             max_ascent_iters=2, stall_tol=1e-5),
+        dict(r=0.5, n0=2, T=0.7, flow=FlowConfig(N=16, dt=0.02), n_starts=5, max_ascent_iters=6,
+             center=0.3 * unit_cos_mode(1, 16) + 0.2 * unit_sin_mode(3, 16),
+             cyl_center=(0.1, -0.2), seed=3),
+        dict(r=0.5, n0=2, T=0.5, flow=FlowConfig(N=16, dt=0.02), n_starts=1, max_ascent_iters=6),
+        dict(r=0.5, n0=2, T=0.5, flow=FlowConfig(N=16, dt=0.02), n_starts=5, max_ascent_iters=0),
+        dict(r=0.5, n0=1, T=0.5, flow=FlowConfig(N=16, dt=0.02), n_starts=4, max_ascent_iters=12,
+             stall_tol=1e-2),
+    ], ids=["criterion_6_n0_3", "centers", "one_start", "no_iterations", "stalls"])
+    def test_configs(self, kw):
+        cfg = SqueezeConfig(**kw)
+        assert_same_search(maximize_image_radius(cfg), reference_maximize_image_radius(cfg))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("extra", [{"r": 40.0}, {"r": 37.0, "fd_step": 4.0}])
+    def test_blow_up_configs(self, extra, caplog):
+        # The failing batch is flowed again start by start: the same
+        # abandoned start, the same messages and the same report.
+        cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
+                            max_ascent_iters=2, seed=0, **extra)
+        with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
+            rep = maximize_image_radius(cfg)
+            n_lock_step = len(caplog.messages)
+            ref = reference_maximize_image_radius(cfg)
+        assert n_lock_step > 0
+        assert sorted(caplog.messages[:n_lock_step]) == sorted(caplog.messages[n_lock_step:])
+        assert_same_search(rep, ref)
+
+    def test_midpoint_to_solver_tolerance(self):
+        cfg = small_config(flow=FlowConfig(N=16, dt=0.05, integrator="implicit_midpoint"),
+                           max_ascent_iters=6)
+        rep = maximize_image_radius(cfg)
+        ref = reference_maximize_image_radius(cfg)
+        for traj, ref_traj in zip(rep.trajectories, ref.trajectories, strict=True):
+            assert [it for it, _ in traj] == [it for it, _ in ref_traj]
+            assert np.allclose([v for _, v in traj], [v for _, v in ref_traj], rtol=0, atol=1e-10)
+        assert abs(rep.achieved_radius - ref.achieved_radius) <= 1e-10
+        assert np.allclose(rep.best_witness.row, ref.best_witness.row, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("chunk", [_ROW_CHUNK, 16])
+    def test_one_gradient_batch_per_iteration_and_chunk(self, chunk, monkeypatch):
+        # Four starts of 8 gradient points each (n_active = 2).  A seed or
+        # line-search batch holds at most one row per start, so a call with
+        # more rows than starts flows gradient points; with a chunk that is a
+        # multiple of 8 every gradient chunk has more rows than starts.
+        cfg = small_config(max_ascent_iters=3)
+        sizes = []
+
+        def counting(rows, t_span, fcfg):
+            sizes.append(len(rows))
+            return integrate_batch(rows, t_span, fcfg)
+
+        monkeypatch.setattr(squeeze, "integrate_batch", counting)
+        monkeypatch.setattr(squeeze, "_ROW_CHUNK", chunk)
+        rep = maximize_image_radius(cfg)
+        assert all(len(traj) > 1 for traj in rep.trajectories)
+        assert all(n <= chunk for n in sizes)
+        gradient_sizes = [n for n in sizes if n > cfg.n_starts]
+        chunks_per_iteration = -(-8 * cfg.n_starts // chunk)
+        # The first iteration flows all four starts' points, in as few chunks as hold them.
+        assert sum(gradient_sizes[:chunks_per_iteration]) == 8 * cfg.n_starts
+        assert len(gradient_sizes) <= cfg.max_ascent_iters * chunks_per_iteration
+
+
+def test_chunked_flow_equals_whole_batch():
+    # Criterion 6's gradient batch at n0 = 3: 16 starts x 24 points.
+    cfg = SqueezeConfig(r=1.0, n0=3, T=1.0, flow=FlowConfig(N=32, dt=0.02))
+    rows = np.array([z_sphere_row(substream(5, "chunk", i), 1.0, 32, cfg.n_active)
+                     for i in range(384)])
+    assert len(rows) > 2 * _ROW_CHUNK
+    whole = integrate_batch(rows, cfg.T, cfg.flow)
+    chunked = np.concatenate([integrate_batch(rows[lo:lo + _ROW_CHUNK], cfg.T, cfg.flow)
+                              for lo in range(0, len(rows), _ROW_CHUNK)])
+    assert np.array_equal(chunked, whole)
+    assert np.array_equal(_flowed_radii(rows, cfg), _radii(whole, cfg.n0, cfg.cyl_center))
+
+
 class TestBallImageScan:
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sample_count_below_one_rejected(self, n_samples):
+        # Used to fail inside numpy with a broadcast error that named nothing.
+        with pytest.raises(ValueError, match=f"^n_samples must be >= 1, got {n_samples}$"):
+            ball_image_scan(small_config(), n_samples)
+
     def test_zero_horizon_bounded_by_radius(self):
         scan = ball_image_scan(small_config(T=0.0), 64)
         assert np.max(scan.radii) <= 0.5 + 1e-12
