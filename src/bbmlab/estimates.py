@@ -322,16 +322,17 @@ def symplectic_defect(jacobian: np.ndarray) -> float:
     return float(np.max(np.abs(jacobian.T @ omega @ jacobian - omega)))
 
 
-def _radial_rhs(x: np.ndarray, fprime_max: float, radius2: float) -> np.ndarray:
-    """Hamiltonian field of H(x) = f(|x|^2) with f(t) = fprime_max t^2 / (2 radius2).
+def _radial_rhs(x: np.ndarray, out: np.ndarray, fprime_max: float, radius2: float) -> None:
+    """Hamiltonian field of H(x) = f(|x|^2) with f(t) = fprime_max t^2 / (2 radius2), into out.
 
     f'(|x|^2) = fprime_max |x|^2 / radius2 equals fprime_max on the tested
     shell; xdot = 2 f'(|x|^2) J x with J(p, q) = (q, -p) pairwise.
     """
     n = len(x) // 2
-    p, q = x[:n], x[n:]
     fp = fprime_max * float(np.dot(x, x)) / radius2
-    return 2.0 * fp * np.concatenate([q, -p])
+    out[:n] = x[n:]
+    np.negative(x[:n], out=out[n:])
+    np.multiply(2.0 * fp, out, out=out)
 
 
 def radial_orbit(
@@ -361,8 +362,9 @@ def radial_orbit(
     drift = 0.0
     t = 0.0
     zeta = complex(x[0], x[n_pairs])
+    work = np.empty((5,) + x.shape)
     for _ in range(4 * steps_per_period):
-        x = rk4_step(rhs, x, dt)
+        rk4_step(rhs, x, dt, work)
         t += dt
         drift = max(drift, abs(float(np.dot(x, x)) - radius2))
         zeta_new = complex(x[0], x[n_pairs])

@@ -20,7 +20,8 @@ Three integrators:
 All three share one stepping loop over (batch, N) complex arrays of
 half-spectrum rows c_k = a_k - i b_k (the layout of spectral.synthesize_rows):
 the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
-``znorm``) act on the last axis, with the FFTs taken along it.
+``znorm``) act on the last axis, with the FFTs taken along it, into one
+workspace that every step of a flow reuses; rk4 steps the rows in place.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row): the witness
@@ -43,12 +44,12 @@ import numpy as np
 from .spectral import (
     MAX_MODES,
     TrigState,
-    analyze_rows,
     dispersion_symbol,
     project,
     require_mean_zero,
     smooth_grid_size,
     sobolev_norms,
+    spectrum_rows,
     synthesize,
     synthesize_rows,
     truncate,
@@ -139,6 +140,7 @@ class _VecOps:
 
     def __init__(self, n: int, linear_only: bool = False):
         self.n = n
+        self._work = None
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
         self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
@@ -150,20 +152,31 @@ class _VecOps:
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
-    def square_half(self, c: np.ndarray) -> np.ndarray:
-        """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid."""
-        vals = synthesize_rows(0.0, c, self.m_pad)
+    def square_half(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid, written into out.
+
+        Computed in a workspace sized by the shape of c and reused until it changes (bins 0 and
+        > N of its padded spectrum stay 0).
+        """
+        if self._work is None or self._work[0].shape[:-1] != c.shape[:-1]:
+            bins, pts = (*c.shape[:-1], self.m_pad // 2 + 1), (*c.shape[:-1], self.m_pad)
+            self._work = np.zeros(bins, complex), np.empty(pts), np.empty(pts), np.empty(bins, complex)
+        spec, vals, half, prod = self._work
+        synthesize_rows(0.0, c, self.m_pad, spec, vals)
         # Halving the grid values is exact, so these are the bits of halving c.
-        return analyze_rows(vals * (0.5 * vals), self.n)[1]
+        np.multiply(vals, np.multiply(0.5, vals, out=half), out=half)
+        return spectrum_rows(np.fft.rfft(half, out=prod), self.n, self.m_pad, out.view(float))
 
     def nonlinear(self, c: np.ndarray) -> np.ndarray:
         """-dx (1-dxx)^{-1} (u^2/2): the quadratic part of the right-hand side."""
         if self.linear_only:
             return np.zeros_like(c)
-        return self.gen * self.square_half(c)
+        return self.gen * self.square_half(c, np.empty(c.shape, complex))
 
-    def rhs(self, c: np.ndarray) -> np.ndarray:
-        return self.gen * (c if self.linear_only else c + self.square_half(c))
+    def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The right-hand side of each row of c, written into out, which must not overlap c."""
+        s = c if self.linear_only else np.add(c, self.square_half(c, out), out=out)
+        return np.multiply(self.gen, s, out=out)
 
     def free(self, c: np.ndarray, t) -> np.ndarray:
         """Free rotation by t; an array t of shape (..., 1) gives each row its own time."""
@@ -196,8 +209,7 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     (1/2) sin x + (1/10) sin 2x.
     """
     state = _padded(state, cfg, "rhs")
-    ops = _VecOps.of(cfg)
-    return TrigState.from_row(ops.rhs(state.row))
+    return TrigState.from_row(_VecOps.of(cfg).rhs(state.row, np.empty(cfg.N, complex)))
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -211,13 +223,19 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     return TrigState.from_row(ops.free(state.row, t))
 
 
-def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of y' = f(y)."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(f, y: np.ndarray, dt: float, work: np.ndarray) -> None:
+    """One classical fourth-order Runge-Kutta step of y' = f(y), taken in place on y.
+
+    f(x, out) writes f(x) into out; work, of shape (5, *y.shape), holds the stages and stage input.
+    """
+    k1, k2, k3, k4, x = work
+    f(y, k1)
+    f(np.add(y, np.multiply(0.5 * dt, k1, out=x), out=x), k2)
+    f(np.add(y, np.multiply(0.5 * dt, k2, out=x), out=x), k3)
+    f(np.add(y, np.multiply(dt, k3, out=x), out=x), k4)
+    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
+    np.add(y, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1), out=y)
 
 
 def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int) -> np.ndarray:
@@ -226,11 +244,11 @@ def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: 
     # residual also stops it, and the stepping loop then reports the row.
     shape = y.shape
     y = y.reshape(-1, shape[-1])
-    z = y + dt * ops.rhs(y)
+    z = y + dt * ops.rhs(y, np.empty(y.shape, complex))
     active = np.arange(len(y))
     for _ in range(_MIDPOINT_MAX_ITER):
         ya, za = y[active], z[active]
-        z_new = ya + dt * ops.rhs(0.5 * (ya + za))
+        z_new = ya + dt * ops.rhs(0.5 * (ya + za), np.empty_like(za))
         delta = ops.znorm(z_new - za)
         z[active] = z_new
         active = active[delta > tol]
@@ -342,12 +360,13 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     n_steps = max(1, math.ceil(abs(t_span) / cfg.dt))
     dt = t_span / n_steps
     picard_diffs = []
+    y, work = y.astype(complex), np.empty((5,) + y.shape, complex)  # rk4 steps this copy in place
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if cfg.integrator == "rk4":
-                y = rk4_step(ops.rhs, y, dt)
+                rk4_step(ops.rhs, y, dt, work)
             elif cfg.integrator == "implicit_midpoint":
                 y = _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1)
             else:

@@ -251,32 +251,40 @@ def unit_sin_mode(k: int, n_modes: int) -> TrigState:
     return TrigState.single_mode(k, n_modes, b_k=c)
 
 
-def synthesize_rows(mean, c: np.ndarray, m: int) -> np.ndarray:
+def synthesize_rows(mean, c: np.ndarray, m: int, spec=None, out=None) -> np.ndarray:
     """Values at x_j = 2 pi j / m of the coefficient rows (mean, c).
 
     c has shape (..., N) with m >= 2N+1; mean is a number or one per row.
-    With analyze_rows this holds the one half-spectrum layout: bin 0 of
+    With spectrum_rows this holds the one half-spectrum layout: bin 0 of
     the length-m real FFT is m * mean and bin k = 1..N is m c_k / 2.  The
     inverse FFT acts on each row alone, so a row's values do not depend on
-    the rows stacked with it.
+    the rows stacked with it.  spec (bins above N at 0) and out are optional
+    reused buffers for the spectrum and the values.
     """
-    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex) if spec is None else spec
     spec[..., 0] = m * mean
-    spec[..., 1:c.shape[-1] + 1] = 0.5 * m * c
-    return np.fft.irfft(spec, m, axis=-1)
+    np.multiply(0.5 * m, c, out=spec[..., 1:c.shape[-1] + 1])
+    return np.fft.irfft(spec, m, axis=-1, out=out)
+
+
+def spectrum_rows(spec: np.ndarray, n_modes: int, m: int, out=None) -> np.ndarray:
+    """Rows c of modes 1..n_modes of the length-m real FFT rows spec, into float view out if given.
+
+    Scaled on the float view, as complex / real would round the two parts together.
+    """
+    x = np.multiply(2.0, spec[..., 1:n_modes + 1].view(float), out=out)
+    return np.divide(x, m, out=x).view(complex)
 
 
 def analyze_rows(values: np.ndarray, n_modes: int):
     """Coefficient rows (mean, c) of modes <= n_modes interpolating the grid rows.
 
     values has shape (..., M) with M >= 2 n_modes + 1; each row is
-    transformed alone.  c is scaled on its float view, as complex / real
-    would round the two parts together.
+    transformed alone.
     """
     m = values.shape[-1]
     spec = np.fft.rfft(values, axis=-1)
-    c = (2.0 * spec[..., 1:n_modes + 1].view(float) / m).view(complex)
-    return spec[..., 0].real / m, c
+    return spec[..., 0].real / m, spectrum_rows(spec, n_modes, m)
 
 
 def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:

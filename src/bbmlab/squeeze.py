@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -232,12 +234,14 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     The starts advance in lock step, one ascent iteration at a time: every
     seed objective is flowed in one batch, so are the gradient points of
     every live start, and so is each line-search round's candidate of every
-    start that has not yet gained.  Each start keeps its own point, step
-    size and recent gains, so its path is the one it would take alone: a
-    flowed row has the same bits in any batch.  A flow that fails counts as
-    a non-finite objective: the line search halves its step, and a start
-    whose seed or gradient fails is abandoned.  A batch that fails is flowed
-    again one start at a time, so a failing flow costs only its own start.
+    start that has not yet gained; a start left searching alone after a
+    failed try flows all its remaining halvings in one batch.  Each start
+    keeps its own point, step size and recent gains, so its path is the one
+    it would take alone: a flowed row has the same bits in any batch.  A
+    flow that fails counts as a non-finite objective: the line search halves
+    its step, and a start whose seed or gradient fails is abandoned.  A
+    batch that fails is flowed again one start at a time, so a failing flow
+    costs only its own start.
     """
     t_begin = time.perf_counter()
     center_state = _center_state(cfg)
@@ -277,13 +281,19 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
             tang = grad - float(grad @ xhat) * xhat
             if float(np.linalg.norm(tang)) != 0.0:
                 searching.append((s, tang, s.alpha))
-        # Line search: halve a start's step until its candidate gains, at most 21 tries.
-        for _ in range(21):
-            if not searching:
-                break
-            cands = [_reproject(s.x + a * tang, cfg.r) for s, tang, a in searching]
+        # Line search: halve a start's step until its candidate gains, at most 21 tries.  A start
+        # left alone after a failed try flows all its remaining halvings at once, in try order.
+        tries = 0
+        while searching and tries < 21:
+            width = 21 - tries if len(searching) == 1 and tries else 1
+            tries += width
+            trials = [(s, tang, b) for s, tang, a in searching
+                      for b in accumulate([a] + [0.5] * (width - 1), operator.mul)]
+            cands = [_reproject(s.x + a * tang, cfg.r) for s, tang, a in trials]
             still = []
-            for (s, tang, a), cand, cand_val in zip(searching, cands, _objectives(cands, cfg, center)):
+            for (s, tang, a), cand, cand_val in zip(trials, cands, _objectives(cands, cfg, center)):
+                if s.traj[-1][0] == it:
+                    continue  # the lone start gained at a larger step of this batch
                 if not (math.isfinite(cand_val) and cand_val > s.val):
                     still.append((s, tang, 0.5 * a))
                     continue

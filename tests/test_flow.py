@@ -213,6 +213,19 @@ class TestIntegrateBatch:
                     f"integrate_batch needs rows of shape (batch, 8), got {shape}")):
                 integrate_batch(np.zeros(shape, dtype=complex), 0.1, cfg)
 
+    def test_returned_rows_are_fresh(self):
+        # rk4 steps its own copy in place: neither the input rows nor the
+        # rows of an earlier call may change when the next call flows.
+        cfg = FlowConfig(N=16, dt=0.05)
+        c = rows_of([random_state(i, 16, radius=0.5) for i in range(3)])
+        c_before = c.copy()
+        first = integrate_batch(c, 0.5, cfg)
+        first_before = first.copy()
+        second = integrate_batch(first, 0.5, cfg)
+        integrate_batch(2.0 * c, 0.5, cfg)
+        assert _same_bits(c, c_before) and _same_bits(first, first_before)
+        assert not np.shares_memory(first, second)
+
     def test_picard_states_flow_in_turn(self):
         cfg = FlowConfig(N=8, dt=0.5, integrator="picard")
         states = [random_state(i, 8, radius=0.3) for i in range(2)]
@@ -274,6 +287,38 @@ class TestPairRowReference:
             (rhs(u, FlowConfig(N=n_modes, dt=1e-3)), ref.rhs(y)),
         ):
             assert _same_bits(got.a, want[:n_modes]) and _same_bits(got.b, want[n_modes:])
+
+    def test_one_workspace_serves_every_shape(self):
+        # One _VecOps flows a 128-row rk4 batch, one row, a midpoint batch
+        # whose active rows shrink, then Picard nodes: its workspace follows
+        # every shape change and each result keeps the bits of a fresh one.
+        n, t_span = 12, 0.4
+        ops = flow._VecOps(n)
+        shapes = []
+        square_half = ops.square_half
+        ops.square_half = lambda c, out: (shapes.append(c.shape), square_half(c, out))[1]
+        states = [random_state(i, n, radius=10.0 ** (-4.0 + i / 32)) for i in range(128)]
+        ref = PairRowFlow(n)
+        for rows, integ in ((rows_of(states), "rk4"), (states[0].row, "rk4"),
+                            (rows_of(states[::16]), "implicit_midpoint")):
+            cfg = FlowConfig(N=n, dt=0.1, integrator=integ)
+            got = flow._advance(ops, rows, t_span, cfg)[0]
+            assert _same_bits(got, flow._advance(flow._VecOps(n), rows, t_span, cfg)[0])
+            for c, u0 in zip(np.atleast_2d(got), map(TrigState.from_row, np.atleast_2d(rows))):
+                a, b = ref.integrate(u0, t_span, cfg.dt, integ, cfg.midpoint_tol)
+                assert _same_bits(TrigState.from_row(c).a, a)
+                assert _same_bits(TrigState.from_row(c).b, b)
+        # The 8-row midpoint batch shrinks as its rows converge, at different iterations.
+        midpoint_batches = {shape[0] for shape in shapes if len(shape) == 2 and shape[0] < 8}
+        assert len(midpoint_batches) > 1
+        cfg = FlowConfig(N=n, dt=t_span, integrator="picard")
+        got = flow._advance(ops, states[0].row, t_span, cfg)
+        want = flow._advance(flow._VecOps(n), states[0].row, t_span, cfg)
+        assert _same_bits(got[0], want[0]) and got[2] == want[2]
+        nodes = rows_of(states[:8])
+        assert _same_bits(ops.nonlinear(nodes),
+                          [flow._VecOps(n).nonlinear(c) for c in nodes])
+        assert (8, n) in shapes and (n,) in shapes and (128, n) in shapes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",

@@ -340,6 +340,24 @@ class TestLockStep:
         assert sum(gradient_sizes[:chunks_per_iteration]) == 8 * cfg.n_starts
         assert len(gradient_sizes) <= cfg.max_ascent_iters * chunks_per_iteration
 
+    @pytest.mark.parametrize("r, n0", [(0.5, 1), (0.5, 3), (1.0, 1), (1.0, 3)])
+    def test_lone_start_backtracks_in_one_batch(self, r, n0, monkeypatch):
+        # In a linear_only cell the seed start backtracks alone once the
+        # other start has gained: its remaining halvings go in one call, so
+        # an iteration flows at most its gradient, one round for both
+        # starts and one batch for the lone start.
+        cfg = bench_cell(r, n0, linear_only=True)
+        sizes = []
+
+        def counting(rows, t_span, fcfg):
+            sizes.append(len(rows))
+            return integrate_batch(rows, t_span, fcfg)
+
+        monkeypatch.setattr(squeeze, "integrate_batch", counting)
+        rep = maximize_image_radius(cfg)
+        assert len(sizes) <= 1 + 3 * cfg.max_ascent_iters
+        assert_same_search(rep, reference_maximize_image_radius(cfg))
+
 
 def test_chunked_flow_equals_whole_batch():
     # Criterion 6's gradient batch at n0 = 3: 16 starts x 24 points.
