@@ -20,8 +20,12 @@ Three integrators:
 All three share one stepping loop over (batch, N) complex arrays of
 half-spectrum rows c_k = a_k - i b_k (the layout of spectral.synthesize_rows):
 the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
-``znorm``) act on the last axis, with the FFTs taken along it, into one
-workspace that every step of a flow reuses; rk4 steps the rows in place.
+``znorm``) act on the last axis and write into buffers the caller passes.
+``square_half`` calls pocketfft's FFT ufuncs directly (spectral.IRFFT and
+RFFT), along the last axis, into one workspace that every step of a
+flow reuses.  The workspace is sized by row capacity, so the implicit
+midpoint's shrinking set of unconverged rows takes its leading rows; rk4 and
+the midpoint step the rows in place.  A flow takes at most MAX_STEPS steps.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row): the witness
@@ -42,16 +46,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import (
+    FFT_AXES,
+    IRFFT,
     MAX_MODES,
+    RFFT,
     TrigState,
     dispersion_symbol,
     project,
     require_mean_zero,
     smooth_grid_size,
     sobolev_norms,
-    spectrum_rows,
     synthesize,
-    synthesize_rows,
     truncate,
     wavenumbers,
     z_norm,
@@ -59,6 +64,11 @@ from .spectral import (
 
 _INTEGRATORS = ("rk4", "implicit_midpoint", "picard")
 _MIDPOINT_MAX_ITER = 100
+
+# Most steps one flow may take, about 770 times the longest shipped flow (criterion 10's rk4
+# references, about 13,000 steps): a dt far below the horizon, such as 1e-300, is rejected by
+# name instead of stepping for ever.
+MAX_STEPS = 10 ** 7
 
 
 class FlowError(RuntimeError):
@@ -140,50 +150,78 @@ class _VecOps:
 
     def __init__(self, n: int, linear_only: bool = False):
         self.n = n
-        self._work = None
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
         self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
         self.zw = math.pi * (1.0 + k * k) / k
         self.m_pad = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
+        self._rfft = RFFT[self.m_pad % 2]
+        self._work = None  # padded spectrum, grid values, half-square, product spectrum
+        self._lead = self._views = None
 
     @classmethod
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
+    def _bind(self, lead: tuple) -> None:
+        """Point the workspace views at rows of leading shape lead.
+
+        The buffers are sized by row capacity and only grow: a batch takes their leading rows, so
+        a shrinking batch reuses them.  Bins 0 and > N of the padded spectrum are never written,
+        so they stay 0 in every row.
+        """
+        rows = math.prod(lead)
+        if self._work is None or len(self._work[0]) < rows:
+            bins = self.m_pad // 2 + 1
+            self._work = (np.zeros((rows, bins), complex), np.empty((rows, self.m_pad)),
+                          np.empty((rows, self.m_pad)), np.empty((rows, bins), complex))
+        spec, vals, half, prod = (w[:rows].reshape(*lead, -1) for w in self._work)
+        modes = slice(1, self.n + 1)
+        self._lead = lead
+        self._views = spec, spec[..., modes], vals, half, prod, prod[..., modes].view(float)
+
     def square_half(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid, written into out.
 
-        Computed in a workspace sized by the shape of c and reused until it changes (bins 0 and
-        > N of its padded spectrum stay 0).
+        The spectrum layout and scalings of spectral.synthesize_rows and analyze_rows, computed
+        in the workspace.
         """
-        if self._work is None or self._work[0].shape[:-1] != c.shape[:-1]:
-            bins, pts = (*c.shape[:-1], self.m_pad // 2 + 1), (*c.shape[:-1], self.m_pad)
-            self._work = np.zeros(bins, complex), np.empty(pts), np.empty(pts), np.empty(bins, complex)
-        spec, vals, half, prod = self._work
-        synthesize_rows(0.0, c, self.m_pad, spec, vals)
+        if c.shape[:-1] != self._lead:
+            self._bind(c.shape[:-1])
+        spec, modes_in, vals, half, prod, modes_out = self._views
+        m = self.m_pad
+        np.multiply(0.5 * m, c, out=modes_in)
+        IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=vals)
         # Halving the grid values is exact, so these are the bits of halving c.
         np.multiply(vals, np.multiply(0.5, vals, out=half), out=half)
-        return spectrum_rows(np.fft.rfft(half, out=prod), self.n, self.m_pad, out.view(float))
+        self._rfft(half, 1.0, axes=FFT_AXES, out=prod)
+        x = np.multiply(2.0, modes_out, out=out.view(float))
+        np.divide(x, m, out=x)
+        return out
 
-    def nonlinear(self, c: np.ndarray) -> np.ndarray:
-        """-dx (1-dxx)^{-1} (u^2/2): the quadratic part of the right-hand side."""
+    def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """-dx (1-dxx)^{-1} (u^2/2), the quadratic part of the right-hand side, written into out."""
         if self.linear_only:
-            return np.zeros_like(c)
-        return self.gen * self.square_half(c, np.empty(c.shape, complex))
+            out[...] = 0.0
+            return out
+        return np.multiply(self.gen, self.square_half(c, out), out=out)
 
     def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The right-hand side of each row of c, written into out, which must not overlap c."""
         s = c if self.linear_only else np.add(c, self.square_half(c, out), out=out)
         return np.multiply(self.gen, s, out=out)
 
-    def free(self, c: np.ndarray, t) -> np.ndarray:
-        """Free rotation by t; an array t of shape (..., 1) gives each row its own time."""
+    def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
+        """Free rotation by t, into out (not overlapping c) if given.
+
+        An array t of shape (..., 1) gives each row its own time.
+        """
         th = t * self.phi
         cos, sin = np.cos(th), np.sin(th)
+        if out is None:
+            out = np.empty(np.broadcast_shapes(c.shape, th.shape), dtype=complex)
         # c e^{-i th} part by part: a complex product may fuse multiply-adds.
-        out = np.empty(np.broadcast_shapes(c.shape, th.shape), dtype=complex)
         out.real = c.real * cos + c.imag * sin
         out.imag = c.imag * cos - c.real * sin
         return out
@@ -238,22 +276,30 @@ def rk4_step(f, y: np.ndarray, dt: float, work: np.ndarray) -> None:
     np.add(y, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1), out=y)
 
 
-def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int) -> np.ndarray:
+def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int,
+                   work: np.ndarray) -> None:
+    """One implicit-midpoint step, taken in place on y; work has the shape of rk4_step's."""
     # Fixed point for each row's endpoint z: z = y + dt * f((y+z)/2), seeded
     # by Euler.  A row stops once its own residual meets tol; a non-finite
     # residual also stops it, and the stepping loop then reports the row.
-    shape = y.shape
-    y = y.reshape(-1, shape[-1])
-    z = y + dt * ops.rhs(y, np.empty(y.shape, complex))
-    active = np.arange(len(y))
+    # The active rows are gathered into the leading rows of the work buffers.
+    y2 = y.reshape(-1, y.shape[-1])
+    z, ya, za, mid, f = work.reshape(5, *y2.shape)
+    np.add(y2, np.multiply(dt, ops.rhs(y2, f), out=z), out=z)
+    active = np.arange(len(y2))
     for _ in range(_MIDPOINT_MAX_ITER):
-        ya, za = y[active], z[active]
-        z_new = ya + dt * ops.rhs(0.5 * (ya + za), np.empty_like(za))
-        delta = ops.znorm(z_new - za)
+        k = active.size
+        ya_k, za_k, mid_k, f_k = ya[:k], za[:k], mid[:k], f[:k]
+        np.take(y2, active, axis=0, out=ya_k)
+        np.take(z, active, axis=0, out=za_k)
+        np.multiply(0.5, np.add(ya_k, za_k, out=mid_k), out=mid_k)
+        z_new = np.add(ya_k, np.multiply(dt, ops.rhs(mid_k, f_k), out=f_k), out=f_k)
+        delta = ops.znorm(np.subtract(z_new, za_k, out=za_k))
         z[active] = z_new
         active = active[delta > tol]
         if not active.size:
-            return z.reshape(shape)
+            np.copyto(y2, z)
+            return
     raise FlowError(
         f"implicit midpoint solver stalled at step {step_no}: "
         f"residual {float(np.max(delta)):.3e} > tol {tol:.3e}"
@@ -306,12 +352,13 @@ def _picard_subinterval(
     # Node times, panel by panel: tau[p, j] = p*ph + ph*x_j, one per row.
     tau = (ph * np.arange(n_panels)[:, None] + ph * _PNODES[None, :]).reshape(-1, 1)
     n_nodes = len(tau)
-    ys = ops.free(y0, tau)
+    ys, ys_new, quad, rot = np.empty((4, n_nodes, y0.shape[-1]), complex)  # iterates swap buffers
+    ops.free(y0, tau, ys)
     diffs: list[float] = []
     grew = 0
 
     def duhamel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = ops.free(ops.nonlinear(values), -tau).reshape(n_panels, len(_PNODES), -1)
+        v = ops.free(ops.nonlinear(values, quad), -tau, rot).reshape(n_panels, len(_PNODES), -1)
         panel_full = ph * np.einsum("j,pjd->pd", _PWEIGHTS, v)
         prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
         node_part = ph * np.einsum("ij,pjd->pid", _PINTEG, v)
@@ -320,7 +367,7 @@ def _picard_subinterval(
 
     for _ in range(max_iter):
         integrals, _total = duhamel(ys)
-        ys_new = ops.free(y0 + integrals, tau)
+        ops.free(y0 + integrals, tau, ys_new)
         diff = float(np.max(sobolev_norms(0.0, ys_new - ys, 0.0)))
         if diffs and diff >= diffs[-1] and diff > tol:
             grew += 1
@@ -332,7 +379,7 @@ def _picard_subinterval(
         else:
             grew = 0
         diffs.append(diff)
-        ys = ys_new
+        ys, ys_new = ys_new, ys
         if diff < tol:
             break
     else:
@@ -355,12 +402,20 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     trace_every steps, and after the last, calls record(t, y).  Raises
     FlowError naming the step and time (and the row, for a batch) as soon
     as a row turns non-finite.  Returns the final rows, the step count and
-    the Picard X^0 differences per subinterval.
+    the Picard X^0 differences per subinterval.  More than MAX_STEPS steps
+    are refused with a ValueError, before anything is allocated.
     """
-    n_steps = max(1, math.ceil(abs(t_span) / cfg.dt))
+    steps = abs(t_span) / cfg.dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            f"dt = {cfg.dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
+            f"more than flow.MAX_STEPS = {MAX_STEPS}"
+        )
+    n_steps = max(1, math.ceil(steps))
     dt = t_span / n_steps
     picard_diffs = []
-    y, work = y.astype(complex), np.empty((5,) + y.shape, complex)  # rk4 steps this copy in place
+    # rk4 and the midpoint step this copy in place, in one set of five work rows.
+    y, work = y.astype(complex), np.empty((5,) + y.shape, complex)
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -368,7 +423,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             if cfg.integrator == "rk4":
                 rk4_step(ops.rhs, y, dt, work)
             elif cfg.integrator == "implicit_midpoint":
-                y = _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1)
+                _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1, work)
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, cfg.picard_tol, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))

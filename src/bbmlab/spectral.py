@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 # Mean magnitudes below this count as zero for phase-space preconditions.
 MEAN_TOL = 1e-12
@@ -27,6 +28,15 @@ MEAN_TOL = 1e-12
 # every array sized from N then fits in memory (a state is 256 KiB), while a
 # request for 10^13 modes is rejected by name instead of failing to allocate.
 MAX_MODES = 1 << 14
+
+# pocketfft's FFT ufuncs, called directly by every product kernel: numpy's public FFT functions
+# wrap them in about 4 us of argument handling per call.  The module is private to numpy (present
+# from 2.0 on); tests/test_spectral.py pins the ufuncs and their bits.  A ufunc takes (rows,
+# scale) and transforms along the last axis of its input and of out, whose length sets that of an
+# inverse transform.  IRFFT takes scale 1/m (numpy's default norm), the forward RFFT 1.0.
+FFT_AXES = [(-1,), (), (-1,)]
+IRFFT = _pocketfft.irfft
+RFFT = (_pocketfft.rfft_n_even, _pocketfft.rfft_n_odd)  # indexed by the parity m % 2
 
 
 class ResolutionError(ValueError):
@@ -251,60 +261,44 @@ def unit_sin_mode(k: int, n_modes: int) -> TrigState:
     return TrigState.single_mode(k, n_modes, b_k=c)
 
 
-def synthesize_rows(mean, c: np.ndarray, m: int, spec=None, out=None) -> np.ndarray:
+def synthesize_rows(mean, c: np.ndarray, m: int) -> np.ndarray:
     """Values at x_j = 2 pi j / m of the coefficient rows (mean, c).
 
     c has shape (..., N) with m >= 2N+1; mean is a number or one per row.
-    With spectrum_rows this holds the one half-spectrum layout: bin 0 of
+    With analyze_rows this holds the one half-spectrum layout: bin 0 of
     the length-m real FFT is m * mean and bin k = 1..N is m c_k / 2.  The
     inverse FFT acts on each row alone, so a row's values do not depend on
-    the rows stacked with it.  spec (bins above N at 0) and out are optional
-    reused buffers for the spectrum and the values.
+    the rows stacked with it.
     """
-    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex) if spec is None else spec
+    spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
     spec[..., 0] = m * mean
     np.multiply(0.5 * m, c, out=spec[..., 1:c.shape[-1] + 1])
-    return np.fft.irfft(spec, m, axis=-1, out=out)
-
-
-def spectrum_rows(spec: np.ndarray, n_modes: int, m: int, out=None) -> np.ndarray:
-    """Rows c of modes 1..n_modes of the length-m real FFT rows spec, into float view out if given.
-
-    Scaled on the float view, as complex / real would round the two parts together.
-    """
-    x = np.multiply(2.0, spec[..., 1:n_modes + 1].view(float), out=out)
-    return np.divide(x, m, out=x).view(complex)
+    return IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=np.empty(c.shape[:-1] + (m,)))
 
 
 def analyze_rows(values: np.ndarray, n_modes: int):
     """Coefficient rows (mean, c) of modes <= n_modes interpolating the grid rows.
 
     values has shape (..., M) with M >= 2 n_modes + 1; each row is
-    transformed alone.
+    transformed alone.  The modes are scaled on the float view (x 2, then
+    / M), as complex / real would round the two parts together.
     """
     m = values.shape[-1]
-    spec = np.fft.rfft(values, axis=-1)
-    return spec[..., 0].real / m, spectrum_rows(spec, n_modes, m)
+    spec = np.empty(values.shape[:-1] + (m // 2 + 1,), dtype=complex)
+    RFFT[m % 2](values, 1.0, axes=FFT_AXES, out=spec)
+    x = np.multiply(2.0, spec[..., 1:n_modes + 1].view(float))
+    return spec[..., 0].real / m, np.divide(x, m, out=x).view(complex)
 
 
-def synthesize(state: TrigState, m: int, method: str = "fft") -> GridSamples:
+def synthesize(state: TrigState, m: int) -> GridSamples:
     """Evaluate the state at x_j = 2 pi j / M, j = 0..M-1.
 
-    Requires M >= 2N+1 so that the analysis of the samples is exact.  The
-    fft and direct methods agree to 1e-12 and exist to cross-check each
-    other.
+    Requires M >= 2N+1 so that the analysis of the samples is exact.
     """
     n = state.n_modes
     if m < 2 * n + 1:
         raise ResolutionError(f"resolution too low: M = {m} < 2N+1 = {2 * n + 1}")
-    if method == "fft":
-        return GridSamples(synthesize_rows(state.mean, state.row, m))
-    if method == "direct":
-        x = 2.0 * math.pi * np.arange(m) / m
-        kx = np.outer(wavenumbers(n), x)
-        vals = state.mean + state.a @ np.cos(kx) + state.b @ np.sin(kx)
-        return GridSamples(vals)
-    raise ValueError(f"unknown synthesis method {method!r}")
+    return GridSamples(synthesize_rows(state.mean, state.row, m))
 
 
 def analyze(samples: GridSamples, n_modes: int) -> TrigState:

@@ -98,6 +98,13 @@ def oracle_cubic_integral(u: TrigState) -> float:
     return 2.0 * np.pi * float(total.real)
 
 
+def oracle_synthesize(u: TrigState, m: int) -> np.ndarray:
+    """Direct sum of the modes at x_j = 2 pi j / m: mean + sum_k a_k cos(k x_j) + b_k sin(k x_j)."""
+    x = 2.0 * np.pi * np.arange(m) / m
+    kx = np.outer(np.arange(1, u.n_modes + 1), x)
+    return u.mean + u.a @ np.cos(kx) + u.b @ np.sin(kx)
+
+
 def oracle_analyze(values: np.ndarray, n_modes: int) -> TrigState:
     """Trapezoid-exact quadrature coefficients: a_k = (2/M) sum_j u_j cos(k x_j)."""
     m = len(values)

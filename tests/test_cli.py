@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import cli, estimates
+from bbmlab import cli, estimates, flow
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_manifest, write_state_csv
 from bbmlab.sampling import smooth_profile
@@ -225,6 +225,23 @@ amplitude = 50
         code, _ = run(tmp_path, monkeypatch, "simulate", text)
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
+
+    # dt = 5e-324 died in math.ceil(inf) with an OverflowError traceback, and
+    # dt = 1e-300 asked for 10^300 steps and never ended.
+    @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])
+    def test_step_count_above_cap_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys,
+                                                          dt):
+        def no_step(*args):
+            raise AssertionError("flow stepped")
+
+        monkeypatch.setattr(flow, "rk4_step", no_step)
+        text = SIMULATE_T0.replace("T = 0.0", "T = 1.0").replace("dt = 0.01", f"dt = {dt}")
+        code, outdir = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"bbmlab simulate: dt = {float(dt)!r} over T = 1.0 needs " in err
+        assert f"more than flow.MAX_STEPS = {flow.MAX_STEPS}" in err
+        assert not list(outdir.glob("*.csv"))
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_trace_every_below_one_exits_2(self, tmp_path, monkeypatch, capsys, value):

@@ -311,13 +311,28 @@ class TestPairRowReference:
         # The 8-row midpoint batch shrinks as its rows converge, at different iterations.
         midpoint_batches = {shape[0] for shape in shapes if len(shape) == 2 and shape[0] < 8}
         assert len(midpoint_batches) > 1
+        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffers
+        # allocated for its first 8 rows: the same objects at every active-set size.
+        fresh = flow._VecOps(n)
+        seen = []
+        fresh_square_half = fresh.square_half
+        fresh.square_half = lambda c, out: (
+            fresh_square_half(c, out), seen.append((c.shape, fresh._work)))[0]
+        cfg = FlowConfig(N=n, dt=0.1, integrator="implicit_midpoint")
+        rows = rows_of(states[::16])
+        got = flow._advance(fresh, rows, t_span, cfg)[0]
+        assert len({shape for shape, _ in seen}) > 1 and len(seen[0][1][0]) == 8
+        assert all(all(a is b for a, b in zip(work, seen[0][1])) for _, work in seen)
+        for c, u0 in zip(got, map(TrigState.from_row, rows)):
+            a, b = ref.integrate(u0, t_span, cfg.dt, "implicit_midpoint", cfg.midpoint_tol)
+            assert _same_bits(TrigState.from_row(c).a, a) and _same_bits(TrigState.from_row(c).b, b)
         cfg = FlowConfig(N=n, dt=t_span, integrator="picard")
         got = flow._advance(ops, states[0].row, t_span, cfg)
         want = flow._advance(flow._VecOps(n), states[0].row, t_span, cfg)
         assert _same_bits(got[0], want[0]) and got[2] == want[2]
         nodes = rows_of(states[:8])
-        assert _same_bits(ops.nonlinear(nodes),
-                          [flow._VecOps(n).nonlinear(c) for c in nodes])
+        assert _same_bits(ops.nonlinear(nodes, np.empty_like(nodes)),
+                          [flow._VecOps(n).nonlinear(c, np.empty_like(c)) for c in nodes])
         assert (8, n) in shapes and (n,) in shapes and (128, n) in shapes
 
 
@@ -354,7 +369,8 @@ def _serial_picard(ops, y0, h, tol, max_iter):
 
     def duhamel(values):
         v = np.array(
-            [ops.free(ops.nonlinear(values[j]), -flat_tau[j]) for j in range(n_nodes)]
+            [ops.free(ops.nonlinear(values[j], np.empty(ops.n, complex)), -flat_tau[j])
+             for j in range(n_nodes)]
         ).reshape(n_panels, len(flow._PNODES), -1)
         panel_full = ph * np.einsum("j,pjd->pd", flow._PWEIGHTS, v)
         prefix = np.concatenate(

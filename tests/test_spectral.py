@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbmlab.estimates import exact_product
+from bbmlab.estimates import _product_rows, exact_product
+from bbmlab.flow import _VecOps
 from bbmlab.sampling import sobolev_ball_state, substream
 from bbmlab.spectral import (
+    FFT_AXES,
+    IRFFT,
+    RFFT,
     GridSamples,
     ResolutionError,
     SymplecticCoords,
@@ -31,7 +35,7 @@ from bbmlab.spectral import (
 )
 
 from conftest import random_state, trig_states
-from oracles import oracle_analyze
+from oracles import oracle_analyze, oracle_synthesize
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -84,7 +88,7 @@ class TestSynthesizeAnalyze:
     def test_fft_matches_direct(self):
         u = random_state(3, 16)
         f = synthesize(u, 64).values
-        d = synthesize(u, 64, method="direct").values
+        d = oracle_synthesize(u, 64)
         assert np.max(np.abs(f - d)) < 1e-12
 
     def test_analyze_cos3(self):
@@ -314,3 +318,80 @@ class TestSmoothGridSize:
     def test_padded_grid_lengths(self):
         # 3N+1 for N = 8, 16, 32, 64, 128 (25 is already 5-smooth).
         assert [smooth_grid_size(3 * n + 1) for n in (8, 16, 32, 64, 128)] == [25, 50, 100, 200, 400]
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+# Every padded-grid length the product kernels use at N = 1..128: the flow's square_half pads to
+# 3N+1, the exact product of n_u + n_v <= 256 output modes to 2 n_out + 1.
+FLOW_LENGTHS = {n: smooth_grid_size(3 * n + 1) for n in range(1, 129)}
+PRODUCT_LENGTHS = {n_out: smooth_grid_size(2 * n_out + 1) for n_out in range(2, 257)}
+ALL_LENGTHS = sorted(set(FLOW_LENGTHS.values()) | set(PRODUCT_LENGTHS.values()))
+
+
+def _random_rows(rng, lead, n):
+    return rng.standard_normal(lead + (n,)) - 1j * rng.standard_normal(lead + (n,))
+
+
+def _np_fft_modes(spec, n_modes, m):
+    """The modes of spectral.analyze_rows: 2 spec_k / m on the float view, k = 1..n_modes."""
+    return (2.0 * spec[..., 1:n_modes + 1].view(float) / m).view(complex)
+
+
+class TestPocketfftUfuncs:
+    """The product kernels call numpy's private pocketfft ufuncs; np.fft is the reference."""
+
+    def test_private_module_has_the_ufuncs(self):
+        # A numpy release that moves or reshapes this module fails here, by name, and not in
+        # every flow.
+        import numpy.fft._pocketfft_umath as pocketfft
+
+        for name in ("fft", "ifft", "rfft_n_even", "rfft_n_odd", "irfft"):
+            ufunc = getattr(pocketfft, name)
+            assert isinstance(ufunc, np.ufunc) and ufunc.nin == 2, name
+
+    def test_lengths_include_odd_ones(self):
+        assert {25, 45, 75, 81} <= set(ALL_LENGTHS)
+
+    @pytest.mark.parametrize("m", ALL_LENGTHS)
+    def test_ufuncs_match_np_fft_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        for shape in ((m,), (5, m)):
+            x = rng.standard_normal(shape)
+            spec = np.empty(shape[:-1] + (m // 2 + 1,), complex)
+            assert _same_bits(RFFT[m % 2](x, 1.0, axes=FFT_AXES, out=spec), np.fft.rfft(x))
+            spec = spec + rng.standard_normal(spec.shape)
+            assert _same_bits(IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=np.empty(shape)),
+                              np.fft.irfft(spec, m))
+
+    def test_square_half_matches_np_fft_bit_for_bit(self):
+        for n, m in FLOW_LENGTHS.items():
+            ops = _VecOps(n)
+            for lead in ((), (3,)):
+                c = _random_rows(np.random.default_rng([n, len(lead)]), lead, n)
+                spec = np.zeros(lead + (m // 2 + 1,), complex)
+                spec[..., 1:n + 1] = 0.5 * m * c
+                vals = np.fft.irfft(spec, m)
+                want = _np_fft_modes(np.fft.rfft(vals * (0.5 * vals)), n, m)
+                assert _same_bits(ops.square_half(c, np.empty_like(c)), want), (n, lead)
+
+    def test_exact_product_matches_np_fft_bit_for_bit(self):
+        for n_out, m in PRODUCT_LENGTHS.items():
+            n_u = n_out // 2
+            for lead in ((), (3,)):
+                rng = np.random.default_rng([n_out, len(lead)])
+                u = (rng.standard_normal(lead), _random_rows(rng, lead, n_u))
+                v = (rng.standard_normal(lead), _random_rows(rng, lead, n_out - n_u))
+                grids = []
+                for mean, c in (u, v):
+                    spec = np.zeros(lead + (m // 2 + 1,), complex)
+                    spec[..., 0] = m * mean
+                    spec[..., 1:c.shape[-1] + 1] = 0.5 * m * c
+                    grids.append(np.fft.irfft(spec, m))
+                spec = np.fft.rfft(grids[0] * grids[1])
+                mean, c = _product_rows(u, v)
+                assert _same_bits(mean, spec[..., 0].real / m), (n_out, lead)
+                assert _same_bits(c, _np_fft_modes(spec, n_out, m)), (n_out, lead)
