@@ -8,7 +8,6 @@ from .spectral import (
     SymplecticCoords,
     TrigState,
     analyze,
-    apply_J,
     dispersion_multiplier,
     dispersion_symbol,
     from_symplectic,
@@ -19,7 +18,6 @@ from .spectral import (
     truncate,
     unit_cos_mode,
     unit_sin_mode,
-    z_inner,
     z_norm,
 )
 from .flow import (
@@ -29,7 +27,9 @@ from .flow import (
     free_evolution,
     galerkin_defect,
     integrate,
+    adjoint_batch,
     integrate_batch,
+    integrate_taped,
     invariants_of,
     nonlinear_part,
     rhs,
@@ -46,13 +46,5 @@ from .estimates import (
     smoothing_ratio,
     symplectic_defect,
 )
-from .squeeze import (
-    ScanReport,
-    SqueezeConfig,
-    SqueezeReport,
-    ball_image_scan,
-    cylinder_radius,
-    maximize_image_radius,
-    sample_sphere,
-)
+from .squeeze import SqueezeConfig, SqueezeReport, cylinder_radius, maximize_image_radius
 from .sampling import smooth_profile, sobolev_ball_state, substream

@@ -36,6 +36,8 @@ DEFAULT_N_SWEEP = (16, 32, 64, 128)
 # Sample pairs per padded-grid product in estimate_constant.  The sweep runs
 # no faster with larger chunks, while its peak memory grows with them.
 _SWEEP_BATCH = 32
+# Most samples per truncation, 100 times criterion 5's 10,000.
+MAX_SAMPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -195,6 +197,9 @@ def estimate_constant(
     check_exponents(s, r, rprime, mode)
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(
+            f"n_samples must be <= {MAX_SAMPLES} (estimates.MAX_SAMPLES), got {n_samples}")
     if sampler not in ("gaussian", "adversarial"):
         raise ValueError(f"unknown sampler {sampler!r}")
     if not n_sweep:

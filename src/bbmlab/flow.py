@@ -33,6 +33,12 @@ search, the flow Jacobian and the smoothing ratio build their rows with
 spectral.pair_rows and read them with spectral.pair_coords.  A row that
 turns non-finite stops the loop with a ``FlowError``.
 
+``integrate_taped`` also records a tape of the grid values the product kernel
+saw (each rk4 stage input, or each converged implicit midpoint), and
+``adjoint_batch`` runs the discrete adjoint of the step map backwards over
+it: one reverse pass pulls a cotangent at the horizon back to the initial
+rows, which is how the witness search takes its gradients.
+
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
 rhs(cos x) = (1/2) sin x + (1/10) sin 2x.
@@ -57,6 +63,7 @@ from .spectral import (
     smooth_grid_size,
     sobolev_norms,
     synthesize,
+    synthesize_rows,
     truncate,
     wavenumbers,
     z_norm,
@@ -64,6 +71,17 @@ from .spectral import (
 
 _INTEGRATORS = ("rk4", "implicit_midpoint", "picard")
 _MIDPOINT_MAX_ITER = 100
+
+# Quadrature panels never exceed this length; the Duhamel fixed point still
+# spans the whole subinterval, only the integral is composite.  One panel
+# resolves at most ~1 radian of dispersive phase, which keeps the 8-node
+# rule at spectral accuracy even for the long subintervals the contraction
+# theory allows at small data.
+_PICARD_PANEL_MAX = 1.0
+# Most panels one Picard subinterval may take, about 100 times the longest subinterval the
+# shipped contraction checks use: a picard dt of 1e300 is rejected by name instead of asking for
+# 8 node rows per panel.
+MAX_PICARD_PANELS = 1000
 
 # Most steps one flow may take, about 770 times the longest shipped flow (criterion 10's rk4
 # references, about 13,000 steps): a dt far below the horizon, such as 1e-300, is rejected by
@@ -116,6 +134,12 @@ class FlowConfig:
             raise ValueError("midpoint_tol must lie in (0, 1e-6]")
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be >= 1")
+        if self.integrator == "picard" and not self.dt <= MAX_PICARD_PANELS * _PICARD_PANEL_MAX:
+            raise ValueError(
+                f"dt = {self.dt!r} makes Picard subintervals of up to "
+                f"{math.ceil(self.dt / _PICARD_PANEL_MAX):.4g} quadrature panels, "
+                f"more than flow.MAX_PICARD_PANELS = {MAX_PICARD_PANELS}"
+            )
 
 
 @dataclass(frozen=True)
@@ -153,6 +177,7 @@ class _VecOps:
         k = wavenumbers(n)
         self.phi = dispersion_symbol(k)
         self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
+        self.dual = 1j * self.phi  # its transpose in the pairing Re sum conj(lam) c
         self.zw = math.pi * (1.0 + k * k) / k
         self.m_pad = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
@@ -181,11 +206,11 @@ class _VecOps:
         self._lead = lead
         self._views = spec, spec[..., modes], vals, half, prod, prod[..., modes].view(float)
 
-    def square_half(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Modes 1..N of u^2/2 per row, dealiased exactly on the padded grid, written into out.
+    def square_half(self, c: np.ndarray, out: np.ndarray, u=None) -> np.ndarray:
+        """Modes 1..N of v^2/2 per row, v the grid values of c, dealiased exactly, written into out.
 
-        The spectrum layout and scalings of spectral.synthesize_rows and analyze_rows, computed
-        in the workspace.
+        Given grid rows u, the modes of u v instead: the adjoint's product.  The spectrum layout
+        and scalings of spectral.synthesize_rows and analyze_rows, computed in the workspace.
         """
         if c.shape[:-1] != self._lead:
             self._bind(c.shape[:-1])
@@ -193,8 +218,11 @@ class _VecOps:
         m = self.m_pad
         np.multiply(0.5 * m, c, out=modes_in)
         IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=vals)
-        # Halving the grid values is exact, so these are the bits of halving c.
-        np.multiply(vals, np.multiply(0.5, vals, out=half), out=half)
+        if u is None:
+            # Halving the grid values is exact, so these are the bits of halving c.
+            np.multiply(vals, np.multiply(0.5, vals, out=half), out=half)
+        else:
+            np.multiply(u, vals, out=half)
         self._rfft(half, 1.0, axes=FFT_AXES, out=prod)
         x = np.multiply(2.0, modes_out, out=out.view(float))
         np.divide(x, m, out=x)
@@ -211,6 +239,19 @@ class _VecOps:
         """The right-hand side of each row of c, written into out, which must not overlap c."""
         s = c if self.linear_only else np.add(c, self.square_half(c, out), out=out)
         return np.multiply(self.gen, s, out=out)
+
+    def rhs_adjoint(self, lam: np.ndarray, u: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray) -> np.ndarray:
+        """Transpose of the rhs's derivative at the rows of grid values u, applied to lam, into out.
+
+        In the pairing Re sum conj(lam_k) d_k the derivative d -> -i phi (d + P_N(u v)), v the
+        grid values of d, has the transpose lam -> mu + P_N(u w), mu = i phi lam and w the grid
+        values of mu.  tmp, shaped like out, receives P_N(u w); out must not overlap lam.
+        """
+        mu = np.multiply(self.dual, lam, out=out)
+        if self.linear_only:
+            return out
+        return np.add(mu, self.square_half(mu, tmp, u), out=out)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -327,13 +368,6 @@ def _gauss_collocation(n_nodes: int = 8):
 
 _PNODES, _PWEIGHTS, _PINTEG = _gauss_collocation(8)
 
-# Quadrature panels never exceed this length; the Duhamel fixed point still
-# spans the whole subinterval, only the integral is composite.  One panel
-# resolves at most ~1 radian of dispersive phase, which keeps the 8-node
-# rule at spectral accuracy even for the long subintervals the contraction
-# theory allows at small data.
-_PICARD_PANEL_MAX = 1.0
-
 
 def _picard_subinterval(
     ops: _VecOps, y0: np.ndarray, h: float, tol: float, max_iter: int, t0: float
@@ -392,28 +426,35 @@ def _picard_subinterval(
     return y_end, diffs
 
 
+def _step_count(t_span: float, dt: float) -> int:
+    """ceil(|t_span| / dt), at least 1; a ValueError naming dt and T above MAX_STEPS."""
+    steps = abs(t_span) / dt
+    if not steps <= MAX_STEPS:
+        raise ValueError(
+            f"dt = {dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
+            f"more than flow.MAX_STEPS = {MAX_STEPS}"
+        )
+    return max(1, math.ceil(steps))
+
+
 def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_every: int = 0,
-             record=None) -> tuple[np.ndarray, int, list]:
+             record=None, rhs=None) -> tuple[np.ndarray, int, list]:
     """The one stepping loop: flow the rows of y over [0, t_span].
 
     y is a (batch, N) array, or a single (N,) row, which spares the
     batch axis's per-call overhead on long serial flows; Picard takes only
     the single row.  Takes ceil(|t_span| / dt) equal steps.  Every
-    trace_every steps, and after the last, calls record(t, y).  Raises
+    trace_every steps, and after the last, calls record(t, y).  rk4 steps
+    with rhs, ops.rhs unless given.  Raises
     FlowError naming the step and time (and the row, for a batch) as soon
     as a row turns non-finite.  Returns the final rows, the step count and
     the Picard X^0 differences per subinterval.  More than MAX_STEPS steps
     are refused with a ValueError, before anything is allocated.
     """
-    steps = abs(t_span) / cfg.dt
-    if not steps <= MAX_STEPS:
-        raise ValueError(
-            f"dt = {cfg.dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
-            f"more than flow.MAX_STEPS = {MAX_STEPS}"
-        )
-    n_steps = max(1, math.ceil(steps))
+    n_steps = _step_count(t_span, cfg.dt)
     dt = t_span / n_steps
     picard_diffs = []
+    rhs = rhs or ops.rhs
     # rk4 and the midpoint step this copy in place, in one set of five work rows.
     y, work = y.astype(complex), np.empty((5,) + y.shape, complex)
     # A row that overflows is reported below as a FlowError; numpy's own
@@ -421,7 +462,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             if cfg.integrator == "rk4":
-                rk4_step(ops.rhs, y, dt, work)
+                rk4_step(rhs, y, dt, work)
             elif cfg.integrator == "implicit_midpoint":
                 _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1, work)
             else:
@@ -468,6 +509,11 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
     )
 
 
+def _check_rows(c: np.ndarray, cfg: FlowConfig) -> None:
+    if c.ndim != 2 or c.shape[1] != cfg.N:
+        raise ValueError(f"integrate_batch needs rows of shape (batch, {cfg.N}), got {c.shape}")
+
+
 def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
     """Flow the independent coefficient rows c, shape (batch, cfg.N), over [0, t_span].
 
@@ -476,14 +522,140 @@ def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray
     under implicit_midpoint, where each row iterates until its own residual
     meets midpoint_tol.  The Picard integrator solves one row at a time.
     """
-    if c.ndim != 2 or c.shape[1] != cfg.N:
-        raise ValueError(f"integrate_batch needs rows of shape (batch, {cfg.N}), got {c.shape}")
+    _check_rows(c, cfg)
     if not len(c) or t_span == 0.0:
         return c.copy()
     ops = _VecOps.of(cfg)
     if cfg.integrator == "picard":
         return np.array([_advance(ops, row, t_span, cfg)[0] for row in c])
     return _advance(ops, c, t_span, cfg)[0]
+
+
+def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:
+    """Shape (steps, stages, m_pad) of one row's tape over [0, t_span]; see integrate_taped.
+
+    rk4 records 4 stages a step, the implicit midpoint 1; a linear_only flow records nothing, so
+    its m_pad axis is empty.  Raises ValueError for Picard, which has no adjoint, and for more
+    than MAX_STEPS steps.
+    """
+    if cfg.integrator == "picard":
+        raise ValueError("integrator = 'picard' has no adjoint: taped flows take rk4 or "
+                         "implicit_midpoint")
+    steps = _step_count(t_span, cfg.dt) if t_span else 0
+    stages = 4 if cfg.integrator == "rk4" else 1
+    return steps, stages, 0 if cfg.linear_only else _VecOps.of(cfg).m_pad
+
+
+def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
+    """integrate_batch's final rows, bit for bit, and the tape adjoint_batch reads.
+
+    The tape, of shape (batch, *tape_shape(t_span, cfg)), holds per row and
+    step the padded-grid values of each rk4 stage input, copied from the
+    workspace as the product kernel computes them, or of the implicit
+    midpoint's converged midpoint (y + z)/2.
+    """
+    _check_rows(c, cfg)
+    tape = np.empty((len(c),) + tape_shape(t_span, cfg))
+    if not tape.size:
+        return integrate_batch(c, t_span, cfg), tape
+    ops = _VecOps.of(cfg)
+    if cfg.integrator == "rk4":
+        slots = (tape[:, i, stage] for i in range(tape.shape[1]) for stage in range(4))
+
+        def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            ops.rhs(x, out)
+            np.copyto(next(slots), ops._views[2])  # the grid values of x
+            return out
+
+        return _advance(ops, c, t_span, cfg, rhs=rhs)[0], tape
+    prev, steps = c.astype(complex), iter(range(tape.shape[1]))
+
+    def record(t: float, y: np.ndarray) -> None:
+        mid = np.multiply(0.5, np.add(prev, y, out=prev), out=prev)
+        tape[:, next(steps), 0] = synthesize_rows(0.0, mid, ops.m_pad)
+        np.copyto(prev, y)
+
+    return _advance(ops, c, t_span, cfg, 1, record)[0], tape
+
+
+def _rk4_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: float,
+                      work: np.ndarray) -> None:
+    """The transpose of one rk4_step, in place on the cotangent rows lam.
+
+    u, of shape (rows, 4, m_pad), holds the grid values of the step's four
+    stage inputs; work, of shape (7, *lam.shape), the stage cotangents and
+    temporaries.  With A_s the adjoint rhs at stage s, the stage cotangents
+    are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt l4), l2 = A2(dt/3 lam +
+    dt/2 l3), l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
+    """
+    l1, l2, l3, l4, x, y, tmp = work
+    ops.rhs_adjoint(np.multiply(dt / 6.0, lam, out=x), u[:, 3], l4, tmp)
+    # Stage s's cotangent from lam and stage s + 1's, written into work[s].
+    for s, weight, step, later in ((2, dt / 3.0, dt, l4), (1, dt / 3.0, 0.5 * dt, l3),
+                                   (0, dt / 6.0, 0.5 * dt, l2)):
+        np.add(np.multiply(weight, lam, out=x), np.multiply(step, later, out=y), out=x)
+        ops.rhs_adjoint(x, u[:, s], work[s], tmp)
+    for stage_cotangent in (l1, l2, l3, l4):
+        np.add(lam, stage_cotangent, out=lam)
+
+
+def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: float, tol: float,
+                           work: np.ndarray) -> None:
+    """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
+
+    u, of shape (rows, m_pad), holds the grid values of the converged
+    midpoints.  The step z = y + dt f((y + z)/2) has the tangent map
+    (I - dt/2 J)^{-1} (I + dt/2 J), so with mu = lam + dt/2 A(mu), solved
+    by fixed-point iteration from mu = lam, the cotangent becomes 2 mu - lam.
+    Each row iterates until its own change is at most tol times its
+    cotangent's Z norm (a cotangent has no scale of its own); a row still
+    moving after _MIDPOINT_MAX_ITER iterations is set to nan, which fails
+    its start.  work has the shape of _rk4_adjoint_step's.
+    """
+    mu, new, tmp = work[:3]
+    np.copyto(mu, lam)
+    bound = tol * ops.znorm(lam)
+    active = np.arange(len(lam))
+    for _ in range(_MIDPOINT_MAX_ITER):
+        k = active.size
+        mu_k = mu[active]
+        step = ops.rhs_adjoint(mu_k, u[active], new[:k], tmp[:k])
+        np.add(lam[active], np.multiply(0.5 * dt, step, out=step), out=step)
+        delta = ops.znorm(np.subtract(step, mu_k, out=mu_k))
+        mu[active] = step
+        active = active[delta > bound[active]]
+        if not active.size:
+            break
+    else:
+        mu[active] = np.nan
+    np.subtract(np.multiply(2.0, mu, out=mu), lam, out=lam)
+
+
+def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
+    """Pull the cotangent rows lam, given at t_span, back to time 0 through a taped flow.
+
+    tape is integrate_taped's over the same t_span and cfg.  Row i of the
+    result is the gradient, in the pairing Re sum conj(.) (.) on rows, of
+    Re sum conj(lam_i) c_i(t_span) with respect to the initial row c_i: the
+    discrete adjoint of the step map, exact up to rounding for rk4 and to
+    midpoint_tol for the implicit midpoint.  Every row depends on its own
+    tape and cotangent alone, bit for bit; a row that overflows comes back
+    non-finite, and the caller decides what that costs.
+    """
+    lam = np.array(lam, dtype=complex)
+    n_steps = tape.shape[1]
+    if not n_steps:
+        return lam
+    dt = t_span / n_steps
+    ops = _VecOps.of(cfg)
+    work = np.empty((7,) + lam.shape, complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in reversed(range(n_steps)):
+            if cfg.integrator == "rk4":
+                _rk4_adjoint_step(ops, tape[:, i], lam, dt, work)
+            else:
+                _midpoint_adjoint_step(ops, tape[:, i, 0], lam, dt, cfg.midpoint_tol, work)
+    return lam
 
 
 def invariants_of(state: TrigState) -> tuple[float, float, float]:

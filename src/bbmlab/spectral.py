@@ -349,16 +349,6 @@ def z_norm(state: TrigState) -> float:
     return math.sqrt(float(np.sum(w * (state.a ** 2 + state.b ** 2))))
 
 
-def z_inner(u: TrigState, v: TrigState) -> float:
-    """Inner product associated with z_norm."""
-    require_mean_zero(u, "z_inner")
-    require_mean_zero(v, "z_inner")
-    n = max(u.n_modes, v.n_modes)
-    u, v = u.padded(n), v.padded(n)
-    w = _z_weights(n)
-    return float(np.sum(w * (u.a * v.a + u.b * v.b)))
-
-
 def dispersion_multiplier(state: TrigState) -> TrigState:
     """Apply the Fourier multiplier phi(k) = k/(1+k^2) mode by mode.
 
@@ -390,16 +380,6 @@ def truncate(state: TrigState, n_modes: int) -> TrigState:
     if np.any(tail_a != 0.0) or np.any(tail_b != 0.0):
         raise ValueError("refusing to truncate nonzero modes; project first")
     return TrigState(state.mean, state.a[:n_modes], state.b[:n_modes])
-
-
-def apply_J(state: TrigState) -> TrigState:
-    """The complex structure J: in pair coordinates (p_n, q_n) -> (q_n, -p_n).
-
-    Sends the scaled cosine mode to minus the scaled sine mode and vice
-    versa; J o J = -identity.  Mean-zero states only.
-    """
-    require_mean_zero(state, "apply_J")
-    return TrigState(0.0, state.b.copy(), -state.a)
 
 
 def to_symplectic(state: TrigState) -> SymplecticCoords:

@@ -7,10 +7,18 @@ that the image cannot fit in a thinner cylinder.  Values above r are
 legitimate (the statement is one-sided) and are never clamped.
 
 The multistart ascent runs its starts in lock step: each batch of flows
-holds one group of rows per live start, in chunks of _ROW_CHUNK rows, and
-every start keeps its own step size and stop state, so each path is the one
-the start would take alone.  A batch whose flow fails is flowed again one
-start at a time, and only the starts whose own flows fail are affected.
+holds one row per candidate point of every live start, in chunks of
+_ROW_CHUNK rows, and every start keeps its own step size and stop state, so
+each path is the one the start would take alone.  A batch whose flow fails
+is flowed again one point at a time, and only the starts whose own flows
+fail are affected.
+
+Gradients are exact for the discrete flow.  Every batch is flowed with a
+tape (flow.integrate_taped); a start keeps the tape and final row of its
+current point, and the tapes of rejected candidates go with their batch.
+One reverse pass (flow.adjoint_batch) over the kept tapes of all live starts
+then gives every gradient at once, at about the cost of flowing one row per
+start, whatever the width of the optimizer's window.
 """
 
 from __future__ import annotations
@@ -24,19 +32,31 @@ from itertools import accumulate
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, integrate_batch, require_finite
-from .sampling import substream, z_sphere_row, z_sphere_state
-from .spectral import TrigState, pair_coords, pair_rows, require_mean_zero, sobolev_norms
+from .flow import FlowConfig, FlowError, adjoint_batch, integrate_taped, require_finite, tape_shape
+from .sampling import substream, z_sphere_row
+from .spectral import (
+    TrigState,
+    basis_scale,
+    pair_coords,
+    pair_rows,
+    require_mean_zero,
+    sobolev_norms,
+)
 
 log = logging.getLogger(__name__)
 
-_SCAN_TAG = 0x5CA7
-# Cap on the optimizer's active window: each gradient flows 4 states per pair.
-_MAX_ACTIVE_PAIRS = 16
-# Rows flowed per integrate_batch call, for the scan and the lock-step search
-# alike: near 100 rows the cost per row-step is lowest, and the chunk bounds
-# a batch's memory.
+# Rows flowed per integrate_taped call: near 100 rows the cost per row-step
+# is lowest, and the chunk bounds a batch's memory.
 _ROW_CHUNK = 128
+# Line-search tries per iteration; a start backtracking alone flows its
+# remaining tries, at most _TRIES - 1, in one batch.
+_TRIES = 21
+# Most ascent starts one search runs, 64 times the shipped 16.
+MAX_STARTS = 1024
+# Most tape bytes one search may hold: every start's kept tape plus the
+# largest batch in flight.  The shipped searches (16 starts, N = 32, T = 1,
+# dt = 0.02) need 5.8 MB of it.
+MAX_TAPE_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -45,10 +65,12 @@ class SqueezeConfig:
 
     r is the ball radius in Z-norm units, n0 the cylinder mode, T the
     horizon, and flow the flow every candidate is evolved by (its N is the
-    truncation).  center is the ball center (default 0); cyl_center the
-    cylinder axis point in the (p_n0, q_n0) plane.  The optimizer works in
-    the first min(2 n0, 16, N) mode pairs, a window that must contain n0,
-    so n0 <= 16.
+    truncation; rk4 or implicit_midpoint, which have adjoints).  center is
+    the ball center (default 0); cyl_center the cylinder axis point in the
+    (p_n0, q_n0) plane.  The optimizer works in the first min(2 n0, N) mode
+    pairs.  The tapes of a search hold 8 bytes per step, stage and
+    padded-grid point for every start and every row of the largest batch in
+    flight, at most MAX_TAPE_BYTES.
     """
 
     r: float
@@ -58,19 +80,16 @@ class SqueezeConfig:
     n_starts: int = 16
     center: TrigState | None = None
     cyl_center: tuple[float, float] = (0.0, 0.0)
-    fd_step: float = 1e-4
     ascent_step: float | None = None
     max_ascent_iters: int = 40
     stall_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("r", "T", "fd_step", "stall_tol"):
+        for name in ("r", "T", "stall_tol"):
             require_finite(name, getattr(self, name))
         if not self.r > 0:
             raise ValueError("ball radius r must be positive")
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
         if self.ascent_step is not None:
             require_finite("ascent_step", self.ascent_step)
             if not self.ascent_step > 0:
@@ -81,23 +100,30 @@ class SqueezeConfig:
             raise ValueError(f"stall_tol must be >= 0, got {self.stall_tol}")
         if not 1 <= self.n0 <= self.flow.N:
             raise ValueError(f"cylinder mode n0 = {self.n0} outside 1..{self.flow.N}")
-        if self.n0 > _MAX_ACTIVE_PAIRS:
-            raise ValueError(
-                f"cylinder mode n0 = {self.n0} lies outside the optimizer's active window: "
-                f"the witness search works in at most {_MAX_ACTIVE_PAIRS} mode pairs"
-            )
         if self.n_starts < 1:
             raise ValueError(f"need at least one start, got n_starts = {self.n_starts}")
+        if self.n_starts > MAX_STARTS:
+            raise ValueError(
+                f"n_starts must be <= {MAX_STARTS} (squeeze.MAX_STARTS), got {self.n_starts}")
         if self.center is not None:
             require_mean_zero(self.center, "center")
             if self.center.n_modes > self.flow.N:
                 raise ValueError(
                     f"center has {self.center.n_modes} modes, more than flow.N = {self.flow.N}"
                 )
+        rows = self.n_starts + max(self.n_starts, _TRIES - 1)
+        tape_bytes = 8 * rows * math.prod(tape_shape(self.T, self.flow))
+        if tape_bytes > MAX_TAPE_BYTES:
+            raise ValueError(
+                f"the search's tapes need {tape_bytes / 2 ** 20:.4g} MiB at "
+                f"n_starts = {self.n_starts}, N = {self.flow.N}, T = {self.T!r}, "
+                f"dt = {self.flow.dt!r}, more than squeeze.MAX_TAPE_BYTES = "
+                f"{MAX_TAPE_BYTES >> 20} MiB"
+            )
 
     @property
     def n_active(self) -> int:
-        return min(2 * self.n0, _MAX_ACTIVE_PAIRS, self.flow.N)
+        return min(2 * self.n0, self.flow.N)
 
 
 @dataclass(frozen=True)
@@ -109,21 +135,6 @@ class SqueezeReport:
     achieved_radius: float
     trajectories: tuple
     wall_time: float
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    """Cylinder radii of the flowed sphere samples, with summary quantiles."""
-
-    config: SqueezeConfig
-    radii: np.ndarray
-    quantiles: dict
-
-
-def sample_sphere(r: float, n_modes: int, n_active: int, seed) -> TrigState:
-    """Gaussian direction on the Z sphere of radius r, supported on n_active pairs."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    return z_sphere_state(rng, r, n_modes, n_active)
 
 
 def _radii(c: np.ndarray, n0: int, cyl_center: tuple[float, float]) -> np.ndarray:
@@ -149,63 +160,63 @@ def _reproject(x: np.ndarray, r: float) -> np.ndarray:
     return (r / float(np.linalg.norm(x))) * x
 
 
-def _flowed_radii(rows: np.ndarray, cfg: SqueezeConfig) -> np.ndarray:
-    """Cylinder radius of the time-T image of each coefficient row, in chunks of _ROW_CHUNK rows.
+def _flowed(rows: np.ndarray, cfg: SqueezeConfig) -> tuple[np.ndarray, list]:
+    """Final rows and per-row tapes of the time-T flows of rows, in chunks of _ROW_CHUNK rows.
 
     Raises FlowError when any of the flows fails.
     """
-    return np.concatenate([
-        _radii(integrate_batch(rows[lo:lo + _ROW_CHUNK], cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)
-        for lo in range(0, len(rows), _ROW_CHUNK)
-    ])
+    finals, tapes = [], []
+    for lo in range(0, len(rows), _ROW_CHUNK):
+        final, tape = integrate_taped(rows[lo:lo + _ROW_CHUNK], cfg.T, cfg.flow)
+        finals.append(final)
+        tapes.extend(tape)
+    return np.concatenate(finals), tapes
 
 
-def _radii_per_start(groups: list, cfg: SqueezeConfig, center: np.ndarray) -> list:
-    """Image radii of each start's group of points, every group flowed in one batch.
+def _image_points(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> tuple:
+    """Image radius, final row and tape of each point of xs, all flowed as one batch.
 
     A point holds 2 n_active pair coordinates relative to the center row.
-    When the batch raises FlowError, each group is flowed again on its own,
+    When the batch raises FlowError each point is flowed again on its own,
     as a serial search would flow it, so a failing flow costs only its own
-    start: that group's entry is then the FlowError it raised.
+    point: its radius is then nan and its tape None.
     """
-    rows = [center + pair_rows(points, cfg.flow.N) for points in groups]
+    rows = center + pair_rows(np.array(xs), cfg.flow.N)
     try:
-        radii = _flowed_radii(np.concatenate(rows), cfg)
+        finals, tapes = _flowed(rows, cfg)
     except FlowError:
-        per_start = []
-        for start_rows in rows:
+        finals, tapes = np.full_like(rows, np.nan), [None] * len(rows)
+        for j in range(len(rows)):
             try:
-                per_start.append(_flowed_radii(start_rows, cfg))
-            except FlowError as exc:
-                per_start.append(exc)
-        return per_start
-    return np.split(radii, np.cumsum([len(start_rows) for start_rows in rows[:-1]]))
+                final, (tapes[j],) = _flowed(rows[j:j + 1], cfg)
+            except FlowError:
+                continue
+            finals[j] = final[0]
+    return _radii(finals, cfg.n0, cfg.cyl_center).tolist(), finals, tapes
 
 
-def _objectives(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> list[float]:
-    """Image radius of each point of xs, nan where its flow fails."""
-    return [float("nan") if isinstance(radii, FlowError) else float(radii[0])
-            for radii in _radii_per_start([x[None] for x in xs], cfg, center)]
+def _gradients(vals: list, finals: np.ndarray, tapes: np.ndarray, cfg: SqueezeConfig) -> np.ndarray:
+    """Gradient of the image radius in the pair coordinates x of each point, in one reverse pass.
 
-
-def _fd_gradients(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> list:
-    """Central differences of the image radius in each active coordinate of each point of xs.
-
-    The 2 len(x) perturbed points of every x in xs are flowed together, as
-    one batch in chunks of _ROW_CHUNK rows.  The entry of a point whose
-    perturbed flows fail is the FlowError they raised.
+    vals, finals and tapes are the points' image radii, final rows and
+    tapes.  The radius hypot(p - p_c, q - q_c) of the mode-n0 pair has the
+    cotangent ((p - p_c) - i (q - q_c)) / (radius s_n0) on mode n0 of the
+    final row (s = basis_scale), the gradient of hypot through the transpose
+    of pair_coords; a radius of 0, where hypot has no gradient, gets 0.
+    flow.adjoint_batch pulls it back to the initial row, and the transpose
+    of pair_rows gives g_k = s_k Re lam_k and g_{n+k} = -s_k Im lam_k.  A
+    row that overflows in the reverse pass comes back non-finite.
     """
-    groups = []
-    for x in xs:
-        points = []
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = cfg.fd_step
-            points += [_reproject(x + e, cfg.r), _reproject(x - e, cfg.r)]
-        groups.append(np.array(points))
-    return [radii if isinstance(radii, FlowError)
-            else (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
-            for radii in _radii_per_start(groups, cfg, center)]
+    n0, na = cfg.n0, cfg.n_active
+    scale = basis_scale(na)
+    lam = np.zeros_like(finals)
+    pq = pair_coords(finals, n0)[:, [n0 - 1, -1]].tolist()
+    for j, (val, (p, q)) in enumerate(zip(vals, pq)):
+        if val:
+            d = val * scale[n0 - 1]
+            lam[j, n0 - 1] = complex((p - cfg.cyl_center[0]) / d, (cfg.cyl_center[1] - q) / d)
+    head = adjoint_batch(tapes, lam, cfg.T, cfg.flow)[:, :na]
+    return np.concatenate([head.real * scale, head.imag * -scale], axis=-1)
 
 
 @dataclass
@@ -225,23 +236,25 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     """Multistart projected gradient ascent of the image cylinder radius.
 
     Objective: u0 on the sphere |u0 - center|_Z = r, maximize
-    cylinder_radius(Phi_T(u0), n0, cyl_center).  Gradients are central
-    differences in the active pair coordinates; every step reprojects to the
-    sphere, so the per-start objective sequence is non-decreasing.  The pure
-    mode-n0 state is always among the starts, which pins the report to at
-    least the rigid-rotation baseline.
+    cylinder_radius(Phi_T(u0), n0, cyl_center).  Gradients are those of the
+    discrete flow in the active pair coordinates, taken by one reverse pass
+    over the tape each start kept from flowing its current point (see
+    _gradients); every step reprojects to the sphere, so the per-start
+    objective sequence is non-decreasing.  The pure mode-n0 state is always
+    among the starts, which pins the report to at least the rigid-rotation
+    baseline.
 
     The starts advance in lock step, one ascent iteration at a time: every
-    seed objective is flowed in one batch, so are the gradient points of
-    every live start, and so is each line-search round's candidate of every
-    start that has not yet gained; a start left searching alone after a
-    failed try flows all its remaining halvings in one batch.  Each start
+    seed objective is flowed in one batch, so is each line-search round's
+    candidate of every start that has not yet gained, and the gradients of
+    all live starts are one reverse pass; a start left searching alone after
+    a failed try flows all its remaining halvings in one batch.  Each start
     keeps its own point, step size and recent gains, so its path is the one
-    it would take alone: a flowed row has the same bits in any batch.  A
-    flow that fails counts as a non-finite objective: the line search halves
-    its step, and a start whose seed or gradient fails is abandoned.  A
-    batch that fails is flowed again one start at a time, so a failing flow
-    costs only its own start.
+    it would take alone: a flowed or pulled-back row has the same bits in
+    any batch.  A flow that fails counts as a non-finite objective: the line
+    search halves its step, and a start whose seed fails, or whose gradient
+    turns non-finite, is abandoned.  A batch that fails is flowed again one
+    point at a time, so a failing flow costs only its own start.
     """
     t_begin = time.perf_counter()
     center_state = _center_state(cfg)
@@ -258,40 +271,50 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
         xs.append(pair_coords((center + draw) - center, na))
     xs = [_reproject(x, cfg.r) for x in xs]
 
+    # The final row and tape of each start's current point.
+    vals, kept_finals, tapes = _image_points(xs, cfg, center)
+    kept_tapes = np.empty((cfg.n_starts,) + tape_shape(cfg.T, cfg.flow))
     starts = []
-    for start_id, (x, val) in enumerate(zip(xs, _objectives(xs, cfg, center))):
+    for start_id, (x, val, tape) in enumerate(zip(xs, vals, tapes)):
         start = _Start(start_id, x, val, alpha0, [(0, val)])
-        if not math.isfinite(val):
+        if math.isfinite(val):
+            kept_tapes[start_id] = tape
+        else:
             log.warning("start %d abandoned: non-finite objective at the seed", start_id)
             start.abandoned = True
         starts.append(start)
+    del tapes  # the seed batch's tapes, copied into kept_tapes
 
     live = [s for s in starts if not s.abandoned]
     for it in range(1, cfg.max_ascent_iters + 1):
         if not live:
             break
+        ids = [s.start_id for s in live]
         searching = []
-        for s, grad in zip(live, _fd_gradients([s.x for s in live], cfg, center)):
-            if isinstance(grad, FlowError):
-                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
-                            s.start_id, it, grad)
+        for s, grad in zip(live, _gradients([s.val for s in live], kept_finals[ids],
+                                            kept_tapes[ids], cfg)):
+            if not np.isfinite(grad).all():
+                log.warning("start %d abandoned at iteration %d: gradient turned non-finite "
+                            "in the reverse pass", s.start_id, it)
                 s.abandoned = True
                 continue
             xhat = s.x / float(np.linalg.norm(s.x))
             tang = grad - float(grad @ xhat) * xhat
             if float(np.linalg.norm(tang)) != 0.0:
                 searching.append((s, tang, s.alpha))
-        # Line search: halve a start's step until its candidate gains, at most 21 tries.  A start
-        # left alone after a failed try flows all its remaining halvings at once, in try order.
+        # Line search: halve a start's step until its candidate gains, at most _TRIES tries.
+        # A start left alone after a failed try flows all its remaining halvings at once, in
+        # try order.
         tries = 0
-        while searching and tries < 21:
-            width = 21 - tries if len(searching) == 1 and tries else 1
+        while searching and tries < _TRIES:
+            width = _TRIES - tries if len(searching) == 1 and tries else 1
             tries += width
             trials = [(s, tang, b) for s, tang, a in searching
                       for b in accumulate([a] + [0.5] * (width - 1), operator.mul)]
             cands = [_reproject(s.x + a * tang, cfg.r) for s, tang, a in trials]
+            cand_vals, cand_finals, cand_tapes = _image_points(cands, cfg, center)
             still = []
-            for (s, tang, a), cand, cand_val in zip(trials, cands, _objectives(cands, cfg, center)):
+            for j, ((s, tang, a), cand, cand_val) in enumerate(zip(trials, cands, cand_vals)):
                 if s.traj[-1][0] == it:
                     continue  # the lone start gained at a larger step of this batch
                 if not (math.isfinite(cand_val) and cand_val > s.val):
@@ -301,6 +324,8 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
                 s.x, s.val = cand, cand_val
                 s.traj.append((it, cand_val))
                 s.alpha = min(2.0 * a, alpha0)
+                kept_finals[s.start_id], kept_tapes[s.start_id] = cand_finals[j], cand_tapes[j]
+            del cand_tapes  # the tapes of the rejected candidates go with their batch
             searching = still
         # A start goes on only if it gained in this iteration and has not stalled.
         live = [s for s in live if s.traj[-1][0] == it
@@ -329,21 +354,3 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
         trajectories=tuple(tuple(s.traj) for s in starts),
         wall_time=time.perf_counter() - t_begin,
     )
-
-
-def ball_image_scan(cfg: SqueezeConfig, n_samples: int) -> ScanReport:
-    """Cylinder radii of the flowed images of uniform sphere samples.
-
-    Shows how far random (non-optimized) data falls below the witness-search
-    supremum.  Samples are flowed in chunks of _ROW_CHUNK.
-    """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    rows = _center_state(cfg).row + np.array([
-        z_sphere_row(substream(cfg.seed, _SCAN_TAG, i), cfg.r, cfg.flow.N, cfg.n_active)
-        for i in range(n_samples)
-    ])
-    radii = _flowed_radii(rows, cfg)
-    levels = [round(0.1 * i, 1) for i in range(11)]
-    quantiles = {lv: float(qv) for lv, qv in zip(levels, np.quantile(radii, levels))}
-    return ScanReport(config=cfg, radii=radii, quantiles=quantiles)

@@ -1,16 +1,20 @@
 """Independent slow-path oracles for the spectral operations.
 
 Everything here but reference_estimate, reference_flow_jacobian,
-reference_maximize_image_radius and PairRowFlow works from the definitions
-(convolution sums, Riemann quadrature, trig calculus) without touching the
-package's FFT paths, so the fast implementations can be checked against it
-at 1e-12.
+reference_maximize_image_radius, fd_gradients, reference_ball_image_scan,
+tangent_linear and PairRowFlow works from the definitions (convolution
+sums, Riemann quadrature, trig calculus) without touching the package's FFT
+paths, so the fast implementations can be checked against it at 1e-12.
 reference_estimate is the pair-by-pair loop the batched estimate sweep must
 reproduce bit for bit, reference_flow_jacobian the state-by-state bump loop
 flow_jacobian must reproduce bit for bit, reference_maximize_image_radius
 the start-by-start ascent the lock-step witness search must reproduce bit
 for bit, and PairRowFlow the real-row flow core the complex-row one must
-reproduce bit for bit.
+reproduce bit for bit.  fd_gradients is the central-difference gradient the
+witness search's adjoint gradient must match to O(h^2),
+reference_ball_image_scan the image radii of random sphere points that any
+witness search must reach, and tangent_linear the forward derivative of a
+taped flow that its adjoint must transpose.
 """
 
 import logging
@@ -20,7 +24,7 @@ import time
 import numpy as np
 
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
-from bbmlab.flow import FlowError, integrate, integrate_batch
+from bbmlab.flow import FlowError, integrate, integrate_batch, integrate_taped
 from bbmlab.sampling import sobolev_ball_state, substream, z_sphere_row
 from bbmlab.spectral import (
     TrigState,
@@ -31,7 +35,7 @@ from bbmlab.spectral import (
     sobolev_norm,
     sobolev_norms,
 )
-from bbmlab.squeeze import SqueezeReport
+from bbmlab.squeeze import SqueezeReport, _gradients, _radii
 
 log = logging.getLogger("bbmlab.squeeze")
 
@@ -115,6 +119,19 @@ def oracle_analyze(values: np.ndarray, n_modes: int) -> TrigState:
     return TrigState(mean, a, b)
 
 
+def oracle_apply_J(state: TrigState) -> TrigState:
+    """The complex structure J: (p_n, q_n) -> (q_n, -p_n), so (a_n, b_n) -> (b_n, -a_n)."""
+    return TrigState(0.0, state.b.copy(), -state.a)
+
+
+def oracle_z_inner(u: TrigState, v: TrigState) -> float:
+    """Inner product of the Z norm: pi sum_k ((1+k^2)/k)(a_k a'_k + b_k b'_k)."""
+    n = max(u.n_modes, v.n_modes)
+    u, v = u.padded(n), v.padded(n)
+    k = np.arange(1, n + 1, dtype=float)
+    return float(np.sum(math.pi * (1.0 + k * k) / k * (u.a * v.a + u.b * v.b)))
+
+
 def reference_estimate(s, r, rprime, n_samples, n_modes, sampler, mode, seed):
     """(seed, ratio, norm_u, norm_v) of estimate_constant's sample at N = n_modes.
 
@@ -172,10 +189,10 @@ def reference_maximize_image_radius(cfg):
     """maximize_image_radius with its starts run one after another.
 
     Each start ascends alone to its end before the next one begins: its
-    seed and each line-search candidate are flowed as a one-row batch, and
-    each gradient's 4 n_active perturbed points as one batch of their own.
-    A start whose seed or gradient flow fails is abandoned, with the log
-    messages of the search.
+    seed and each line-search candidate are flowed as a one-row taped
+    batch, and each gradient is the one-row reverse pass over the tape of
+    its current point.  A start whose seed flow fails, or whose gradient
+    turns non-finite, is abandoned, with the log messages of the search.
     """
     t_begin = time.perf_counter()
     center_state = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N)
@@ -186,26 +203,14 @@ def reference_maximize_image_radius(cfg):
     def reproject(x):
         return (cfg.r / float(np.linalg.norm(x))) * x
 
-    def image_radii(points):
-        finals = integrate_batch(center + pair_rows(points, cfg.flow.N), cfg.T, cfg.flow)
-        pq = pair_coords(finals, cfg.n0)
-        return np.array([math.hypot(p - cfg.cyl_center[0], q - cfg.cyl_center[1])
-                         for p, q in zip(pq[:, cfg.n0 - 1].tolist(), pq[:, -1].tolist())])
-
-    def objective(x):
+    def flow_point(x):
+        """Image radius, final row and tape of x; radius nan where its flow fails."""
         try:
-            return float(image_radii(x[None])[0])
+            final, tape = integrate_taped(center + pair_rows(x[None], cfg.flow.N), cfg.T, cfg.flow)
         except FlowError:
-            return float("nan")
-
-    def fd_gradient(x):
-        points = []
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = cfg.fd_step
-            points += [reproject(x + e), reproject(x - e)]
-        radii = image_radii(np.array(points))
-        return (radii[0::2] - radii[1::2]) / (2.0 * cfg.fd_step)
+            return float("nan"), None, None
+        p, q = pair_coords(final, cfg.n0)[0, [cfg.n0 - 1, -1]].tolist()
+        return math.hypot(p - cfg.cyl_center[0], q - cfg.cyl_center[1]), final, tape
 
     starts = []
     seed_x = np.zeros(2 * na)
@@ -219,7 +224,7 @@ def reference_maximize_image_radius(cfg):
     finals = []
     for start_id, x in enumerate(starts):
         x = reproject(x)
-        val = objective(x)
+        val, final, tape = flow_point(x)
         if not math.isfinite(val):
             log.warning("start %d abandoned: non-finite objective at the seed", start_id)
             trajectories.append(((0, float("nan")),))
@@ -229,11 +234,10 @@ def reference_maximize_image_radius(cfg):
         gains = []
         abandoned = False
         for it in range(1, cfg.max_ascent_iters + 1):
-            try:
-                grad = fd_gradient(x)
-            except FlowError as exc:
-                log.warning("start %d abandoned at iteration %d: gradient flow failed: %s",
-                            start_id, it, exc)
+            grad = _gradients([val], final, tape, cfg)[0]
+            if not np.isfinite(grad).all():
+                log.warning("start %d abandoned at iteration %d: gradient turned non-finite "
+                            "in the reverse pass", start_id, it)
                 abandoned = True
                 break
             xhat = x / float(np.linalg.norm(x))
@@ -244,7 +248,7 @@ def reference_maximize_image_radius(cfg):
             accepted = False
             for _ in range(21):
                 cand = reproject(x + a * tang)
-                cand_val = objective(cand)
+                cand_val, cand_final, cand_tape = flow_point(cand)
                 if not math.isfinite(cand_val):
                     a *= 0.5
                     continue
@@ -255,7 +259,7 @@ def reference_maximize_image_radius(cfg):
             if not accepted:
                 break
             gains.append(cand_val - val)
-            x, val = cand, cand_val
+            x, val, final, tape = cand, cand_val, cand_final, cand_tape
             traj.append((it, val))
             alpha = min(2.0 * a, alpha0)
             if len(gains) >= 5 and sum(gains[-5:]) < cfg.stall_tol:
@@ -277,6 +281,86 @@ def reference_maximize_image_radius(cfg):
     best_witness = center_state + TrigState.from_row(pair_rows(reproject(best_x), cfg.flow.N))
     return SqueezeReport(cfg, best_witness, best_val, tuple(trajectories),
                          time.perf_counter() - t_begin)
+
+
+def fd_gradients(xs, cfg, center, h):
+    """Central differences of the image radius in each active coordinate of each point of xs.
+
+    Coordinate i of point x is (R(x + h e_i) - R(x - h e_i)) / 2h with R the
+    image radius of the point reprojected onto the sphere of radius cfg.r,
+    so it approximates the tangential part of the gradient to O(h^2).  The
+    2 len(x) perturbed points of each x are flowed as one batch.
+    """
+    grads = []
+    for x in xs:
+        points = []
+        for i in range(len(x)):
+            e = np.zeros(len(x))
+            e[i] = h
+            points += [x + e, x - e]
+        points = np.array([(cfg.r / float(np.linalg.norm(p))) * p for p in points])
+        finals = integrate_batch(center + pair_rows(points, cfg.flow.N), cfg.T, cfg.flow)
+        radii = _radii(finals, cfg.n0, cfg.cyl_center)
+        grads.append((radii[0::2] - radii[1::2]) / (2.0 * h))
+    return grads
+
+
+def reference_ball_image_scan(cfg, n_samples):
+    """Image cylinder radii of n_samples uniform points of the search's sphere.
+
+    Point i is drawn from the substream (cfg.seed, 0x5CA7, i) on the first
+    cfg.n_active mode pairs around the center, and all are flowed as one
+    batch: random, unoptimized data that a witness search must reach.
+    """
+    center = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N).row
+    rows = center + np.array([
+        z_sphere_row(substream(cfg.seed, 0x5CA7, i), cfg.r, cfg.flow.N, cfg.n_active)
+        for i in range(n_samples)
+    ])
+    return _radii(integrate_batch(rows, cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)
+
+
+def tangent_linear(tape, delta, t_span, cfg):
+    """The derivative of a taped flow applied to the initial perturbation rows delta.
+
+    tape is flow.integrate_taped's.  The step's derivative is applied
+    forward with np.fft: D f(c) v = -i phi (v + P_N(u v)), u the taped grid
+    values; rk4 by its four stages, the implicit midpoint by iterating
+    dz = dy + dt/2 J (dy + dz) until it stops changing.
+    """
+    rows, n_steps, _, m = tape.shape
+    n = delta.shape[-1]
+    k = np.arange(1, n + 1, dtype=float)
+    gen = -1j * k / (1.0 + k * k)
+    dt = t_span / n_steps if n_steps else 0.0
+
+    def jac(u, v):
+        if not m:
+            return gen * v
+        spec = np.zeros(v.shape[:-1] + (m // 2 + 1,), dtype=complex)
+        spec[..., 1:n + 1] = 0.5 * m * v
+        prod = np.fft.rfft(u * np.fft.irfft(spec, m), axis=-1)[..., 1:n + 1] * (2.0 / m)
+        return gen * (v + prod)
+
+    d = np.array(delta, dtype=complex)
+    for i in range(n_steps):
+        u = tape[:, i]
+        if cfg.integrator == "rk4":
+            k1 = jac(u[:, 0], d)
+            k2 = jac(u[:, 1], d + 0.5 * dt * k1)
+            k3 = jac(u[:, 2], d + 0.5 * dt * k2)
+            k4 = jac(u[:, 3], d + dt * k3)
+            d = d + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            z = d
+            for _ in range(200):
+                z_new = d + 0.5 * dt * jac(u[:, 0], d + z)
+                done = np.max(np.abs(z_new - z)) <= 1e-16 * np.max(np.abs(z_new))
+                z = z_new
+                if done:
+                    break
+            d = z
+    return d
 
 
 class PairRowFlow:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import cli, estimates, flow
+from bbmlab import cli, estimates, flow, squeeze
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_manifest, write_state_csv
 from bbmlab.sampling import smooth_profile
 from bbmlab.spectral import MAX_MODES, TrigState, z_norm
+from bbmlab.squeeze import cylinder_radius
 
 from conftest import random_state
 
@@ -243,6 +244,23 @@ amplitude = 50
         assert f"more than flow.MAX_STEPS = {flow.MAX_STEPS}" in err
         assert not list(outdir.glob("*.csv"))
 
+    def test_picard_panel_count_above_cap_exits_2_before_any_node(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # One Picard subinterval of length 1e300 used to ask numpy for 8e300
+        # node rows and fail with its bare "Maximum allowed size exceeded".
+        def no_nodes(*args):
+            raise AssertionError("node arrays allocated")
+
+        monkeypatch.setattr(flow, "_picard_subinterval", no_nodes)
+        text = SIMULATE_T0.replace("T = 0.0", "T = 1e300").replace("dt = 0.01", "dt = 1e300")
+        code, outdir = run(tmp_path, monkeypatch, "simulate",
+                           text.replace("[state]", "integrator = picard\n[state]"))
+        assert code == 2
+        assert ("bbmlab simulate: dt = 1e+300 makes Picard subintervals of up to 1e+300 quadrature "
+                f"panels, more than flow.MAX_PICARD_PANELS = {flow.MAX_PICARD_PANELS}"
+                in capsys.readouterr().err)
+        assert not list(outdir.glob("*.csv"))
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_trace_every_below_one_exits_2(self, tmp_path, monkeypatch, capsys, value):
         # trace_every = 0 used to run the whole flow, write the CSVs and then
@@ -365,6 +383,9 @@ N_list = 16
         # Used to fail allocating the wavenumbers with a numpy traceback (exit 1).
         ("N_list", "16, 10000000000000", f"N_list entry N = 10000000000000 outside 1..{MAX_MODES}"),
         ("N_list", "", "[estimates] N_list must list at least one value"),
+        # Used to sample until a timeout.
+        ("n_samples", "100000000000", "n_samples must be <= 1000000 (estimates.MAX_SAMPLES), "
+                                      "got 100000000000"),
     ])
     def test_bad_sweep_size_exits_2_before_sampling(self, tmp_path, monkeypatch, capsys,
                                                     key, value, message):
@@ -412,30 +433,60 @@ N = 8
         assert code == 2
         assert "n0" in capsys.readouterr().err
 
-    def test_mode_outside_active_window_exits_2(self, tmp_path, monkeypatch, capsys):
+    def test_mode_beyond_sixteen_pairs_runs(self, tmp_path, monkeypatch, capsys):
+        # Used to exit 2: the window held at most 16 mode pairs.
         text = """
 [squeeze]
 r = 0.5
 n0 = 17
-T = 1.0
+T = 0.0
 N = 32
+n_starts = 2
+max_ascent_iters = 1
 """
-        code, _ = run(tmp_path, monkeypatch, "squeeze", text)
-        assert code == 2
-        assert "at most 16 mode pairs" in capsys.readouterr().err
+        code, outdir = run(tmp_path, monkeypatch, "squeeze", text)
+        assert code == 0
+        assert (outdir / "squeeze.csv").read_text().splitlines()[1] == "0,0,0.5"
+        witness = read_state_csv(outdir / "witness_state.csv")
+        assert abs(cylinder_radius(witness, 17) - 0.5) < 1e-9
 
-    @pytest.mark.parametrize("key", ["r", "T", "fd_step"])
+    @pytest.mark.parametrize("key", ["r", "T"])
     def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key):
-        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "fd_step": "1e-4", key: "inf"}
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", key: "inf"}
         text = "[squeeze]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
         code, _ = run(tmp_path, monkeypatch, "squeeze", text)
         assert code == 2
         assert f"{key} must be finite" in capsys.readouterr().err
 
+    def test_fd_step_is_an_unknown_key(self, tmp_path, monkeypatch, capsys):
+        # Gradients come from the adjoint now: the difference step is gone.
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "fd_step": "1e-4"}
+        code, _ = run(tmp_path, monkeypatch, "squeeze", ini({"squeeze": keys}))
+        assert code == 2
+        assert "unknown config key(s) `fd_step` in [squeeze]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"integrator": "picard"}, "integrator = 'picard' has no adjoint"),
+        ({"n_starts": "1025"}, "n_starts must be <= 1024 (squeeze.MAX_STARTS), got 1025"),
+        ({"n_starts": "100000000000"}, "n_starts must be <= 1024"),
+        ({"N": "4096"}, "the search's tapes need 1373 MiB at n_starts = 16, N = 4096, T = 1.0, "
+                        "dt = 0.01, more than squeeze.MAX_TAPE_BYTES = 256 MiB"),
+    ], ids=["picard", "starts", "starts_1e11", "tapes"])
+    def test_search_refused_before_any_draw(self, tmp_path, monkeypatch, capsys, keys, message):
+        # n_starts = 10^11 used to draw starts until a timeout, silently.
+        def no_draw(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(squeeze, "substream", no_draw)
+        monkeypatch.setattr(squeeze, "integrate_taped", no_draw)
+        code, outdir = run(tmp_path, monkeypatch, "squeeze",
+                           ini({"squeeze": {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", **keys}}))
+        assert code == 2
+        assert f"bbmlab squeeze: {message}" in capsys.readouterr().err
+        assert not (outdir / "squeeze.csv").exists()
+
     @pytest.mark.parametrize("key, value, message", [
-        # Each of these used to exit 0 having done no ascent, or (fd_step = 0)
-        # to fail on a nan gradient without naming fd_step.
-        ("fd_step", "0", "fd_step must be positive, got 0.0"),
+        # Each of these used to exit 0 having done no ascent.
         ("ascent_step", "0", "ascent_step must be positive, got 0.0"),
         ("ascent_step", "-0.1", "ascent_step must be positive, got -0.1"),
         ("max_ascent_iters", "-3", "max_ascent_iters must be >= 0, got -3"),
@@ -650,7 +701,7 @@ ALL_KEYS = {
     }},
     "squeeze": {"run": RUN_ALL_KEYS, "squeeze": {
         "r": "0.5", "n0": "1", "T": "1.0", "N": "16", "n_starts": "2", "center_csv": "{state_csv}",
-        "cyl_center_p": "0.0", "cyl_center_q": "0.0", "fd_step": "1e-4", "ascent_step": "0.1",
+        "cyl_center_p": "0.0", "cyl_center_q": "0.0", "ascent_step": "0.1",
         "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01", "integrator": "rk4",
         "linear_only": "no",
     }},
@@ -678,7 +729,7 @@ FUZZ_CONFIGS = {
     "estimates": {"estimates": {"s": "0.5", "r": "0.5", "rprime": "0.5", "n_samples": "10",
                                 "N_list": "16, 32"}},
     "squeeze": {"run": {"seed": "0"}, "squeeze": {
-        "r": "0.5", "n0": "1", "T": "1.0", "N": "8", "n_starts": "2", "fd_step": "1e-4",
+        "r": "0.5", "n0": "1", "T": "1.0", "N": "8", "n_starts": "2",
         "ascent_step": "0.1", "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01",
         "cyl_center_p": "0.0", "cyl_center_q": "0.0",
     }},
@@ -698,6 +749,30 @@ NUMERIC_TEXT = st.one_of(
     st.integers().map(str),
     st.lists(st.one_of(st.floats().map(repr), st.integers().map(str)), max_size=4).map(", ".join),
 )
+
+
+# The keys that size a run's work, fuzzed past the config check below.
+WORK_KEYS = [("simulate", "flow", "dt"), ("squeeze", "squeeze", "dt"),
+             ("squeeze", "squeeze", "n_starts"), ("estimates", "estimates", "n_samples")]
+WORK_TEXT = st.one_of(
+    NUMERIC_TEXT,
+    st.integers(-10 ** 15, 10 ** 15).map(str),
+    st.floats(min_value=5e-324, max_value=1.0).map(repr),
+)
+
+
+class Started(Exception):
+    """Raised in place of the first step, draw or sample of a run whose config passed."""
+
+
+def within_cap(command, key, text):
+    """Whether the work a passed value asks for stays within its cap."""
+    if key == "dt":
+        t_span = float(FUZZ_CONFIGS[command][command if command == "squeeze" else "flow"]["T"])
+        return t_span / float(text) <= flow.MAX_STEPS
+    if key == "n_starts":
+        return 1 <= int(text) <= squeeze.MAX_STARTS
+    return 1 <= int(text) <= estimates.MAX_SAMPLES
 
 
 class TestConfigSchema:
@@ -757,7 +832,7 @@ class TestConfigSchema:
         ("squeeze", {
             "run": {"outdir": "runs/squeeze", "seed": 0},
             "squeeze": {"N": 32, "T": 1.0, "ascent_step": None, "center_csv": None,
-                        "cyl_center_p": 0.0, "cyl_center_q": 0.0, "dt": 0.02, "fd_step": 1e-4,
+                        "cyl_center_p": 0.0, "cyl_center_q": 0.0, "dt": 0.02,
                         "integrator": "rk4", "linear_only": False, "max_ascent_iters": 12,
                         "n0": 1, "n_starts": 16, "r": 0.5, "stall_tol": 1e-5},
         }),
@@ -803,6 +878,35 @@ class TestConfigSchema:
             try:
                 code = main([command, path])
             except Checked:
+                return
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert re.search(rf"\[{section}\] {key} |\b{key} (must|=) ", err), err
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(WORK_KEYS), value=WORK_TEXT)
+    def test_fuzzed_work_size_exits_2_or_stays_within_its_cap(self, tmp_path, capsys, case, value):
+        # Run on past the check: the first rk4 step, start draw, taped flow or
+        # estimate sample stops the run, and only a value within its cap may
+        # get there.  Any other value exits 2 naming its key.
+        command, section, key = case
+        sections = {name: dict(keys) for name, keys in FUZZ_CONFIGS[command].items()}
+        sections[section][key] = value
+        path = write_config(tmp_path / "cfg.ini", ini(sections))
+
+        def started(*args):
+            raise Started
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in ((flow, "rk4_step"), (squeeze, "substream"),
+                                 (squeeze, "integrate_taped"), (estimates, "_sample_rows")):
+                mp.setattr(module, name, started)
+            mp.setenv("BBMLAB_OUTDIR", str(tmp_path / "out"))
+            try:
+                code = main([command, path])
+            except Started:
+                assert within_cap(command, key, value), value
                 return
         err = capsys.readouterr().err
         assert code == 2, err

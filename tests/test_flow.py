@@ -8,21 +8,25 @@ from hypothesis import strategies as st
 
 from bbmlab import flow
 from bbmlab.flow import (
+    MAX_PICARD_PANELS,
     FlowConfig,
     FlowError,
+    adjoint_batch,
     free_evolution,
     galerkin_defect,
     integrate,
     integrate_batch,
+    integrate_taped,
     invariants_of,
     nonlinear_part,
     rhs,
+    tape_shape,
 )
-from bbmlab.sampling import smooth_profile, sobolev_ball_state, substream
-from bbmlab.spectral import MAX_MODES, TrigState, sobolev_norm
+from bbmlab.sampling import smooth_profile, sobolev_ball_rows, sobolev_ball_state, substream
+from bbmlab.spectral import MAX_MODES, TrigState, smooth_grid_size, sobolev_norm, synthesize_rows
 
 from conftest import random_state, trig_states
-from oracles import PairRowFlow, oracle_cubic_integral, oracle_rhs
+from oracles import PairRowFlow, oracle_cubic_integral, oracle_rhs, tangent_linear
 
 
 def l2(u):
@@ -237,6 +241,90 @@ class TestIntegrateBatch:
 def _same_bits(x, y):
     """Equal bit for bit, so 0.0 and -0.0 differ (the state CSVs print -0)."""
     return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+def _pairing(x, y):
+    """Re sum conj(x_k) y_k per row: the pairing the adjoint transposes in."""
+    return np.sum(x.real * y.real + x.imag * y.imag, axis=-1)
+
+
+class TestAdjoint:
+    """integrate_taped records a flow; adjoint_batch runs the transpose of its steps backwards."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        batch=st.integers(1, 3),
+        dt=st.floats(0.05, 0.25),
+        t_span=st.floats(-0.6, 0.6).filter(lambda t: abs(t) > 1e-3),
+        integrator=st.sampled_from(["rk4", "implicit_midpoint"]),
+        linear_only=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_dot_product_with_tangent_linear(self, n_modes, batch, dt, t_span, integrator,
+                                             linear_only, seed):
+        # <J d, lam> = <d, J^T lam> for the derivative J of the taped flow,
+        # applied forward by an np.fft tangent-linear pass, to 1e-12 of
+        # |J d| |lam|.
+        cfg = FlowConfig(N=n_modes, dt=dt, integrator=integrator, linear_only=linear_only)
+        c0, delta, lam = (sobolev_ball_rows([substream(seed, "dot", name, i) for i in range(batch)],
+                                            n_modes, 0.5, 0.8) for name in ("c0", "delta", "lam"))
+        _, tape = integrate_taped(c0, t_span, cfg)
+        jd = tangent_linear(tape, delta, t_span, cfg)
+        jt_lam = adjoint_batch(tape, lam, t_span, cfg)
+        scale = np.linalg.norm(jd, axis=-1) * np.linalg.norm(lam, axis=-1)
+        assert np.all(np.abs(_pairing(lam, jd) - _pairing(jt_lam, delta)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_final_rows_are_integrate_batch_bits(self, integrator):
+        cfg = FlowConfig(N=16, dt=0.05, integrator=integrator)
+        c = rows_of([random_state(i, 16, radius=0.8) for i in range(5)])
+        final, tape = integrate_taped(c, 0.5, cfg)
+        assert _same_bits(final, integrate_batch(c, 0.5, cfg))
+        assert tape.shape == (5,) + tape_shape(0.5, cfg) == (5, 10, 4 if integrator == "rk4" else 1,
+                                                                smooth_grid_size(49))
+
+    def test_tape_holds_the_grid_values_of_each_stage_input(self):
+        # rk4's first stage input is the step's start; the midpoint's tape
+        # holds the grid values of (y + z)/2 for the step from y to z.
+        c = rows_of([random_state(i, 8, radius=0.8) for i in range(3)])
+        m = smooth_grid_size(25)
+        cfg = FlowConfig(N=8, dt=0.1)
+        _, tape = integrate_taped(c, 0.2, cfg)
+        mid_step = integrate_batch(c, 0.1, cfg)
+        assert np.allclose(tape[:, 0, 0], synthesize_rows(0.0, c, m), rtol=0, atol=1e-15)
+        assert np.allclose(tape[:, 1, 0], synthesize_rows(0.0, mid_step, m), rtol=0, atol=1e-15)
+        cfg = FlowConfig(N=8, dt=0.1, integrator="implicit_midpoint")
+        _, tape = integrate_taped(c, 0.1, cfg)
+        z = integrate_batch(c, 0.1, cfg)
+        assert np.allclose(tape[:, 0, 0], synthesize_rows(0.0, 0.5 * (c + z), m),
+                           rtol=0, atol=1e-15)
+
+    def test_empty_tapes(self):
+        # A linear_only flow records nothing, and a zero horizon takes no step.
+        c = rows_of([random_state(i, 8, radius=0.8) for i in range(2)])
+        assert integrate_taped(c, 0.5, FlowConfig(N=8, dt=0.1, linear_only=True))[1].shape == (
+            2, 5, 4, 0)
+        final, tape = integrate_taped(c, 0.0, FlowConfig(N=8, dt=0.1))
+        assert _same_bits(final, c) and tape.shape == (2, 0, 4, 25)
+        lam = c[::-1].copy()
+        assert _same_bits(adjoint_batch(tape, lam, 0.0, FlowConfig(N=8, dt=0.1)), lam)
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    def test_batched_rows_equal_one_row_passes(self, integrator):
+        # Rows of very different sizes, so midpoint rows converge at different iterations.
+        cfg = FlowConfig(N=12, dt=0.1, integrator=integrator)
+        c = rows_of([random_state(i, 12, radius=10.0 ** (-3.0 + i)) for i in range(4)])
+        lam = rows_of([random_state(i + 10, 12, radius=10.0 ** (2.0 - i)) for i in range(4)])
+        _, tape = integrate_taped(c, 0.6, cfg)
+        pulled = adjoint_batch(tape, lam, 0.6, cfg)
+        for i in range(4):
+            assert _same_bits(pulled[i], adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.6, cfg)[0])
+
+    def test_picard_has_no_tape(self):
+        cfg = FlowConfig(N=8, dt=0.1, integrator="picard")
+        with pytest.raises(ValueError, match="^integrator = 'picard' has no adjoint"):
+            integrate_taped(np.zeros((1, 8), complex), 0.5, cfg)
 
 
 class TestPairRowReference:
@@ -520,6 +608,17 @@ class TestConfigValidation:
     def test_non_finite_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             FlowConfig(**{"N": 4, "dt": 1e-2, field: value})
+
+    def test_picard_panel_count_capped(self):
+        # A picard dt of 1e300 used to reach numpy's allocator and fail with its
+        # bare "Maximum allowed size exceeded".
+        assert FlowConfig(N=4, dt=float(MAX_PICARD_PANELS), integrator="picard").dt == 1000.0
+        FlowConfig(N=4, dt=1e300)
+        for dt in (1000.5, 1e300):
+            with pytest.raises(ValueError, match=rf"^dt = {re.escape(repr(dt))} makes Picard "
+                               r"subintervals of up to \S+ quadrature panels, more than "
+                               r"flow.MAX_PICARD_PANELS = 1000$"):
+                FlowConfig(N=4, dt=dt, integrator="picard")
 
     def test_mode_count_capped(self):
         # 10^13 modes used to pass and then fail allocating the first state.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbmlab.estimates import _product_rows, exact_product
+from bbmlab.estimates import _product_rows, canonical_form_matrix, exact_product
 from bbmlab.flow import _VecOps
 from bbmlab.sampling import sobolev_ball_state, substream
 from bbmlab.spectral import (
@@ -16,7 +16,6 @@ from bbmlab.spectral import (
     SymplecticCoords,
     TrigState,
     analyze,
-    apply_J,
     basis_scale,
     dispersion_multiplier,
     from_symplectic,
@@ -30,12 +29,11 @@ from bbmlab.spectral import (
     truncate,
     unit_cos_mode,
     unit_sin_mode,
-    z_inner,
     z_norm,
 )
 
 from conftest import random_state, trig_states
-from oracles import oracle_analyze, oracle_synthesize
+from oracles import oracle_analyze, oracle_apply_J, oracle_synthesize, oracle_z_inner
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -216,29 +214,44 @@ class TestMultiplierAndProjector:
 
 
 class TestComplexStructure:
+    """The symplectic form omega(xi, eta) = <J xi, eta>_Z in pair coordinates, as
+    canonical_form_matrix holds it, against the complex structure J and the Z inner product of
+    tests/oracles.py."""
+
     def test_unit_mode_mapping(self):
-        u = apply_J(unit_cos_mode(3, 4))
+        u = oracle_apply_J(unit_cos_mode(3, 4))
         expect = -1.0 * unit_sin_mode(3, 4)
         assert np.max(np.abs(u.a - expect.a)) < 1e-15
         assert np.max(np.abs(u.b - expect.b)) < 1e-15
+        # omega(cos_3, sin_3) = -1: the (p_3, q_3) entry of the canonical form.
+        assert abs(oracle_z_inner(u, unit_sin_mode(3, 4)) + 1.0) < 1e-15
+        assert canonical_form_matrix(4)[2, 6] == -1.0
 
     def test_j_squared_is_minus_identity(self):
         for seed in range(10):
             u = random_state(seed, 8)
-            w = apply_J(apply_J(u))
+            w = oracle_apply_J(oracle_apply_J(u))
             assert np.max(np.abs(w.a + u.a)) < 1e-14
             assert np.max(np.abs(w.b + u.b)) < 1e-14
+        omega = canonical_form_matrix(8)
+        assert np.array_equal(omega @ omega, -np.eye(16))
 
     def test_skew_symmetry(self):
+        omega = canonical_form_matrix(8)
+        assert np.array_equal(omega.T, -omega)
         for seed in range(10):
             u = random_state(seed, 8)
             v = random_state(seed + 100, 8)
-            assert abs(z_inner(apply_J(u), u)) < 1e-12 * z_norm(u) ** 2
-            assert abs(z_inner(apply_J(u), v) + z_inner(u, apply_J(v))) < 1e-12
+            ju = oracle_apply_J(u)
+            assert abs(oracle_z_inner(ju, u)) < 1e-12 * z_norm(u) ** 2
+            assert abs(oracle_z_inner(ju, v) + oracle_z_inner(u, oracle_apply_J(v))) < 1e-12
+            form = pair_coords(u.row, 8) @ omega @ pair_coords(v.row, 8)
+            assert abs(form - oracle_z_inner(ju, v)) < 1e-12
 
     def test_rejects_mean(self):
+        # J acts on the mean-zero phase space, which has pair coordinates.
         with pytest.raises(ValueError, match="mean-zero"):
-            apply_J(TrigState(0.5, [1.0], [0.0]))
+            to_symplectic(TrigState(0.5, [1.0], [0.0]))
 
 
 class TestSymplecticCoords:
