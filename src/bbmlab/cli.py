@@ -2,9 +2,13 @@
 
 Subcommands: simulate, estimates, squeeze, galerkin, orbit.  Each takes one
 INI-style config file (flat key = value under section headers; schema in the
-README).  Outputs are CSV files plus a manifest.json that echoes the fully
-resolved configuration; identical (config, seed) runs reproduce the CSVs
-byte for byte.  BBMLAB_OUTDIR overrides the configured output directory.
+README).  A command reads and checks its own keys and returns a run step,
+run(outdir) -> (CSV paths written, stdout lines).  main reads [run] seed,
+calls the command, resolves the output directory (BBMLAB_OUTDIR overrides
+the configured one) and rejects unread keys, all before any work; it then
+runs the step, writes manifest.json (the resolved config and the CSVs) and
+prints.  Same (config, seed), same CSV bytes.  Config and input errors,
+unreadable files among them, exit 2; failed integrations exit 1.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .estimates import DEFAULT_N_SWEEP, estimate_constant, radial_orbit
 from .flow import FlowConfig, FlowError, integrate, galerkin_defect
 from .sampling import smooth_profile, sobolev_ball_state, substream
 from .spectral import MAX_MODES, TrigState, sobolev_norm, z_norm
-from .squeeze import SqueezeConfig, maximize_image_radius
+from .squeeze import SqueezeConfig, _center_state, maximize_image_radius
 
 ENV_OUTDIR = "BBMLAB_OUTDIR"
 
@@ -72,14 +76,11 @@ class _Cfg:
 
     def __init__(self, path: str):
         self.path = path
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not os.path.exists(path):
-            raise ConfigError(f"config file not found: {path}")
+        self.parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
         try:
-            parser.read(path, encoding="utf-8")
+            self.parser.read_string(bio.read_text(path, "config file"), source=path)
         except configparser.Error as exc:
             raise ConfigError(f"config parse error in {path}: {exc}") from exc
-        self.parser = parser
         self.resolved: dict[str, dict] = {}
 
     def get(self, section: str, key: str, cast, default=MISSING):
@@ -148,7 +149,11 @@ class _Cfg:
 def _outdir(cfg: _Cfg, command: str) -> str:
     configured = cfg.get("run", "outdir", str, f"runs/{command}")
     outdir = os.environ.get(ENV_OUTDIR, configured)
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        setting = ENV_OUTDIR if ENV_OUTDIR in os.environ else "[run] outdir"
+        raise ConfigError(f"output directory {setting} = {outdir!r}: {exc.strerror}") from None
     return outdir
 
 
@@ -175,43 +180,37 @@ def _initial_state(cfg: _Cfg, n_modes: int, seed: int) -> TrigState:
     raise ConfigError(f"unknown state preset {preset!r}")
 
 
-def cmd_simulate(cfg: _Cfg) -> int:
-    seed = cfg.get("run", "seed", _int, 0)
+def _csv(outdir: str, name: str, write, data) -> str:
+    """Write data to outdir/name with write; return the path."""
+    path = os.path.join(outdir, name)
+    write(path, data)
+    return path
+
+
+def cmd_simulate(cfg: _Cfg, seed: int):
     fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
     horizon = cfg.get("flow", "T", _float)
     trace_every = cfg.get("flow", "trace_every", _int, 100)
     if trace_every < 1:
         raise ConfigError(f"[flow] trace_every must be >= 1, got {trace_every}")
-    outdir = _outdir(cfg, "simulate")
     u0 = _initial_state(cfg, fcfg.N, seed)
-    cfg.reject_unread()
 
-    result = integrate(u0, horizon, fcfg, trace_every=trace_every)
-
-    trace_path = os.path.join(outdir, "trace.csv")
-    state_path = os.path.join(outdir, "final_state.csv")
-    bio.write_trace_csv(trace_path, result.trace)
-    bio.write_state_csv(state_path, result.final)
-    bio.write_manifest(
-        os.path.join(outdir, "manifest.json"),
-        "simulate",
-        cfg.resolved,
-        seed,
-        [trace_path, state_path],
-    )
-
-    first, last = result.trace[0], result.trace[-1]
-    print(f"simulate: {result.steps} steps to T = {horizon}")
-    for name, idx in (("I1", 1), ("I2", 2), ("H", 3)):
-        ref = abs(first[idx])
-        drift = abs(last[idx] - first[idx])
-        rel = drift / ref if ref > 0 else drift
-        print(f"  {name} drift: {drift:.3e} (relative {rel:.3e})")
-    return 0
+    def run(outdir):
+        result = integrate(u0, horizon, fcfg, trace_every=trace_every)
+        paths = [_csv(outdir, "trace.csv", bio.write_trace_csv, result.trace),
+                 _csv(outdir, "final_state.csv", bio.write_state_csv, result.final)]
+        lines = [f"simulate: {result.steps} steps to T = {horizon}"]
+        first, last = result.trace[0], result.trace[-1]
+        for name, idx in (("I1", 1), ("I2", 2), ("H", 3)):
+            ref = abs(first[idx])
+            drift = abs(last[idx] - first[idx])
+            rel = drift / ref if ref > 0 else drift
+            lines.append(f"  {name} drift: {drift:.3e} (relative {rel:.3e})")
+        return paths, lines
+    return run
 
 
-def cmd_estimates(cfg: _Cfg) -> int:
-    seed = cfg.get("run", "seed", _int, 0)
+def cmd_estimates(cfg: _Cfg, seed: int):
     s = cfg.get("estimates", "s", _float)
     r = cfg.get("estimates", "r", _float)
     rprime = cfg.get("estimates", "rprime", _float)
@@ -219,71 +218,51 @@ def cmd_estimates(cfg: _Cfg) -> int:
     n_sweep = cfg.get("estimates", "N_list", _list(_int), DEFAULT_N_SWEEP)
     sampler = cfg.get("estimates", "sampler", str, "gaussian")
     mode = cfg.get("estimates", "mode", str, "bilinear")
-    outdir = _outdir(cfg, "estimates")
-    cfg.reject_unread()
 
-    report = estimate_constant(
-        s, r, rprime, n_samples, n_sweep=tuple(n_sweep), sampler=sampler, mode=mode, seed=seed
-    )
-
-    report_path = os.path.join(outdir, "estimate.csv")
-    bio.write_estimate_csv(report_path, report)
-    bio.write_manifest(
-        os.path.join(outdir, "manifest.json"), "estimates", cfg.resolved, seed, [report_path]
-    )
-    print(
-        f"estimates: ({s}, {r}, {rprime}) {mode} max ratio {report.max_ratio:.6g} "
-        f"over {n_samples} samples, sweep bounded: {report.bounded}"
-    )
-    return 0
+    def run(outdir):
+        report = estimate_constant(
+            s, r, rprime, n_samples, n_sweep=tuple(n_sweep), sampler=sampler, mode=mode, seed=seed
+        )
+        return [_csv(outdir, "estimate.csv", bio.write_estimate_csv, report)], [
+            f"estimates: ({s}, {r}, {rprime}) {mode} max ratio {report.max_ratio:.6g} "
+            f"over {n_samples} samples, sweep bounded: {report.bounded}"
+        ]
+    return run
 
 
-def cmd_squeeze(cfg: _Cfg) -> int:
-    seed = cfg.get("run", "seed", _int, 0)
+def cmd_squeeze(cfg: _Cfg, seed: int):
     flow = FlowConfig(
         **cfg.fields("squeeze", FlowConfig,
                      skip=("dt", "picard_tol", "picard_max_iter", "midpoint_tol")),
         dt=cfg.get("squeeze", "dt", _float, 0.01),
     )
     center_csv = cfg.get("squeeze", "center_csv", str, None)
-    center = bio.read_state_csv(center_csv, flow.N) if center_csv else None
     scfg = SqueezeConfig(
         **cfg.fields("squeeze", SqueezeConfig, skip=("flow", "center", "cyl_center", "seed")),
         flow=flow,
-        center=center,
+        center=bio.read_state_csv(center_csv, flow.N) if center_csv else None,
         cyl_center=(
             cfg.get("squeeze", "cyl_center_p", _float, SqueezeConfig.cyl_center[0]),
             cfg.get("squeeze", "cyl_center_q", _float, SqueezeConfig.cyl_center[1]),
         ),
         seed=seed,
     )
-    outdir = _outdir(cfg, "squeeze")
-    cfg.reject_unread()
-    report = maximize_image_radius(scfg)
 
-    csv_path = os.path.join(outdir, "squeeze.csv")
-    witness_path = os.path.join(outdir, "witness_state.csv")
-    bio.write_squeeze_csv(csv_path, report)
-    bio.write_state_csv(witness_path, report.best_witness)
-    bio.write_manifest(
-        os.path.join(outdir, "manifest.json"),
-        "squeeze",
-        cfg.resolved,
-        seed,
-        [csv_path, witness_path],
-    )
-    print(
-        f"squeeze: r = {scfg.r}, n0 = {scfg.n0}, T = {scfg.T}: achieved radius "
-        f"{report.achieved_radius:.9g} ({report.achieved_radius / scfg.r:.4f} r) "
-        f"in {report.wall_time:.1f} s"
-    )
-    print(f"  witness Z norm: {z_norm(report.best_witness - (center or TrigState.zero(flow.N)).padded(flow.N)):.12g}")
-    print(f"  witness H^1 norm: {sobolev_norm(report.best_witness, 1.0):.6g}")
-    return 0
+    def run(outdir):
+        report = maximize_image_radius(scfg)
+        paths = [_csv(outdir, "squeeze.csv", bio.write_squeeze_csv, report),
+                 _csv(outdir, "witness_state.csv", bio.write_state_csv, report.best_witness)]
+        return paths, [
+            f"squeeze: r = {scfg.r}, n0 = {scfg.n0}, T = {scfg.T}: achieved radius "
+            f"{report.achieved_radius:.9g} ({report.achieved_radius / scfg.r:.4f} r) "
+            f"in {report.wall_time:.1f} s",
+            f"  witness Z norm: {z_norm(report.best_witness - _center_state(scfg)):.12g}",
+            f"  witness H^1 norm: {sobolev_norm(report.best_witness, 1.0):.6g}",
+        ]
+    return run
 
 
-def cmd_galerkin(cfg: _Cfg) -> int:
-    seed = cfg.get("run", "seed", _int, 0)
+def cmd_galerkin(cfg: _Cfg, seed: int):
     fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
     horizon = cfg.get("flow", "T", _float)
     n_small_list = cfg.get("galerkin", "N_small_list", _list(_int), [8, 16, 32])
@@ -292,24 +271,18 @@ def cmd_galerkin(cfg: _Cfg) -> int:
             raise ConfigError(
                 f"[galerkin] N_small_list entry {n_small} outside 1..{fcfg.N} ([flow] N = {fcfg.N})"
             )
-    outdir = _outdir(cfg, "galerkin")
     u0 = _initial_state(cfg, fcfg.N, seed)
-    cfg.reject_unread()
 
-    rows = [(n_small, galerkin_defect(u0, horizon, n_small, fcfg)) for n_small in n_small_list]
-
-    csv_path = os.path.join(outdir, "galerkin.csv")
-    bio.write_galerkin_csv(csv_path, rows)
-    bio.write_manifest(
-        os.path.join(outdir, "manifest.json"), "galerkin", cfg.resolved, seed, [csv_path]
-    )
-    for n_small, defect in rows:
-        print(f"galerkin: defect(N={n_small}) = {defect:.6e} against reference N = {fcfg.N}")
-    return 0
+    def run(outdir):
+        rows = [(n_small, galerkin_defect(u0, horizon, n_small, fcfg)) for n_small in n_small_list]
+        return [_csv(outdir, "galerkin.csv", bio.write_galerkin_csv, rows)], [
+            f"galerkin: defect(N={n_small}) = {defect:.6e} against reference N = {fcfg.N}"
+            for n_small, defect in rows
+        ]
+    return run
 
 
-def cmd_orbit(cfg: _Cfg) -> int:
-    seed = cfg.get("run", "seed", _int, 0)
+def cmd_orbit(cfg: _Cfg, seed: int):
     fprimes = cfg.get("orbit", "fprime_list", _list(_float), [0.1, 0.5, 1.0, 2.0, 3.0])
     n_pairs = cfg.get("orbit", "n_pairs", _int, 1)
     radius2 = cfg.get("orbit", "radius2", _float, 0.5)
@@ -320,22 +293,14 @@ def cmd_orbit(cfg: _Cfg) -> int:
         raise ConfigError(f"[orbit] radius2 must lie in (0, 1), got {radius2}")
     if not 1 <= n_pairs <= MAX_MODES:
         raise ConfigError(f"[orbit] n_pairs must lie in 1..{MAX_MODES}, got {n_pairs}")
-    outdir = _outdir(cfg, "orbit")
-    cfg.reject_unread()
 
-    rows = []
-    for fprime in fprimes:
-        period, _ = radial_orbit(fprime, n_pairs, radius2)
-        rows.append((fprime, period))
-
-    csv_path = os.path.join(outdir, "orbit.csv")
-    bio.write_orbit_csv(csv_path, rows)
-    bio.write_manifest(
-        os.path.join(outdir, "manifest.json"), "orbit", cfg.resolved, seed, [csv_path]
-    )
-    for fprime, period in rows:
-        print(f"orbit: f' = {fprime}: period {period:.8f}, period * f' = {period * fprime:.8f}")
-    return 0
+    def run(outdir):
+        rows = [(fprime, radial_orbit(fprime, n_pairs, radius2)[0]) for fprime in fprimes]
+        return [_csv(outdir, "orbit.csv", bio.write_orbit_csv, rows)], [
+            f"orbit: f' = {fprime}: period {period:.8f}, period * f' = {period * fprime:.8f}"
+            for fprime, period in rows
+        ]
+    return run
 
 
 _COMMANDS = {
@@ -359,13 +324,22 @@ def main(argv=None) -> int:
 
     try:
         cfg = _Cfg(args.config)
-        return _COMMANDS[args.command](cfg)
+        seed = cfg.get("run", "seed", _int, 0)
+        run = _COMMANDS[args.command](cfg, seed)
+        outdir = _outdir(cfg, args.command)
+        cfg.reject_unread()
+        outputs, lines = run(outdir)
+        bio.write_manifest(
+            os.path.join(outdir, "manifest.json"), args.command, cfg.resolved, seed, outputs
+        )
     except (ConfigError, ValueError) as exc:
         print(f"bbmlab {args.command}: {exc}", file=sys.stderr)
         return 2
     except FlowError as exc:
         print(f"bbmlab {args.command}: integration failed: {exc}", file=sys.stderr)
         return 1
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

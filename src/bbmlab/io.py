@@ -22,6 +22,19 @@ def fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the file at path; a ValueError naming what and path if unreadable."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        raise ValueError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"cannot read {what} {path}: not UTF-8 text ({exc.reason})") from None
+
+
 def write_state_csv(path, state: TrigState) -> None:
     """Rows k,a_k,b_k for k = 1..N plus the 0,mean,0 row."""
     lines = ["k,a_k,b_k", f"0,{fmt(state.mean)},0"]
@@ -33,40 +46,39 @@ def write_state_csv(path, state: TrigState) -> None:
 def read_state_csv(path, n_modes: int | None = None) -> TrigState:
     """Inverse of write_state_csv.
 
-    Rejects, naming the file and line, a row that does not parse or holds a
-    non-finite number, a negative or repeated k, a k above n_modes (when
-    given), and a nonzero b on the k = 0 (mean) row.  The state has as many
-    modes as its largest k.
+    Rejects a file that read_text cannot read, naming it, and, naming the
+    file and line, a row that does not parse or holds a non-finite number,
+    a negative or repeated k, a k above n_modes (when given), and a nonzero
+    b on the k = 0 (mean) row.  The state has as many modes as its largest k.
     """
     mean = 0.0
     pairs = {}
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("k,"):
-                continue
-            where = f"state file {path}, line {line_no}"
-            try:
-                k_str, a_str, b_str = line.split(",")
-                k, ak, bk = int(k_str), float(a_str), float(b_str)
-            except ValueError as exc:
-                raise ValueError(f"{where}: expected a row k,a_k,b_k, got {line!r}") from exc
-            if not (math.isfinite(ak) and math.isfinite(bk)):
-                raise ValueError(f"{where}: non-finite coefficient in {line!r}")
-            if k < 0:
-                raise ValueError(f"{where}: negative mode k = {k}")
-            if n_modes is not None and k > n_modes:
-                raise ValueError(f"{where}: mode k = {k} exceeds the truncation N = {n_modes}")
-            if k in seen:
-                raise ValueError(f"{where}: duplicate row for mode k = {k}")
-            seen.add(k)
-            if k == 0:
-                if bk != 0.0:
-                    raise ValueError(f"{where}: the k = 0 (mean) row must have b = 0, got {b_str}")
-                mean = ak
-            else:
-                pairs[k] = (ak, bk)
+    for line_no, line in enumerate(read_text(path, "state file").split("\n"), start=1):
+        line = line.strip()
+        if not line or line.startswith("k,"):
+            continue
+        where = f"state file {path}, line {line_no}"
+        try:
+            k_str, a_str, b_str = line.split(",")
+            k, ak, bk = int(k_str), float(a_str), float(b_str)
+        except ValueError as exc:
+            raise ValueError(f"{where}: expected a row k,a_k,b_k, got {line!r}") from exc
+        if not (math.isfinite(ak) and math.isfinite(bk)):
+            raise ValueError(f"{where}: non-finite coefficient in {line!r}")
+        if k < 0:
+            raise ValueError(f"{where}: negative mode k = {k}")
+        if n_modes is not None and k > n_modes:
+            raise ValueError(f"{where}: mode k = {k} exceeds the truncation N = {n_modes}")
+        if k in seen:
+            raise ValueError(f"{where}: duplicate row for mode k = {k}")
+        seen.add(k)
+        if k == 0:
+            if bk != 0.0:
+                raise ValueError(f"{where}: the k = 0 (mean) row must have b = 0, got {b_str}")
+            mean = ak
+        else:
+            pairs[k] = (ak, bk)
     if not pairs:
         raise ValueError(f"state file {path} holds no modes")
     n = max(pairs)
@@ -127,9 +139,7 @@ def write_manifest(path, command: str, config: dict, seed: int, outputs: list[st
         "config": config,
         "outputs": sorted(outputs),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(path, [json.dumps(manifest, indent=2, sort_keys=True)])
 
 
 def _write(path, lines) -> None:

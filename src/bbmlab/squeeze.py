@@ -7,11 +7,10 @@ that the image cannot fit in a thinner cylinder.  Values above r are
 legitimate (the statement is one-sided) and are never clamped.
 
 The multistart ascent runs its starts in lock step: each batch of flows
-holds one row per candidate point of every live start, in chunks of
-_ROW_CHUNK rows, and every start keeps its own step size and stop state, so
-each path is the one the start would take alone.  A batch whose flow fails
-is flowed again one point at a time, and only the starts whose own flows
-fail are affected.
+holds one row per candidate point of every live start, and every start
+keeps its own step size and stop state, so each path is the one the start
+would take alone.  A batch whose flow fails is flowed again one point at a
+time, and only the starts whose own flows fail are affected.
 
 Gradients are exact for the discrete flow.  Every batch is flowed with a
 tape (flow.integrate_taped); a start keeps the tape and final row of its
@@ -45,9 +44,6 @@ from .spectral import (
 
 log = logging.getLogger(__name__)
 
-# Rows flowed per integrate_taped call: near 100 rows the cost per row-step
-# is lowest, and the chunk bounds a batch's memory.
-_ROW_CHUNK = 128
 # Line-search tries per iteration; a start backtracking alone flows its
 # remaining tries, at most _TRIES - 1, in one batch.
 _TRIES = 21
@@ -80,7 +76,6 @@ class SqueezeConfig:
     n_starts: int = 16
     center: TrigState | None = None
     cyl_center: tuple[float, float] = (0.0, 0.0)
-    ascent_step: float | None = None
     max_ascent_iters: int = 40
     stall_tol: float = 1e-6
     seed: int = 0
@@ -90,10 +85,6 @@ class SqueezeConfig:
             require_finite(name, getattr(self, name))
         if not self.r > 0:
             raise ValueError("ball radius r must be positive")
-        if self.ascent_step is not None:
-            require_finite("ascent_step", self.ascent_step)
-            if not self.ascent_step > 0:
-                raise ValueError(f"ascent_step must be positive, got {self.ascent_step}")
         if self.max_ascent_iters < 0:
             raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
         if self.stall_tol < 0:
@@ -160,38 +151,25 @@ def _reproject(x: np.ndarray, r: float) -> np.ndarray:
     return (r / float(np.linalg.norm(x))) * x
 
 
-def _flowed(rows: np.ndarray, cfg: SqueezeConfig) -> tuple[np.ndarray, list]:
-    """Final rows and per-row tapes of the time-T flows of rows, in chunks of _ROW_CHUNK rows.
-
-    Raises FlowError when any of the flows fails.
-    """
-    finals, tapes = [], []
-    for lo in range(0, len(rows), _ROW_CHUNK):
-        final, tape = integrate_taped(rows[lo:lo + _ROW_CHUNK], cfg.T, cfg.flow)
-        finals.append(final)
-        tapes.extend(tape)
-    return np.concatenate(finals), tapes
-
-
 def _image_points(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> tuple:
     """Image radius, final row and tape of each point of xs, all flowed as one batch.
 
     A point holds 2 n_active pair coordinates relative to the center row.
     When the batch raises FlowError each point is flowed again on its own,
     as a serial search would flow it, so a failing flow costs only its own
-    point: its radius is then nan and its tape None.
+    point: its radius is then nan and its tape row is left unset.
     """
     rows = center + pair_rows(np.array(xs), cfg.flow.N)
     try:
-        finals, tapes = _flowed(rows, cfg)
+        finals, tapes = integrate_taped(rows, cfg.T, cfg.flow)
     except FlowError:
-        finals, tapes = np.full_like(rows, np.nan), [None] * len(rows)
+        finals = np.full_like(rows, np.nan)
+        tapes = np.empty((len(rows),) + tape_shape(cfg.T, cfg.flow))
         for j in range(len(rows)):
             try:
-                final, (tapes[j],) = _flowed(rows[j:j + 1], cfg)
+                finals[j:j + 1], tapes[j:j + 1] = integrate_taped(rows[j:j + 1], cfg.T, cfg.flow)
             except FlowError:
                 continue
-            finals[j] = final[0]
     return _radii(finals, cfg.n0, cfg.cyl_center).tolist(), finals, tapes
 
 
@@ -260,7 +238,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     center_state = _center_state(cfg)
     center = center_state.row
     na = cfg.n_active
-    alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
+    alpha0 = 0.05 * cfg.r
 
     seed_x = np.zeros(2 * na)
     seed_x[cfg.n0 - 1] = cfg.r
@@ -272,18 +250,14 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     xs = [_reproject(x, cfg.r) for x in xs]
 
     # The final row and tape of each start's current point.
-    vals, kept_finals, tapes = _image_points(xs, cfg, center)
-    kept_tapes = np.empty((cfg.n_starts,) + tape_shape(cfg.T, cfg.flow))
+    vals, kept_finals, kept_tapes = _image_points(xs, cfg, center)
     starts = []
-    for start_id, (x, val, tape) in enumerate(zip(xs, vals, tapes)):
+    for start_id, (x, val) in enumerate(zip(xs, vals)):
         start = _Start(start_id, x, val, alpha0, [(0, val)])
-        if math.isfinite(val):
-            kept_tapes[start_id] = tape
-        else:
+        if not math.isfinite(val):
             log.warning("start %d abandoned: non-finite objective at the seed", start_id)
             start.abandoned = True
         starts.append(start)
-    del tapes  # the seed batch's tapes, copied into kept_tapes
 
     live = [s for s in starts if not s.abandoned]
     for it in range(1, cfg.max_ascent_iters + 1):

@@ -198,7 +198,7 @@ def reference_maximize_image_radius(cfg):
     center_state = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N)
     center = center_state.row
     na = cfg.n_active
-    alpha0 = cfg.ascent_step if cfg.ascent_step is not None else 0.05 * cfg.r
+    alpha0 = 0.05 * cfg.r
 
     def reproject(x):
         return (cfg.r / float(np.linalg.norm(x))) * x

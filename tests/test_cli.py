@@ -65,6 +65,23 @@ def stop_after_check(monkeypatch):
 LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"))
 
 
+# How an input file that cannot be read is named, by what is wrong with it.
+UNREADABLE = {
+    "missing": "{what} not found: {path}",
+    "directory": "cannot read {what} {path}: Is a directory",
+    "not_utf8": "cannot read {what} {path}: not UTF-8 text (invalid start byte)",
+}
+
+
+def unreadable(path, case):
+    """Make path name nothing, a directory, or a file holding a byte that is not UTF-8."""
+    if case == "directory":
+        path.mkdir()
+    elif case == "not_utf8":
+        path.write_bytes(b"k,a_k,b_k\n0,0,0\n1,0.5,0\n# \xff\n")
+    return path
+
+
 SIMULATE_T0 = """
 [run]
 seed = 3
@@ -153,6 +170,24 @@ class TestStateCsv:
         code, _ = run(tmp_path, monkeypatch, "simulate", text)
         assert code == 2
         assert "line 4: negative mode" in capsys.readouterr().err
+
+    # A missing file or a directory used to end in a FileNotFoundError or
+    # IsADirectoryError traceback (exit 1), and non-UTF-8 bytes in a bare
+    # codec message that did not name the file.
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    @pytest.mark.parametrize("command", ["simulate", "squeeze"])
+    def test_unreadable_state_file_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, command,
+                                                     case):
+        path = unreadable(tmp_path / "state.csv", case)
+        if command == "simulate":
+            text = SIMULATE_T0.replace("preset = smooth", f"csv = {path}")
+        else:
+            text = ini({"squeeze": {"r": "0.5", "n0": "1", "T": "0.0", "N": "8", "center_csv": path}})
+        code, outdir = run(tmp_path, monkeypatch, command, text)
+        assert code == 2
+        message = UNREADABLE[case].format(what="state file", path=path)
+        assert f"bbmlab {command}: {message}" in capsys.readouterr().err
+        assert not list(outdir.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["simulate", "squeeze"])
     def test_huge_mode_exits_2_before_sizing_arrays(self, tmp_path, monkeypatch, capsys, command):
@@ -465,6 +500,13 @@ max_ascent_iters = 1
         assert code == 2
         assert "unknown config key(s) `fd_step` in [squeeze]" in capsys.readouterr().err
 
+    def test_ascent_step_is_an_unknown_key(self, tmp_path, monkeypatch, capsys):
+        # Every search starts its steps at 0.05 r: the knob is gone.
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "ascent_step": "0.1"}
+        code, _ = run(tmp_path, monkeypatch, "squeeze", ini({"squeeze": keys}))
+        assert code == 2
+        assert "unknown config key(s) `ascent_step` in [squeeze]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("keys, message", [
         ({"integrator": "picard"}, "integrator = 'picard' has no adjoint"),
         ({"n_starts": "1025"}, "n_starts must be <= 1024 (squeeze.MAX_STARTS), got 1025"),
@@ -487,8 +529,6 @@ max_ascent_iters = 1
 
     @pytest.mark.parametrize("key, value, message", [
         # Each of these used to exit 0 having done no ascent.
-        ("ascent_step", "0", "ascent_step must be positive, got 0.0"),
-        ("ascent_step", "-0.1", "ascent_step must be positive, got -0.1"),
         ("max_ascent_iters", "-3", "max_ascent_iters must be >= 0, got -3"),
         ("stall_tol", "-1e-6", "stall_tol must be >= 0, got -1e-06"),
         # Used to read "cylinder mode n0 = 1 outside 1..0".
@@ -701,8 +741,7 @@ ALL_KEYS = {
     }},
     "squeeze": {"run": RUN_ALL_KEYS, "squeeze": {
         "r": "0.5", "n0": "1", "T": "1.0", "N": "16", "n_starts": "2", "center_csv": "{state_csv}",
-        "cyl_center_p": "0.0", "cyl_center_q": "0.0", "ascent_step": "0.1",
-        "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01", "integrator": "rk4",
+        "cyl_center_p": "0.0", "cyl_center_q": "0.0", "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01", "integrator": "rk4",
         "linear_only": "no",
     }},
     "orbit": {"run": RUN_ALL_KEYS, "orbit": {
@@ -730,7 +769,7 @@ FUZZ_CONFIGS = {
                                 "N_list": "16, 32"}},
     "squeeze": {"run": {"seed": "0"}, "squeeze": {
         "r": "0.5", "n0": "1", "T": "1.0", "N": "8", "n_starts": "2",
-        "ascent_step": "0.1", "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01",
+        "max_ascent_iters": "3", "stall_tol": "1e-6", "dt": "0.01",
         "cyl_center_p": "0.0", "cyl_center_q": "0.0",
     }},
     "orbit": {"orbit": {"fprime_list": "0.5, 2.0", "n_pairs": "1", "radius2": "0.5"}},
@@ -810,7 +849,7 @@ class TestConfigSchema:
         assert code == 2
         assert "unknown config key(s) `dealias_factor` in [flow]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section", ["flow", "squeeze"])
+    @pytest.mark.parametrize("section", ["flow", "squeeze", "estimates", "galerkin", "orbit"])
     def test_readme_schema_lists_the_keys_read(self, section):
         # The README's schema table names every key the CLI reads, and no other.
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -818,7 +857,7 @@ class TestConfigSchema:
         names = re.findall(r"`([A-Za-z0-9_/]+)`", re.sub(r"\([^)]*\)", "", row))
         keys = {key for name in names for key in (
             [name[:-4] + "_p", name[:-4] + "_q"] if name.endswith("_p/q") else [name])}
-        command = "simulate" if section == "flow" else "squeeze"
+        command = "simulate" if section == "flow" else section
         assert keys == set(ALL_KEYS[command][section])
 
     @pytest.mark.parametrize("name, expected", [
@@ -831,7 +870,7 @@ class TestConfigSchema:
         }),
         ("squeeze", {
             "run": {"outdir": "runs/squeeze", "seed": 0},
-            "squeeze": {"N": 32, "T": 1.0, "ascent_step": None, "center_csv": None,
+            "squeeze": {"N": 32, "T": 1.0, "center_csv": None,
                         "cyl_center_p": 0.0, "cyl_center_q": 0.0, "dt": 0.02,
                         "integrator": "rk4", "linear_only": False, "max_ascent_iters": 12,
                         "n0": 1, "n_starts": 16, "r": 0.5, "stall_tol": 1e-5},
@@ -911,3 +950,88 @@ class TestConfigSchema:
         err = capsys.readouterr().err
         assert code == 2, err
         assert re.search(rf"\[{section}\] {key} |\b{key} (must|=) ", err), err
+
+
+# What each FUZZ_CONFIGS run printed when every command had its own copy of
+# the run skeleton; the squeeze wall time is stripped.
+FUZZ_STDOUT = {
+    "simulate": (
+        "simulate: 10 steps to T = 0.1\n"
+        "  I1 drift: 0.000e+00 (relative 0.000e+00)\n"
+        "  I2 drift: 4.530e-14 (relative 3.875e-14)\n"
+        "  H drift: 1.571e-14 (relative 6.224e-14)\n"
+    ),
+    "galerkin": (
+        "galerkin: defect(N=4) = 3.763223e-10 against reference N = 16\n"
+        "galerkin: defect(N=8) = 1.308902e-18 against reference N = 16\n"
+    ),
+    "estimates": "estimates: (0.5, 0.5, 0.5) bilinear max ratio 0.071521 over 10 samples, "
+                 "sweep bounded: True\n",
+    "squeeze": (
+        "squeeze: r = 0.5, n0 = 1, T = 1.0: achieved radius 0.499886477 (0.9998 r) in X s\n"
+        "  witness Z norm: 0.5\n"
+        "  witness H^1 norm: 0.50001\n"
+    ),
+    "orbit": (
+        "orbit: f' = 0.5: period 6.28318531, period * f' = 3.14159265\n"
+        "orbit: f' = 2.0: period 1.57079633, period * f' = 3.14159265\n"
+    ),
+}
+
+
+def as_read(text):
+    """A FUZZ_CONFIGS value as the manifest records it: a number, a list of numbers, or text."""
+    try:
+        return json.loads(f"[{text}]" if "," in text else text)
+    except json.JSONDecodeError:
+        return text
+
+
+class TestDriver:
+    """main runs every command the same way: check, run, manifest, print, exit code."""
+
+    @pytest.mark.parametrize("command", list(FUZZ_CONFIGS))
+    def test_command_writes_its_manifest_and_prints(self, tmp_path, monkeypatch, capsys, command):
+        sections = FUZZ_CONFIGS[command]
+        code, outdir = run(tmp_path, monkeypatch, command, ini(sections))
+        assert code == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["seed"] == int(sections.get("run", {}).get("seed", 0))
+        assert manifest["outputs"] == sorted(str(path) for path in outdir.glob("*.csv"))
+        assert manifest["outputs"]
+        for section, keys in sections.items():
+            for key, text in keys.items():
+                assert manifest["config"][section][key] == as_read(text), (section, key)
+        out = re.sub(r" in \d+\.\d s$", " in X s", capsys.readouterr().out, flags=re.MULTILINE)
+        assert out == FUZZ_STDOUT[command]
+
+    # A directory used to read "missing required key `N` in section [flow]
+    # of <path>", and non-UTF-8 bytes gave the bare codec message.
+    @pytest.mark.parametrize("case", ["directory", "not_utf8"])
+    def test_unreadable_config_file_exits_2_naming_it(self, tmp_path, monkeypatch, capsys, case):
+        path = unreadable(tmp_path / "cfg.ini", case)
+        monkeypatch.setenv("BBMLAB_OUTDIR", str(tmp_path / "out"))
+        assert main(["simulate", str(path)]) == 2
+        message = UNREADABLE[case].format(what="config file", path=path)
+        assert f"bbmlab simulate: {message}" in capsys.readouterr().err
+
+    # os.makedirs used to raise FileExistsError: a traceback and exit 1.
+    @pytest.mark.parametrize("setting", ["[run] outdir", "BBMLAB_OUTDIR"])
+    def test_outdir_that_is_a_file_exits_2_naming_its_setting(self, tmp_path, monkeypatch, capsys,
+                                                              setting):
+        def no_orbit(*args):
+            raise AssertionError("orbit started")
+
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        sections = {"orbit": FUZZ_CONFIGS["orbit"]["orbit"]}
+        if setting == "BBMLAB_OUTDIR":
+            monkeypatch.setenv("BBMLAB_OUTDIR", str(taken))
+        else:
+            monkeypatch.delenv("BBMLAB_OUTDIR", raising=False)
+            sections["run"] = {"outdir": str(taken)}
+        monkeypatch.setattr(cli, "radial_orbit", no_orbit)
+        assert main(["orbit", write_config(tmp_path / "cfg.ini", ini(sections))]) == 2
+        err = capsys.readouterr().err
+        assert f"bbmlab orbit: output directory {setting} = {str(taken)!r}: File exists" in err

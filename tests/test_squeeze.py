@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from bbmlab import squeeze
-from bbmlab.flow import FlowConfig, adjoint_batch, integrate_batch, integrate_taped
+from bbmlab.flow import FlowConfig, adjoint_batch, integrate_taped
 from bbmlab.sampling import substream, z_sphere_row, z_sphere_state
 from bbmlab.spectral import (
     TrigState,
@@ -18,15 +18,12 @@ from bbmlab.spectral import (
     z_norm,
 )
 from bbmlab.squeeze import (
-    _ROW_CHUNK,
     MAX_STARTS,
     MAX_TAPE_BYTES,
     SqueezeConfig,
     _center_state,
-    _flowed,
     _gradients,
     _image_points,
-    _radii,
     cylinder_radius,
     maximize_image_radius,
 )
@@ -170,7 +167,7 @@ class TestMaximize:
         center = _center_state(cfg)
         assert center.n_modes == 8 and np.array_equal(center.a, unit_cos_mode(1, 8).a)
 
-    @pytest.mark.parametrize("field", ["r", "T", "ascent_step", "stall_tol"])
+    @pytest.mark.parametrize("field", ["r", "T", "stall_tol"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_numbers_rejected(self, field, value):
         # T = inf used to reach the flow.
@@ -179,7 +176,7 @@ class TestMaximize:
             SqueezeConfig(**kw)
 
     @pytest.mark.parametrize("field, value", [
-        ("ascent_step", 0.0), ("ascent_step", -0.1), ("max_ascent_iters", -3), ("stall_tol", -1e-6),
+        ("max_ascent_iters", -3), ("stall_tol", -1e-6),
     ])
     def test_settings_that_disable_the_search_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be (positive|>= 0), got {value}"):
@@ -359,7 +356,7 @@ class TestLockStep:
         assert_same_search(maximize_image_radius(cfg), reference_maximize_image_radius(cfg))
 
     @pytest.mark.parametrize("kw", [
-        # Criterion 6's widest cell: 16 starts x 24 gradient points, three row chunks.
+        # Criterion 6's widest cell: 16 starts at n0 = 3.
         dict(r=1.0, n0=3, T=1.0, flow=FlowConfig(N=32, dt=0.02), n_starts=16,
              max_ascent_iters=2, stall_tol=1e-5),
         dict(r=0.5, n0=2, T=0.7, flow=FlowConfig(N=16, dt=0.02), n_starts=5, max_ascent_iters=6,
@@ -401,12 +398,10 @@ class TestLockStep:
         assert abs(rep.achieved_radius - ref.achieved_radius) <= 1e-10
         assert np.allclose(rep.best_witness.row, ref.best_witness.row, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("chunk", [_ROW_CHUNK, 16])
-    def test_one_gradient_batch_per_iteration_and_chunk(self, chunk, monkeypatch):
+    def test_one_gradient_batch_per_iteration(self, monkeypatch):
         # Twenty starts: every iteration takes all live starts' gradients in
         # one reverse pass, one row per start, and flows nothing for them;
-        # the seed batch and the line-search rounds are flowed in chunks of
-        # at most chunk rows.
+        # the seed batch is flowed whole, and so is each line-search round.
         cfg = small_config(n_starts=20, max_ascent_iters=3)
         sizes, pulled = [], []
 
@@ -420,10 +415,8 @@ class TestLockStep:
 
         monkeypatch.setattr(squeeze, "integrate_taped", counting)
         monkeypatch.setattr(squeeze, "adjoint_batch", pull)
-        monkeypatch.setattr(squeeze, "_ROW_CHUNK", chunk)
         rep = maximize_image_radius(cfg)
-        assert all(n <= chunk for n in sizes)
-        assert sum(sizes[:-(-cfg.n_starts // chunk)]) == cfg.n_starts
+        assert sizes[0] == cfg.n_starts and all(n <= cfg.n_starts for n in sizes[1:])
         assert pulled[0] == cfg.n_starts and len(pulled) <= cfg.max_ascent_iters
         assert_same_search(rep, reference_maximize_image_radius(cfg))
 
@@ -444,21 +437,6 @@ class TestLockStep:
         rep = maximize_image_radius(cfg)
         assert len(sizes) <= 1 + 2 * cfg.max_ascent_iters
         assert_same_search(rep, reference_maximize_image_radius(cfg))
-
-
-def test_chunked_flow_equals_whole_batch():
-    # 384 rows, three chunks: the final rows and tapes equal one whole-batch flow's.
-    cfg = SqueezeConfig(r=1.0, n0=3, T=1.0, flow=FlowConfig(N=32, dt=0.02))
-    rows = np.array([z_sphere_row(substream(5, "chunk", i), 1.0, 32, cfg.n_active)
-                     for i in range(384)])
-    assert len(rows) > 2 * _ROW_CHUNK
-    whole, whole_tape = integrate_taped(rows, cfg.T, cfg.flow)
-    assert np.array_equal(whole, integrate_batch(rows, cfg.T, cfg.flow))
-    chunked, tapes = _flowed(rows, cfg)
-    assert np.array_equal(chunked, whole)
-    assert np.array_equal(np.array(tapes), whole_tape)
-    assert np.array_equal(_radii(chunked, cfg.n0, cfg.cyl_center),
-                          _radii(whole, cfg.n0, cfg.cyl_center))
 
 
 class TestBallImageScan:
