@@ -398,11 +398,13 @@ class TestLockStep:
         assert abs(rep.achieved_radius - ref.achieved_radius) <= 1e-10
         assert np.allclose(rep.best_witness.row, ref.best_witness.row, rtol=0, atol=1e-10)
 
-    def test_one_gradient_batch_per_iteration(self, monkeypatch):
-        # Twenty starts: every iteration takes all live starts' gradients in
+    @pytest.mark.parametrize("chunk", [128, 16])
+    def test_one_gradient_batch_per_iteration_and_chunk(self, chunk, monkeypatch):
+        # chunk starts: every iteration takes all live starts' gradients in
         # one reverse pass, one row per start, and flows nothing for them;
-        # the seed batch is flowed whole, and so is each line-search round.
-        cfg = small_config(n_starts=20, max_ascent_iters=3)
+        # the seed batch is flowed whole as one chunk of chunk rows, and so
+        # is each line-search round.
+        cfg = small_config(n_starts=chunk, max_ascent_iters=3)
         sizes, pulled = [], []
 
         def counting(rows, t_span, fcfg):
