@@ -8,7 +8,8 @@ calls the command, resolves the output directory (BBMLAB_OUTDIR overrides
 the configured one) and rejects unread keys, all before any work; it then
 runs the step, writes manifest.json (the resolved config and the CSVs) and
 prints.  Same (config, seed), same CSV bytes.  Config and input errors,
-unreadable files among them, exit 2; failed integrations exit 1.
+unreadable inputs, unwritable outputs and a [flow] dt needing more than
+flow.MAX_STEPS steps among them, exit 2; failed integrations exit 1.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import MISSING
 
 from . import io as bio
 from .estimates import DEFAULT_N_SWEEP, estimate_constant, radial_orbit
-from .flow import FlowConfig, FlowError, integrate, galerkin_defect
+from .flow import FlowConfig, FlowError, _step_count, galerkin_defect, integrate
 from .sampling import smooth_profile, sobolev_ball_state, substream
 from .spectral import MAX_MODES, TrigState, sobolev_norm, z_norm
 from .squeeze import SqueezeConfig, _center_state, maximize_image_radius
@@ -187,9 +188,19 @@ def _csv(outdir: str, name: str, write, data) -> str:
     return path
 
 
-def cmd_simulate(cfg: _Cfg, seed: int):
+def _flow_section(cfg: _Cfg) -> tuple[FlowConfig, float]:
+    """[flow] as a FlowConfig and the horizon T; a dt needing too many steps names [flow] dt."""
     fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
     horizon = cfg.get("flow", "T", _float)
+    try:
+        _step_count(horizon, fcfg.dt)
+    except ValueError as exc:
+        raise ConfigError(f"[flow] {exc}") from None
+    return fcfg, horizon
+
+
+def cmd_simulate(cfg: _Cfg, seed: int):
+    fcfg, horizon = _flow_section(cfg)
     trace_every = cfg.get("flow", "trace_every", _int, 100)
     if trace_every < 1:
         raise ConfigError(f"[flow] trace_every must be >= 1, got {trace_every}")
@@ -233,7 +244,7 @@ def cmd_estimates(cfg: _Cfg, seed: int):
 def cmd_squeeze(cfg: _Cfg, seed: int):
     flow = FlowConfig(
         **cfg.fields("squeeze", FlowConfig,
-                     skip=("dt", "picard_tol", "picard_max_iter", "midpoint_tol")),
+                     skip=("dt", "picard_max_iter", "midpoint_tol")),
         dt=cfg.get("squeeze", "dt", _float, 0.01),
     )
     center_csv = cfg.get("squeeze", "center_csv", str, None)
@@ -263,8 +274,7 @@ def cmd_squeeze(cfg: _Cfg, seed: int):
 
 
 def cmd_galerkin(cfg: _Cfg, seed: int):
-    fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
-    horizon = cfg.get("flow", "T", _float)
+    fcfg, horizon = _flow_section(cfg)
     n_small_list = cfg.get("galerkin", "N_small_list", _list(_int), [8, 16, 32])
     for n_small in n_small_list:
         if not 1 <= n_small <= fcfg.N:

@@ -38,6 +38,8 @@ DEFAULT_N_SWEEP = (16, 32, 64, 128)
 _SWEEP_BATCH = 32
 # Most samples per truncation, 100 times criterion 5's 10,000.
 MAX_SAMPLES = 10 ** 6
+_SMOOTHING_TIMES = 32
+_ORBIT_STEPS_PER_PERIOD = 20000
 
 
 @dataclass(frozen=True)
@@ -231,33 +233,25 @@ def estimate_constant(
     )
 
 
-def smoothing_ratio(
-    u0: TrigState,
-    v0: TrigState,
-    t_span: float,
-    eps: float,
-    cfg: FlowConfig,
-    n_time_samples: int = 32,
-) -> float:
+def smoothing_ratio(u0: TrigState, v0: TrigState, t_span: float, eps: float,
+                    cfg: FlowConfig) -> float:
     """Gain-of-regularity quotient of the interaction parts of two solutions.
 
     sup over sampled t in [0, T] of
     ||NL_t(u0) - NL_t(v0)||_{H^{1/2+eps}} / ||u0 - v0||_{H^{1/2-eps}},
     where NL_t is the deviation from free rotation.  The time sup uses a
-    uniform grid of n_time_samples points (an under-estimate of the true sup).
+    uniform grid of _SMOOTHING_TIMES points (an under-estimate of the true sup).
     """
     if not 0.0 < eps < 1.0 / 12.0:
         raise ValueError(f"eps must lie in (0, 1/12), got {eps}")
     denom = sobolev_norm(u0 - v0, 0.5 - eps)
     if denom == 0.0:
         raise ValueError("smoothing_ratio requires distinct initial states")
-    if t_span == 0.0:
-        return 0.0
     ops = _VecOps.of(cfg)
     c = c0 = np.array([_padded(u, cfg, "smoothing_ratio").row for u in (u0, v0)])
     best = 0.0
-    dt_seg = t_span / n_time_samples
-    for i in range(1, n_time_samples + 1):
+    dt_seg = t_span / _SMOOTHING_TIMES
+    for i in range(1, _SMOOTHING_TIMES + 1):
         c = integrate_batch(c, dt_seg, cfg)
         nl = ops.free(c, -i * dt_seg) - c0
         best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
@@ -340,9 +334,7 @@ def _radial_rhs(x: np.ndarray, out: np.ndarray, fprime_max: float, radius2: floa
     np.multiply(2.0 * fp, out, out=out)
 
 
-def radial_orbit(
-    fprime_max: float, n_pairs: int, radius2: float, steps_per_period: int = 20000
-) -> tuple[float, float]:
+def radial_orbit(fprime_max: float, n_pairs: int, radius2: float) -> tuple[float, float]:
     """Measured orbit period of a radial Hamiltonian, plus max shell drift.
 
     For radial H the orbit rotates every pair rigidly at angular speed
@@ -362,13 +354,13 @@ def radial_orbit(
 
     rhs = functools.partial(_radial_rhs, fprime_max=fprime_max, radius2=radius2)
     period_guess = math.pi / fprime_max
-    dt = period_guess / steps_per_period
+    dt = period_guess / _ORBIT_STEPS_PER_PERIOD
     accumulated = 0.0
     drift = 0.0
     t = 0.0
     zeta = complex(x[0], x[n_pairs])
     work = np.empty((5,) + x.shape)
-    for _ in range(4 * steps_per_period):
+    for _ in range(4 * _ORBIT_STEPS_PER_PERIOD):
         rk4_step(rhs, x, dt, work)
         t += dt
         drift = max(drift, abs(float(np.dot(x, x)) - radius2))

@@ -25,7 +25,8 @@ the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
 RFFT), along the last axis, into one workspace that every step of a
 flow reuses.  The workspace is sized by row capacity, so the implicit
 midpoint's shrinking set of unconverged rows takes its leading rows; rk4 and
-the midpoint step the rows in place.  A flow takes at most MAX_STEPS steps.
+the midpoint step the rows in place.  A flow takes at most MAX_STEPS steps,
+and none over a zero horizon.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row): the witness
@@ -33,11 +34,13 @@ search, the flow Jacobian and the smoothing ratio build their rows with
 spectral.pair_rows and read them with spectral.pair_coords.  A row that
 turns non-finite stops the loop with a ``FlowError``.
 
-``integrate_taped`` also records a tape of the grid values the product kernel
-saw (each rk4 stage input, or each converged implicit midpoint), and
-``adjoint_batch`` runs the discrete adjoint of the step map backwards over
-it: one reverse pass pulls a cotangent at the horizon back to the initial
-rows, which is how the witness search takes its gradients.
+``integrate_taped`` runs the loop with a tape, into which step i records the
+grid values the product kernel saw (each rk4 stage input, or each converged
+implicit midpoint), and ``adjoint_batch`` runs the discrete adjoint of the
+step map backwards over it: one reverse pass pulls a cotangent at the horizon
+back to the initial rows, which is how the witness search takes its
+gradients.  The implicit midpoint's transpose is the same implicit solve with
+the adjoint right-hand side, so both directions share one fixed-point solver.
 
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
@@ -71,6 +74,8 @@ from .spectral import (
 
 _INTEGRATORS = ("rk4", "implicit_midpoint", "picard")
 _MIDPOINT_MAX_ITER = 100
+# The successive-iterate X^0 difference at which a Picard subinterval has converged.
+_PICARD_TOL = 1e-12
 
 # Quadrature panels never exceed this length; the Duhamel fixed point still
 # spans the whole subinterval, only the integral is composite.  One panel
@@ -112,13 +117,12 @@ class FlowConfig:
     N: int
     dt: float
     integrator: str = "rk4"
-    picard_tol: float = 1e-12
     picard_max_iter: int = 60
     midpoint_tol: float = 1e-12
     linear_only: bool = False
 
     def __post_init__(self):
-        for name in ("dt", "picard_tol", "midpoint_tol"):
+        for name in ("dt", "midpoint_tol"):
             require_finite(name, getattr(self, name))
         if self.N < 1:
             raise ValueError("N must be >= 1")
@@ -128,8 +132,6 @@ class FlowConfig:
             raise ValueError("dt must be positive")
         if self.integrator not in _INTEGRATORS:
             raise ValueError(f"integrator must be one of {_INTEGRATORS}")
-        if not 0 < self.picard_tol <= 1e-6:
-            raise ValueError("picard_tol must lie in (0, 1e-6]")
         if not 0 < self.midpoint_tol <= 1e-6:
             raise ValueError("midpoint_tol must lie in (0, 1e-6]")
         if self.picard_max_iter < 1:
@@ -201,7 +203,7 @@ class _VecOps:
             bins = self.m_pad // 2 + 1
             self._work = (np.zeros((rows, bins), complex), np.empty((rows, self.m_pad)),
                           np.empty((rows, self.m_pad)), np.empty((rows, bins), complex))
-        spec, vals, half, prod = (w[:rows].reshape(*lead, -1) for w in self._work)
+        spec, vals, half, prod = (w[:rows].reshape(*lead, w.shape[-1]) for w in self._work)
         modes = slice(1, self.n + 1)
         self._lead = lead
         self._views = spec, spec[..., modes], vals, half, prod, prod[..., modes].view(float)
@@ -317,34 +319,52 @@ def rk4_step(f, y: np.ndarray, dt: float, work: np.ndarray) -> None:
     np.add(y, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1), out=y)
 
 
-def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int,
-                   work: np.ndarray) -> None:
-    """One implicit-midpoint step, taken in place on y; work has the shape of rk4_step's."""
-    # Fixed point for each row's endpoint z: z = y + dt * f((y+z)/2), seeded
-    # by Euler.  A row stops once its own residual meets tol; a non-finite
-    # residual also stops it, and the stepping loop then reports the row.
-    # The active rows are gathered into the leading rows of the work buffers.
-    y2 = y.reshape(-1, y.shape[-1])
-    z, ya, za, mid, f = work.reshape(5, *y2.shape)
-    np.add(y2, np.multiply(dt, ops.rhs(y2, f), out=z), out=z)
-    active = np.arange(len(y2))
+def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt: float, tol, work: np.ndarray) -> tuple:
+    """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
+
+    The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
+    rhs).  g(x, out, rows) writes g at x, standing for the rows `rows` of y, into out.  A row
+    stops once the Z norm of its change is at most tol (a number, or one per row) or is not
+    finite.  The active rows take the leading rows of work, shape (5, *y.shape).  Returns z, in
+    work[0], and the indices and last changes of the rows still moving after _MIDPOINT_MAX_ITER.
+    """
+    z, ya, za, mid, f = work
+    np.add(y, np.multiply(dt, g(y, f, slice(None)), out=z), out=z)
+    active = np.arange(len(y))
     for _ in range(_MIDPOINT_MAX_ITER):
         k = active.size
         ya_k, za_k, mid_k, f_k = ya[:k], za[:k], mid[:k], f[:k]
-        np.take(y2, active, axis=0, out=ya_k)
+        np.take(y, active, axis=0, out=ya_k)
         np.take(z, active, axis=0, out=za_k)
         np.multiply(0.5, np.add(ya_k, za_k, out=mid_k), out=mid_k)
-        z_new = np.add(ya_k, np.multiply(dt, ops.rhs(mid_k, f_k), out=f_k), out=f_k)
+        z_new = np.add(ya_k, np.multiply(dt, g(mid_k, f_k, active), out=f_k), out=f_k)
         delta = ops.znorm(np.subtract(z_new, za_k, out=za_k))
         z[active] = z_new
-        active = active[delta > tol]
+        moving = delta > (tol[active] if isinstance(tol, np.ndarray) else tol)
+        active = active[moving]
         if not active.size:
-            np.copyto(y2, z)
-            return
-    raise FlowError(
-        f"implicit midpoint solver stalled at step {step_no}: "
-        f"residual {float(np.max(delta)):.3e} > tol {tol:.3e}"
-    )
+            break
+    return z, active, delta[moving]
+
+
+def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int,
+                   work: np.ndarray, tape=None) -> None:
+    """One implicit-midpoint step, taken in place on y; work has the shape of rk4_step's.
+
+    A stalled solve raises FlowError.  Given tape, a (rows, m_pad) array, the grid values of each
+    row's midpoint (y + z)/2 are written into it.
+    """
+    y2 = y.reshape(-1, y.shape[-1])
+    z, stalled, residual = _midpoint_solve(ops, lambda x, out, rows: ops.rhs(x, out), y2, dt, tol,
+                                           work.reshape(5, *y2.shape))
+    if stalled.size:
+        raise FlowError(
+            f"implicit midpoint solver stalled at step {step_no}: "
+            f"residual {float(np.max(residual)):.3e} > tol {tol:.3e}"
+        )
+    if tape is not None:
+        tape[...] = synthesize_rows(0.0, 0.5 * (y2 + z), ops.m_pad)
+    np.copyto(y2, z)
 
 
 def _gauss_collocation(n_nodes: int = 8):
@@ -427,46 +447,55 @@ def _picard_subinterval(
 
 
 def _step_count(t_span: float, dt: float) -> int:
-    """ceil(|t_span| / dt), at least 1; a ValueError naming dt and T above MAX_STEPS."""
+    """ceil(|t_span| / dt), 0 for a zero horizon; a ValueError naming dt and T above MAX_STEPS."""
     steps = abs(t_span) / dt
     if not steps <= MAX_STEPS:
         raise ValueError(
             f"dt = {dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
             f"more than flow.MAX_STEPS = {MAX_STEPS}"
         )
-    return max(1, math.ceil(steps))
+    return math.ceil(steps)
 
 
 def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_every: int = 0,
-             record=None, rhs=None) -> tuple[np.ndarray, int, list]:
+             record=None, tape=None) -> tuple[np.ndarray, int, list]:
     """The one stepping loop: flow the rows of y over [0, t_span].
 
     y is a (batch, N) array, or a single (N,) row, which spares the
     batch axis's per-call overhead on long serial flows; Picard takes only
-    the single row.  Takes ceil(|t_span| / dt) equal steps.  Every
-    trace_every steps, and after the last, calls record(t, y).  rk4 steps
-    with rhs, ops.rhs unless given.  Raises
-    FlowError naming the step and time (and the row, for a batch) as soon
-    as a row turns non-finite.  Returns the final rows, the step count and
-    the Picard X^0 differences per subinterval.  More than MAX_STEPS steps
-    are refused with a ValueError, before anything is allocated.
+    the single row.  Takes ceil(|t_span| / dt) equal steps, none for a zero
+    horizon.  Every trace_every steps, and after the last, calls record(t, y).
+    Step i records into tape[:, i], if given, the grid values of its rk4 stage
+    inputs or midpoints.  Raises FlowError naming the step and time (and the
+    row, for a batch) as soon as a row turns non-finite.  Returns the final
+    rows, the step count and the Picard X^0 differences per subinterval.
+    More than MAX_STEPS steps are refused with a ValueError, before anything
+    is allocated.
     """
     n_steps = _step_count(t_span, cfg.dt)
-    dt = t_span / n_steps
+    dt = t_span / max(n_steps, 1)
     picard_diffs = []
-    rhs = rhs or ops.rhs
     # rk4 and the midpoint step this copy in place, in one set of five work rows.
     y, work = y.astype(complex), np.empty((5,) + y.shape, complex)
+
+    def taped_rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        ops.rhs(x, out)
+        np.copyto(next(slots), ops._views[2])  # the grid values of x
+        return out
+
+    rhs = ops.rhs if tape is None else taped_rhs
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
+            # The step's tape rows: one per rk4 stage input, or one for the midpoints.
+            slots = iter(() if tape is None else tape[:, i].swapaxes(0, 1))
             if cfg.integrator == "rk4":
                 rk4_step(rhs, y, dt, work)
             elif cfg.integrator == "implicit_midpoint":
-                _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1, work)
+                _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1, work, next(slots, None))
             else:
-                y, diffs = _picard_subinterval(ops, y, dt, cfg.picard_tol, cfg.picard_max_iter, i * dt)
+                y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))
             if not np.isfinite(y).all():
                 where = ""
@@ -523,7 +552,7 @@ def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray
     meets midpoint_tol.  The Picard integrator solves one row at a time.
     """
     _check_rows(c, cfg)
-    if not len(c) or t_span == 0.0:
+    if not len(c):
         return c.copy()
     ops = _VecOps.of(cfg)
     if cfg.integrator == "picard":
@@ -541,9 +570,8 @@ def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:
     if cfg.integrator == "picard":
         raise ValueError("integrator = 'picard' has no adjoint: taped flows take rk4 or "
                          "implicit_midpoint")
-    steps = _step_count(t_span, cfg.dt) if t_span else 0
     stages = 4 if cfg.integrator == "rk4" else 1
-    return steps, stages, 0 if cfg.linear_only else _VecOps.of(cfg).m_pad
+    return _step_count(t_span, cfg.dt), stages, 0 if cfg.linear_only else _VecOps.of(cfg).m_pad
 
 
 def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -556,26 +584,8 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     """
     _check_rows(c, cfg)
     tape = np.empty((len(c),) + tape_shape(t_span, cfg))
-    if not tape.size:
-        return integrate_batch(c, t_span, cfg), tape
-    ops = _VecOps.of(cfg)
-    if cfg.integrator == "rk4":
-        slots = (tape[:, i, stage] for i in range(tape.shape[1]) for stage in range(4))
-
-        def rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-            ops.rhs(x, out)
-            np.copyto(next(slots), ops._views[2])  # the grid values of x
-            return out
-
-        return _advance(ops, c, t_span, cfg, rhs=rhs)[0], tape
-    prev, steps = c.astype(complex), iter(range(tape.shape[1]))
-
-    def record(t: float, y: np.ndarray) -> None:
-        mid = np.multiply(0.5, np.add(prev, y, out=prev), out=prev)
-        tape[:, next(steps), 0] = synthesize_rows(0.0, mid, ops.m_pad)
-        np.copyto(prev, y)
-
-    return _advance(ops, c, t_span, cfg, 1, record)[0], tape
+    # A linear_only flow has no products to record.
+    return _advance(_VecOps.of(cfg), c, t_span, cfg, tape=tape if tape.size else None)[0], tape
 
 
 def _rk4_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: float,
@@ -603,32 +613,19 @@ def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: flo
                            work: np.ndarray) -> None:
     """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
 
-    u, of shape (rows, m_pad), holds the grid values of the converged
-    midpoints.  The step z = y + dt f((y + z)/2) has the tangent map
-    (I - dt/2 J)^{-1} (I + dt/2 J), so with mu = lam + dt/2 A(mu), solved
-    by fixed-point iteration from mu = lam, the cotangent becomes 2 mu - lam.
-    Each row iterates until its own change is at most tol times its
-    cotangent's Z norm (a cotangent has no scale of its own); a row still
-    moving after _MIDPOINT_MAX_ITER iterations is set to nan, which fails
-    its start.  work has the shape of _rk4_adjoint_step's.
+    u, of shape (rows, m_pad), holds the grid values of the converged midpoints.  The step's
+    tangent map (I - dt/2 J)^{-1} (I + dt/2 J) has the transpose lam -> nu, nu = lam + dt
+    A((lam + nu)/2) with A the adjoint rhs at u: the forward step's equation.  A row iterates
+    until its change is at most 2 tol |lam|_Z (a cotangent has no scale of its own); a row that
+    stalls is set to nan, which fails its start.  work has the shape of _rk4_adjoint_step's.
     """
-    mu, new, tmp = work[:3]
-    np.copyto(mu, lam)
-    bound = tol * ops.znorm(lam)
-    active = np.arange(len(lam))
-    for _ in range(_MIDPOINT_MAX_ITER):
-        k = active.size
-        mu_k = mu[active]
-        step = ops.rhs_adjoint(mu_k, u[active], new[:k], tmp[:k])
-        np.add(lam[active], np.multiply(0.5 * dt, step, out=step), out=step)
-        delta = ops.znorm(np.subtract(step, mu_k, out=mu_k))
-        mu[active] = step
-        active = active[delta > bound[active]]
-        if not active.size:
-            break
-    else:
-        mu[active] = np.nan
-    np.subtract(np.multiply(2.0, mu, out=mu), lam, out=lam)
+    def adjoint_rhs(x: np.ndarray, out: np.ndarray, rows) -> np.ndarray:
+        return ops.rhs_adjoint(x, u[rows], out, work[5, :len(x)])
+
+    nu, stalled, _ = _midpoint_solve(ops, adjoint_rhs, lam, dt, 2.0 * tol * ops.znorm(lam),
+                                     work[:5])
+    nu[stalled] = np.nan
+    np.copyto(lam, nu)
 
 
 def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
@@ -644,9 +641,7 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     """
     lam = np.array(lam, dtype=complex)
     n_steps = tape.shape[1]
-    if not n_steps:
-        return lam
-    dt = t_span / n_steps
+    dt = t_span / max(n_steps, 1)
     ops = _VecOps.of(cfg)
     work = np.empty((7,) + lam.shape, complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -682,8 +677,6 @@ def nonlinear_part(u0: TrigState, t_span: float, cfg: FlowConfig) -> TrigState:
     Zero is a fixed point; the result is one derivative smoother than u0.
     """
     require_mean_zero(u0, "nonlinear_part")
-    if t_span == 0.0:
-        return TrigState.zero(max(u0.n_modes, cfg.N))
     final = integrate(u0, t_span, cfg).final
     return free_evolution(final, -t_span) - u0.padded(cfg.N)
 

@@ -143,7 +143,11 @@ def write_manifest(path, command: str, config: dict, seed: int, outputs: list[st
 
 
 def _write(path, lines) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    """Write lines to path, one per line; a ValueError naming path if it cannot be written."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+            fh.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from None

@@ -94,9 +94,9 @@ def z_sphere_state(rng: np.random.Generator, radius: float, n_modes: int, n_acti
     return TrigState.from_row(z_sphere_row(rng, radius, n_modes, n_active))
 
 
-def smooth_profile(n_modes: int, k_max: int = 20) -> TrigState:
-    """The shipped smooth initial state: sum_{k<=k_max} k^{-2}(cos kx + sin kx), Z-normalized."""
-    km = min(k_max, n_modes)
+def smooth_profile(n_modes: int) -> TrigState:
+    """The shipped smooth initial state: sum_{k<=20} k^{-2}(cos kx + sin kx), Z-normalized."""
+    km = min(20, n_modes)
     a = np.zeros(n_modes)
     b = np.zeros(n_modes)
     k = np.arange(1, km + 1, dtype=float)

@@ -82,6 +82,15 @@ def unreadable(path, case):
     return path
 
 
+def refuse_work(monkeypatch):
+    """Make building the initial state or taking an rk4 step fail the test."""
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "_initial_state", no_work)
+    monkeypatch.setattr(flow, "rk4_step", no_work)
+
+
 SIMULATE_T0 = """
 [run]
 seed = 3
@@ -250,7 +259,7 @@ amplitude = 50
         assert lines[0].startswith("bbmlab simulate: integration failed: state became non-finite")
 
     @pytest.mark.parametrize("key, value", [
-        ("dt", "inf"), ("dt", "nan"), ("picard_tol", "nan"), ("midpoint_tol", "inf"),
+        ("dt", "inf"), ("dt", "nan"), ("midpoint_tol", "inf"),
     ])
     def test_non_finite_number_exits_2(self, tmp_path, monkeypatch, capsys, key, value):
         text = SIMULATE_T0.replace("T = 0.0", "T = 0.1")
@@ -263,21 +272,19 @@ amplitude = 50
         assert f"{key} must be finite" in capsys.readouterr().err
 
     # dt = 5e-324 died in math.ceil(inf) with an OverflowError traceback, and
-    # dt = 1e-300 asked for 10^300 steps and never ended.
+    # dt = 1e-300 asked for 10^300 steps and never ended; later it was refused
+    # without naming [flow], after the state was built and the outdir made.
     @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])
     def test_step_count_above_cap_exits_2_before_any_step(self, tmp_path, monkeypatch, capsys,
                                                           dt):
-        def no_step(*args):
-            raise AssertionError("flow stepped")
-
-        monkeypatch.setattr(flow, "rk4_step", no_step)
+        refuse_work(monkeypatch)
         text = SIMULATE_T0.replace("T = 0.0", "T = 1.0").replace("dt = 0.01", f"dt = {dt}")
         code, outdir = run(tmp_path, monkeypatch, "simulate", text)
         assert code == 2
         err = capsys.readouterr().err
-        assert f"bbmlab simulate: dt = {float(dt)!r} over T = 1.0 needs " in err
+        assert f"bbmlab simulate: [flow] dt = {float(dt)!r} over T = 1.0 needs " in err
         assert f"more than flow.MAX_STEPS = {flow.MAX_STEPS}" in err
-        assert not list(outdir.glob("*.csv"))
+        assert not outdir.exists()
 
     def test_picard_panel_count_above_cap_exits_2_before_any_node(self, tmp_path, monkeypatch,
                                                                    capsys):
@@ -631,6 +638,16 @@ N_small_list = 4, 8
         assert f"bbmlab {command}: {message}" in capsys.readouterr().err
         assert not list(outdir.glob("*.csv"))
 
+    def test_galerkin_step_count_above_cap_exits_2_before_any_work(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        refuse_work(monkeypatch)
+        sections = {"flow": {"N": "32", "dt": "1e-300", "T": "0.25"}, "state": {"preset": "smooth"}}
+        code, outdir = run(tmp_path, monkeypatch, "galerkin", ini(sections))
+        assert code == 2
+        assert ("bbmlab galerkin: [flow] dt = 1e-300 over T = 0.25 needs 2.5e+299 steps, more "
+                f"than flow.MAX_STEPS = {flow.MAX_STEPS}" in capsys.readouterr().err)
+        assert not outdir.exists()
+
     def test_orbit_grid(self, tmp_path, monkeypatch):
         text = """
 [orbit]
@@ -721,8 +738,8 @@ max_ascent_iters = 3
 
 
 FLOW_ALL_KEYS = {
-    "N": "16", "dt": "0.01", "T": "0.1", "integrator": "rk4", "picard_tol": "1e-12",
-    "picard_max_iter": "60", "midpoint_tol": "1e-12", "linear_only": "false",
+    "N": "16", "dt": "0.01", "T": "0.1", "integrator": "rk4", "picard_max_iter": "60",
+    "midpoint_tol": "1e-12", "linear_only": "false",
 }
 STATE_ALL_KEYS = {
     "smooth": {"preset": "smooth", "scale": "0.5"},
@@ -756,8 +773,8 @@ SCHEMA_CASES = [(command, None) for command in ("estimates", "squeeze", "orbit")
 FUZZ_CONFIGS = {
     "simulate": {
         "run": {"seed": "3"},
-        "flow": {"N": "8", "dt": "0.01", "T": "0.1", "picard_tol": "1e-12",
-                 "picard_max_iter": "60", "midpoint_tol": "1e-12", "trace_every": "10"},
+        "flow": {"N": "8", "dt": "0.01", "T": "0.1", "picard_max_iter": "60",
+                 "midpoint_tol": "1e-12", "trace_every": "10"},
         "state": {"preset": "smooth", "scale": "1.0"},
     },
     "galerkin": {
@@ -849,6 +866,13 @@ class TestConfigSchema:
         assert code == 2
         assert "unknown config key(s) `dealias_factor` in [flow]" in capsys.readouterr().err
 
+    def test_flow_picard_tol_is_unknown(self, tmp_path, monkeypatch, capsys):
+        # The Picard tolerance is the constant flow._PICARD_TOL.
+        text = SIMULATE_T0.replace("[state]", "picard_tol = 1e-12\n[state]")
+        code, _ = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert "unknown config key(s) `picard_tol` in [flow]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section", ["flow", "squeeze", "estimates", "galerkin", "orbit"])
     def test_readme_schema_lists_the_keys_read(self, section):
         # The README's schema table names every key the CLI reads, and no other.
@@ -864,7 +888,7 @@ class TestConfigSchema:
         ("simulate", {
             "flow": {"N": 64, "T": 1.0, "dt": 0.001, "integrator": "rk4",
                      "linear_only": False, "midpoint_tol": 1e-12, "picard_max_iter": 60,
-                     "picard_tol": 1e-12, "trace_every": 100},
+                     "trace_every": 100},
             "run": {"outdir": "runs/simulate", "seed": 1},
             "state": {"csv": None, "preset": "smooth", "scale": 1.0},
         }),
@@ -1035,3 +1059,14 @@ class TestDriver:
         assert main(["orbit", write_config(tmp_path / "cfg.ini", ini(sections))]) == 2
         err = capsys.readouterr().err
         assert f"bbmlab orbit: output directory {setting} = {str(taken)!r}: File exists" in err
+
+    # A directory in the way of an output file used to end in io._write with
+    # an IsADirectoryError traceback and exit 1, after the whole flow.
+    @pytest.mark.parametrize("name", ["trace.csv", "manifest.json"])
+    def test_output_that_cannot_be_written_exits_2_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                             name):
+        (tmp_path / "out" / name).mkdir(parents=True)
+        code, outdir = run(tmp_path, monkeypatch, "simulate", ini(FUZZ_CONFIGS["simulate"]))
+        assert code == 2
+        assert (f"bbmlab simulate: cannot write {outdir / name}: Is a directory"
+                in capsys.readouterr().err)

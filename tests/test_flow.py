@@ -125,10 +125,14 @@ class TestFreeEvolution:
 class TestIntegrate:
     def test_zero_horizon_identity(self):
         u = random_state(1, 8)
+        rows = rows_of([u, random_state(2, 8)])
         for integ in ("rk4", "implicit_midpoint", "picard"):
-            res = integrate(u, 0.0, FlowConfig(N=8, dt=1e-2, integrator=integ))
+            cfg = FlowConfig(N=8, dt=1e-2, integrator=integ)
+            res = integrate(u, 0.0, cfg, trace_every=1)
             assert res.steps == 0
-            assert np.all(res.final.a == u.a)
+            assert _same_bits(res.final.a, u.a) and _same_bits(res.final.b, u.b)
+            assert res.trace == ((0.0,) + invariants_of(u),)
+            assert _same_bits(integrate_batch(rows, 0.0, cfg), rows)
 
     def test_cross_method_agreement(self):
         u0 = TrigState.single_mode(1, 32, a_k=0.1) + TrigState.single_mode(2, 32, b_k=0.1)
@@ -301,7 +305,7 @@ class TestAdjoint:
                            rtol=0, atol=1e-15)
 
     def test_empty_tapes(self):
-        # A linear_only flow records nothing, and a zero horizon takes no step.
+        # A linear_only flow records nothing, a zero horizon takes no step, and no rows flow.
         c = rows_of([random_state(i, 8, radius=0.8) for i in range(2)])
         assert integrate_taped(c, 0.5, FlowConfig(N=8, dt=0.1, linear_only=True))[1].shape == (
             2, 5, 4, 0)
@@ -309,6 +313,8 @@ class TestAdjoint:
         assert _same_bits(final, c) and tape.shape == (2, 0, 4, 25)
         lam = c[::-1].copy()
         assert _same_bits(adjoint_batch(tape, lam, 0.0, FlowConfig(N=8, dt=0.1)), lam)
+        final, tape = integrate_taped(c[:0], 0.5, FlowConfig(N=8, dt=0.1))
+        assert final.shape == (0, 8) and tape.shape == (0, 5, 4, 25)
 
     @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
     def test_batched_rows_equal_one_row_passes(self, integrator):
@@ -446,6 +452,33 @@ class TestBlowUp:
             integrate(self.BIG, 50.0, cfg)
 
 
+class TestMidpointStall:
+    """The implicit-midpoint solver out of iterations, in the flow and in its transpose."""
+
+    CFG = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint")
+
+    def test_forward_stall_names_step_and_residual(self, monkeypatch):
+        monkeypatch.setattr(flow, "_MIDPOINT_MAX_ITER", 2)
+        with pytest.raises(FlowError, match=r"^implicit midpoint solver stalled at step 1: "
+                                            r"residual \S+ > tol 1\.000e-12$"):
+            integrate(random_state(0, 12, radius=0.5), 0.3, self.CFG)
+
+    def test_reverse_stall_turns_only_its_rows_nan(self, monkeypatch):
+        # A cotangent on a high mode converges in fewer iterations than one on
+        # a low mode, whose phase speed phi(k) is larger.
+        c = rows_of([random_state(i, 12, radius=0.1) for i in range(4)])
+        lam = rows_of([TrigState.single_mode(k, 12, a_k=1.0) for k in (12, 1, 11, 2)])
+        _, tape = integrate_taped(c, 0.6, self.CFG)
+        monkeypatch.setattr(flow, "_MIDPOINT_MAX_ITER", 5)
+        pulled = adjoint_batch(tape, lam, 0.6, self.CFG)
+        stalled = np.isnan(pulled).any(axis=1)
+        assert stalled.tolist() == [False, True, False, True]
+        assert np.isnan(pulled[stalled]).all()
+        for i in range(4):
+            alone = adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.6, self.CFG)[0]
+            assert np.isnan(alone).all() if stalled[i] else _same_bits(pulled[i], alone)
+
+
 def _serial_picard(ops, y0, h, tol, max_iter):
     """Per-node list-comprehension form of the Duhamel fixed point (the reference)."""
     n_panels = max(1, math.ceil(abs(h) / flow._PICARD_PANEL_MAX))
@@ -492,7 +525,7 @@ class TestPicard:
             cfg = FlowConfig(N=32, dt=h, integrator="picard", picard_max_iter=200)
             res = integrate(u0, h, cfg)
             ops = flow._VecOps.of(cfg)
-            y_end, diffs = _serial_picard(ops, u0.row, h, cfg.picard_tol, 200)
+            y_end, diffs = _serial_picard(ops, u0.row, h, flow._PICARD_TOL, 200)
             assert np.max(np.abs(res.final.row - y_end)) <= 1e-12
             assert len(res.picard_diffs[0]) == len(diffs)
             assert np.max(np.abs(np.array(res.picard_diffs[0]) - diffs)) <= 1e-12
@@ -599,11 +632,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FlowConfig(N=4, dt=1e-2, integrator="euler")
         with pytest.raises(ValueError):
-            FlowConfig(N=4, dt=1e-2, picard_tol=1e-3)
-        with pytest.raises(ValueError):
             FlowConfig(N=4, dt=1e-2, midpoint_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["dt", "picard_tol", "midpoint_tol"])
+    @pytest.mark.parametrize("field", ["dt", "midpoint_tol"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_numbers_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
