@@ -192,10 +192,7 @@ def _flow_section(cfg: _Cfg) -> tuple[FlowConfig, float]:
     """[flow] as a FlowConfig and the horizon T; a dt needing too many steps names [flow] dt."""
     fcfg = FlowConfig(**cfg.fields("flow", FlowConfig))
     horizon = cfg.get("flow", "T", _float)
-    try:
-        _step_count(horizon, fcfg.dt)
-    except ValueError as exc:
-        raise ConfigError(f"[flow] {exc}") from None
+    _step_count(horizon, fcfg.dt, "[flow] dt")
     return fcfg, horizon
 
 
@@ -247,6 +244,7 @@ def cmd_squeeze(cfg: _Cfg, seed: int):
                      skip=("dt", "picard_max_iter", "midpoint_tol")),
         dt=cfg.get("squeeze", "dt", _float, 0.01),
     )
+    _step_count(cfg.get("squeeze", "T", _float), flow.dt, "[squeeze] dt")
     center_csv = cfg.get("squeeze", "center_csv", str, None)
     scfg = SqueezeConfig(
         **cfg.fields("squeeze", SqueezeConfig, skip=("flow", "center", "cyl_center", "seed")),

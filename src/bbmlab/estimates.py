@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import FlowConfig, FlowError, _VecOps, _padded, integrate_batch, rk4_step
+from .flow import (FlowConfig, FlowError, _VecOps, _padded, integrate_batch, rk4_coefficients,
+                   rk4_step)
 from .sampling import sobolev_ball_rows, substream
 from .spectral import (
     MAX_MODES,
@@ -359,9 +360,9 @@ def radial_orbit(fprime_max: float, n_pairs: int, radius2: float) -> tuple[float
     drift = 0.0
     t = 0.0
     zeta = complex(x[0], x[n_pairs])
-    work = np.empty((5,) + x.shape)
+    work, coef = np.empty((5,) + x.shape), rk4_coefficients(dt, x.dtype)
     for _ in range(4 * _ORBIT_STEPS_PER_PERIOD):
-        rk4_step(rhs, x, dt, work)
+        rk4_step(rhs, x, coef, work)
         t += dt
         drift = max(drift, abs(float(np.dot(x, x)) - radius2))
         zeta_new = complex(x[0], x[n_pairs])

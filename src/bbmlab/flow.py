@@ -23,10 +23,12 @@ the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
 ``znorm``) act on the last axis and write into buffers the caller passes.
 ``square_half`` calls pocketfft's FFT ufuncs directly (spectral.IRFFT and
 RFFT), along the last axis, into one workspace that every step of a
-flow reuses.  The workspace is sized by row capacity, so the implicit
-midpoint's shrinking set of unconverged rows takes its leading rows; rk4 and
-the midpoint step the rows in place.  A flow takes at most MAX_STEPS steps,
-and none over a zero horizon.
+flow reuses.  Its fixed scalars, and those of the rk4 and midpoint steps,
+are 0-d arrays of the row dtype built once (``rk4_coefficients``), so those
+ufunc calls resolve no Python number.  The workspace is sized by row
+capacity, so the implicit midpoint's shrinking set of unconverged rows takes
+its leading rows; rk4 and the midpoint step the rows in place.  A flow takes
+at most MAX_STEPS steps, and none over a zero horizon.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row): the witness
@@ -74,6 +76,7 @@ from .spectral import (
 
 _INTEGRATORS = ("rk4", "implicit_midpoint", "picard")
 _MIDPOINT_MAX_ITER = 100
+_HALF = np.array(0.5, complex)  # the midpoint's (y + z)/2 on complex rows; see rk4_coefficients
 # The successive-iterate X^0 difference at which a Picard subinterval has converged.
 _PICARD_TOL = 1e-12
 
@@ -181,10 +184,12 @@ class _VecOps:
         self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
         self.dual = 1j * self.phi  # its transpose in the pairing Re sum conj(lam) c
         self.zw = math.pi * (1.0 + k * k) / k
-        self.m_pad = smooth_grid_size(3 * n + 1)
+        self.m_pad = m = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
-        self._rfft = RFFT[self.m_pad % 2]
-        self._work = None  # padded spectrum, grid values, half-square, product spectrum
+        self._rfft = RFFT[m % 2]
+        self._bin_scale, self._m = np.array(0.5 * m, complex), np.array(float(m))
+        self._irfft_scale, self._rfft_scale = np.array(1.0 / m), (np.array(1.0), np.array(2.0))
+        self._work = None  # padded spectrum, grid values, grid product, product spectrum
         self._lead = self._views = None
 
     @classmethod
@@ -203,31 +208,27 @@ class _VecOps:
             bins = self.m_pad // 2 + 1
             self._work = (np.zeros((rows, bins), complex), np.empty((rows, self.m_pad)),
                           np.empty((rows, self.m_pad)), np.empty((rows, bins), complex))
-        spec, vals, half, prod = (w[:rows].reshape(*lead, w.shape[-1]) for w in self._work)
+        spec, vals, prod_vals, prod = (w[:rows].reshape(*lead, w.shape[-1]) for w in self._work)
         modes = slice(1, self.n + 1)
         self._lead = lead
-        self._views = spec, spec[..., modes], vals, half, prod, prod[..., modes].view(float)
+        self._views = spec, spec[..., modes], vals, prod_vals, prod, prod[..., modes].view(float)
 
     def square_half(self, c: np.ndarray, out: np.ndarray, u=None) -> np.ndarray:
         """Modes 1..N of v^2/2 per row, v the grid values of c, dealiased exactly, written into out.
 
         Given grid rows u, the modes of u v instead: the adjoint's product.  The spectrum layout
-        and scalings of spectral.synthesize_rows and analyze_rows, computed in the workspace.
+        and scalings of spectral.synthesize_rows and analyze_rows, in the workspace: v^2 takes the
+        forward scale 1 and u v the scale 2, then one divide by m.  Power-of-two scaling is exact:
+        the bits of v (v/2) doubled, unless v^2 nears the subnormal range (|v| < ~1e-153).
         """
         if c.shape[:-1] != self._lead:
             self._bind(c.shape[:-1])
-        spec, modes_in, vals, half, prod, modes_out = self._views
-        m = self.m_pad
-        np.multiply(0.5 * m, c, out=modes_in)
-        IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=vals)
-        if u is None:
-            # Halving the grid values is exact, so these are the bits of halving c.
-            np.multiply(vals, np.multiply(0.5, vals, out=half), out=half)
-        else:
-            np.multiply(u, vals, out=half)
-        self._rfft(half, 1.0, axes=FFT_AXES, out=prod)
-        x = np.multiply(2.0, modes_out, out=out.view(float))
-        np.divide(x, m, out=x)
+        spec, modes_in, vals, prod_vals, prod, modes_out = self._views
+        np.multiply(self._bin_scale, c, out=modes_in)
+        IRFFT(spec, self._irfft_scale, axes=FFT_AXES, out=vals)
+        np.multiply(vals if u is None else u, vals, out=prod_vals)
+        self._rfft(prod_vals, self._rfft_scale[u is not None], axes=FFT_AXES, out=prod)
+        np.divide(modes_out, self._m, out=out.view(float))
         return out
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -304,29 +305,41 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     return TrigState.from_row(ops.free(state.row, t))
 
 
-def rk4_step(f, y: np.ndarray, dt: float, work: np.ndarray) -> None:
+def rk4_coefficients(dt: float, dtype) -> tuple:
+    """rk4_step's 0.5 dt, dt, 2 and dt/6, built once per flow as 0-d arrays of the row dtype.
+
+    A 0-d array runs the loop of a Python float (cast to complex(s, 0) for complex rows), bit for
+    bit, without resolving a scalar on every call.
+    """
+    return tuple(np.array(s, dtype) for s in (0.5 * dt, dt, 2.0, dt / 6.0))
+
+
+def rk4_step(f, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
     """One classical fourth-order Runge-Kutta step of y' = f(y), taken in place on y.
 
-    f(x, out) writes f(x) into out; work, of shape (5, *y.shape), holds the stages and stage input.
+    f(x, out) writes f(x) into out; coef = rk4_coefficients(dt, y.dtype); work, of shape
+    (5, *y.shape), holds the stages and stage input.
     """
+    half_dt, dt, two, sixth_dt = coef
     k1, k2, k3, k4, x = work
     f(y, k1)
-    f(np.add(y, np.multiply(0.5 * dt, k1, out=x), out=x), k2)
-    f(np.add(y, np.multiply(0.5 * dt, k2, out=x), out=x), k3)
+    f(np.add(y, np.multiply(half_dt, k1, out=x), out=x), k2)
+    f(np.add(y, np.multiply(half_dt, k2, out=x), out=x), k3)
     f(np.add(y, np.multiply(dt, k3, out=x), out=x), k4)
-    np.add(k1, np.multiply(2.0, k2, out=k2), out=k1)
-    np.add(k1, np.multiply(2.0, k3, out=k3), out=k1)
-    np.add(y, np.multiply(dt / 6.0, np.add(k1, k4, out=k1), out=k1), out=y)
+    np.add(k1, np.multiply(two, k2, out=k2), out=k1)
+    np.add(k1, np.multiply(two, k3, out=k3), out=k1)
+    np.add(y, np.multiply(sixth_dt, np.add(k1, k4, out=k1), out=k1), out=y)
 
 
-def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt: float, tol, work: np.ndarray) -> tuple:
+def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
     """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
-    rhs).  g(x, out, rows) writes g at x, standing for the rows `rows` of y, into out.  A row
-    stops once the Z norm of its change is at most tol (a number, or one per row) or is not
-    finite.  The active rows take the leading rows of work, shape (5, *y.shape).  Returns z, in
-    work[0], and the indices and last changes of the rows still moving after _MIDPOINT_MAX_ITER.
+    rhs); dt is a 0-d complex array.  g(x, out, rows) writes g at x, standing for the rows `rows`
+    of y, into out.  A row stops once the Z norm of its change is at most tol (a number, or one
+    per row) or is not finite.  The active rows take the leading rows of work, shape
+    (5, *y.shape).  Returns z, in work[0], and the indices and last changes of the rows still
+    moving after _MIDPOINT_MAX_ITER.
     """
     z, ya, za, mid, f = work
     np.add(y, np.multiply(dt, g(y, f, slice(None)), out=z), out=z)
@@ -336,7 +349,7 @@ def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt: float, tol, work: np.nda
         ya_k, za_k, mid_k, f_k = ya[:k], za[:k], mid[:k], f[:k]
         np.take(y, active, axis=0, out=ya_k)
         np.take(z, active, axis=0, out=za_k)
-        np.multiply(0.5, np.add(ya_k, za_k, out=mid_k), out=mid_k)
+        np.multiply(_HALF, np.add(ya_k, za_k, out=mid_k), out=mid_k)
         z_new = np.add(ya_k, np.multiply(dt, g(mid_k, f_k, active), out=f_k), out=f_k)
         delta = ops.znorm(np.subtract(z_new, za_k, out=za_k))
         z[active] = z_new
@@ -347,9 +360,9 @@ def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt: float, tol, work: np.nda
     return z, active, delta[moving]
 
 
-def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: float, tol: float, step_no: int,
+def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
                    work: np.ndarray, tape=None) -> None:
-    """One implicit-midpoint step, taken in place on y; work has the shape of rk4_step's.
+    """One implicit-midpoint step of 0-d complex length dt, in place on y; work as in rk4_step.
 
     A stalled solve raises FlowError.  Given tape, a (rows, m_pad) array, the grid values of each
     row's midpoint (y + z)/2 are written into it.
@@ -446,12 +459,12 @@ def _picard_subinterval(
     return y_end, diffs
 
 
-def _step_count(t_span: float, dt: float) -> int:
-    """ceil(|t_span| / dt), 0 for a zero horizon; a ValueError naming dt and T above MAX_STEPS."""
+def _step_count(t_span: float, dt: float, name: str = "dt") -> int:
+    """ceil(|t_span| / dt), 0 for a zero horizon; above MAX_STEPS a ValueError naming name, T."""
     steps = abs(t_span) / dt
     if not steps <= MAX_STEPS:
         raise ValueError(
-            f"dt = {dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
+            f"{name} = {dt!r} over T = {t_span!r} needs {steps:.3g} steps, "
             f"more than flow.MAX_STEPS = {MAX_STEPS}"
         )
     return math.ceil(steps)
@@ -477,6 +490,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     picard_diffs = []
     # rk4 and the midpoint step this copy in place, in one set of five work rows.
     y, work = y.astype(complex), np.empty((5,) + y.shape, complex)
+    coef = rk4_coefficients(dt, complex)
 
     def taped_rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
         ops.rhs(x, out)
@@ -491,9 +505,9 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             # The step's tape rows: one per rk4 stage input, or one for the midpoints.
             slots = iter(() if tape is None else tape[:, i].swapaxes(0, 1))
             if cfg.integrator == "rk4":
-                rk4_step(rhs, y, dt, work)
+                rk4_step(rhs, y, coef, work)
             elif cfg.integrator == "implicit_midpoint":
-                _midpoint_step(ops, y, dt, cfg.midpoint_tol, i + 1, work, next(slots, None))
+                _midpoint_step(ops, y, coef[1], cfg.midpoint_tol, i + 1, work, next(slots, None))
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))
@@ -588,29 +602,30 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     return _advance(_VecOps.of(cfg), c, t_span, cfg, tape=tape if tape.size else None)[0], tape
 
 
-def _rk4_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: float,
+def _rk4_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, coef: tuple,
                       work: np.ndarray) -> None:
     """The transpose of one rk4_step, in place on the cotangent rows lam.
 
-    u, of shape (rows, 4, m_pad), holds the grid values of the step's four
-    stage inputs; work, of shape (7, *lam.shape), the stage cotangents and
-    temporaries.  With A_s the adjoint rhs at stage s, the stage cotangents
-    are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt l4), l2 = A2(dt/3 lam +
-    dt/2 l3), l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
+    u, of shape (rows, 4, m_pad), holds the grid values of the step's four stage inputs; coef
+    is rk4_coefficients(dt, complex) and dt/3, as 0-d arrays; work, of shape (7, *lam.shape),
+    the stage cotangents and temporaries.  With A_s the adjoint rhs at stage s, the stage
+    cotangents are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt l4), l2 = A2(dt/3 lam + dt/2 l3),
+    l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
     """
+    half_dt, dt, _, sixth_dt, third_dt = coef
     l1, l2, l3, l4, x, y, tmp = work
-    ops.rhs_adjoint(np.multiply(dt / 6.0, lam, out=x), u[:, 3], l4, tmp)
+    ops.rhs_adjoint(np.multiply(sixth_dt, lam, out=x), u[:, 3], l4, tmp)
     # Stage s's cotangent from lam and stage s + 1's, written into work[s].
-    for s, weight, step, later in ((2, dt / 3.0, dt, l4), (1, dt / 3.0, 0.5 * dt, l3),
-                                   (0, dt / 6.0, 0.5 * dt, l2)):
+    for s, weight, step, later in ((2, third_dt, dt, l4), (1, third_dt, half_dt, l3),
+                                   (0, sixth_dt, half_dt, l2)):
         np.add(np.multiply(weight, lam, out=x), np.multiply(step, later, out=y), out=x)
         ops.rhs_adjoint(x, u[:, s], work[s], tmp)
     for stage_cotangent in (l1, l2, l3, l4):
         np.add(lam, stage_cotangent, out=lam)
 
 
-def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: float, tol: float,
-                           work: np.ndarray) -> None:
+def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
+                           tol: float, work: np.ndarray) -> None:
     """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
 
     u, of shape (rows, m_pad), holds the grid values of the converged midpoints.  The step's
@@ -644,12 +659,13 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     dt = t_span / max(n_steps, 1)
     ops = _VecOps.of(cfg)
     work = np.empty((7,) + lam.shape, complex)
+    coef = rk4_coefficients(dt, complex) + (np.array(dt / 3.0, complex),)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(n_steps)):
             if cfg.integrator == "rk4":
-                _rk4_adjoint_step(ops, tape[:, i], lam, dt, work)
+                _rk4_adjoint_step(ops, tape[:, i], lam, coef, work)
             else:
-                _midpoint_adjoint_step(ops, tape[:, i, 0], lam, dt, cfg.midpoint_tol, work)
+                _midpoint_adjoint_step(ops, tape[:, i, 0], lam, coef[1], cfg.midpoint_tol, work)
     return lam
 
 

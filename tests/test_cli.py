@@ -534,6 +534,18 @@ max_ascent_iters = 1
         assert f"bbmlab squeeze: {message}" in capsys.readouterr().err
         assert not (outdir / "squeeze.csv").exists()
 
+    def test_step_count_above_cap_exits_2_before_center_is_read(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # Used to read the centre file first, then refuse the step count from
+        # SqueezeConfig without naming [squeeze].
+        keys = {"r": "0.5", "n0": "1", "T": "1.0", "N": "8", "dt": "1e-300",
+                "center_csv": str(tmp_path / "missing.csv")}
+        code, outdir = run(tmp_path, monkeypatch, "squeeze", ini({"squeeze": keys}))
+        assert code == 2
+        assert ("bbmlab squeeze: [squeeze] dt = 1e-300 over T = 1.0 needs 1e+300 steps, more "
+                f"than flow.MAX_STEPS = {flow.MAX_STEPS}" in capsys.readouterr().err)
+        assert not outdir.exists()
+
     @pytest.mark.parametrize("key, value, message", [
         # Each of these used to exit 0 having done no ascent.
         ("max_ascent_iters", "-3", "max_ascent_iters must be >= 0, got -3"),

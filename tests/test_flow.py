@@ -432,6 +432,29 @@ class TestPairRowReference:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
+class TestRk4Coefficients:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("dt", [0.05, 1.0 / 3.0, 0.7, 2e-3])
+    def test_follow_the_row_dtype_with_the_python_float_bits(self, dtype, dt):
+        # 0-d arrays of the row dtype take the place of Python floats in rk4_step; a float
+        # meeting complex rows was cast to complex(s, 0), the loop a complex 0-d array runs.
+        coef = flow.rk4_coefficients(dt, dtype)
+        assert [(a.shape, a.dtype) for a in coef] == [((), np.dtype(dtype))] * 4
+        x = np.random.default_rng(7).standard_normal((2, 6))
+        y = x[0] + 1j * x[1] if dtype is complex else x[0]
+
+        def f(x, out=None):
+            return np.subtract(np.multiply(x, x[::-1], out=out), x, out=out)
+
+        k1 = f(y)
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        want = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        flow.rk4_step(f, y, coef, np.empty((5,) + y.shape, dtype))
+        assert _same_bits(y, want)
+
+
 class TestBlowUp:
     # The blow-up reproduced from the CLI: N = 16, dt = 2, T = 50, cos x at amplitude 50.
     BIG = TrigState.single_mode(1, 16, a_k=50.0)

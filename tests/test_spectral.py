@@ -391,6 +391,23 @@ class TestPocketfftUfuncs:
                 want = _np_fft_modes(np.fft.rfft(vals * (0.5 * vals)), n, m)
                 assert _same_bits(ops.square_half(c, np.empty_like(c)), want), (n, lead)
 
+    def test_adjoint_product_matches_np_fft_bit_for_bit(self):
+        # square_half(c, out, u) takes the forward transform at scale 2, which pocketfft
+        # applies as a final multiply: the bits of 2 rfft(u v), then / m, on the float view.
+        for n, m in FLOW_LENGTHS.items():
+            ops = _VecOps(n)
+            for lead in ((), (3,)):
+                rng = np.random.default_rng([n, len(lead), 1])
+                for scale in (1.0, 1e-150, 1e3):
+                    c = scale * _random_rows(rng, lead, n)
+                    u = scale * rng.standard_normal(lead + (m,))
+                    spec = np.zeros(lead + (m // 2 + 1,), complex)
+                    spec[..., 1:n + 1] = 0.5 * m * c
+                    prod = 2.0 * np.fft.rfft(u * np.fft.irfft(spec, m))
+                    want = (prod[..., 1:n + 1].view(float) / m).view(complex)
+                    got = ops.square_half(c, np.empty_like(c), u)
+                    assert _same_bits(got, want), (n, lead, scale)
+
     def test_exact_product_matches_np_fft_bit_for_bit(self):
         for n_out, m in PRODUCT_LENGTHS.items():
             n_u = n_out // 2
