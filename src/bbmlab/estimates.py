@@ -254,7 +254,7 @@ def smoothing_ratio(u0: TrigState, v0: TrigState, t_span: float, eps: float,
     dt_seg = t_span / _SMOOTHING_TIMES
     for i in range(1, _SMOOTHING_TIMES + 1):
         c = integrate_batch(c, dt_seg, cfg)
-        nl = ops.free(c, -i * dt_seg) - c0
+        nl = ops.free(ops.pad(c), -i * dt_seg)[:, ops.modes] - c0
         best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
     return best
 

@@ -17,15 +17,18 @@ Three integrators:
                         Gauss-Legendre collocation nodes, used to probe the
                         local contraction theory.
 
-All three share one stepping loop over (batch, N) complex arrays of
-half-spectrum rows c_k = a_k - i b_k (the layout of spectral.synthesize_rows):
-the spectral kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``,
-``znorm``) act on the last axis and write into buffers the caller passes.
-``square_half`` calls pocketfft's FFT ufuncs directly (spectral.IRFFT and
-RFFT), along the last axis, into one workspace that every step of a
-flow reuses.  Its fixed scalars, and those of the rk4 and midpoint steps,
-are 0-d arrays of the row dtype built once (``rk4_coefficients``), so those
-ufunc calls resolve no Python number.  The workspace is sized by row
+All three share one stepping loop over half-spectrum rows c_k = a_k - i b_k
+in pocketfft's padded layout: the m_pad // 2 + 1 bins of a length-m_pad real
+FFT, exactly 0 at bin 0 and above N.  A row enters that layout when a flow
+starts and leaves it at the end and at each trace point.  The spectral
+kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``, ``znorm``) act on
+the last axis and write into buffers the caller passes.  ``square_half``,
+the one product kernel, calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT)
+on the row itself: the inverse at scale 0.5, the grid product, the forward
+transform at scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0
+outside 1..N, so its multiply projects the product back: an rhs is five
+ufunc calls.  Fixed scalars are 0-d arrays built once (``rk4_coefficients``),
+so no call resolves a Python number.  The grid workspace is sized by row
 capacity, so the implicit midpoint's shrinking set of unconverged rows takes
 its leading rows; rk4 and the midpoint step the rows in place.  A flow takes
 at most MAX_STEPS steps, and none over a zero horizon.
@@ -36,10 +39,10 @@ search, the flow Jacobian and the smoothing ratio build their rows with
 spectral.pair_rows and read them with spectral.pair_coords.  A row that
 turns non-finite stops the loop with a ``FlowError``.
 
-``integrate_taped`` runs the loop with a tape, into which step i records the
-grid values the product kernel saw (each rk4 stage input, or each converged
-implicit midpoint), and ``adjoint_batch`` runs the discrete adjoint of the
-step map backwards over it: one reverse pass pulls a cotangent at the horizon
+``integrate_taped`` runs the loop with a tape, into which the product
+kernel's inverse FFT writes the grid values of each rk4 stage input (or of
+each converged implicit midpoint), and ``adjoint_batch`` runs the discrete
+adjoint of the step map backwards over it: one reverse pass pulls a cotangent at the horizon
 back to the initial rows, which is how the witness search takes its
 gradients.  The implicit midpoint's transpose is the same implicit solve with
 the adjoint right-hand side, so both directions share one fixed-point solver.
@@ -68,7 +71,6 @@ from .spectral import (
     smooth_grid_size,
     sobolev_norms,
     synthesize,
-    synthesize_rows,
     truncate,
     wavenumbers,
     z_norm,
@@ -163,73 +165,68 @@ class FlowResult:
 
 
 class _VecOps:
-    """Coefficient-row workspace on the last axis of (..., N) complex arrays.
+    """Workspace and spectral kernels for flow rows in the padded half-spectrum layout.
 
-    A row is the half spectrum c_k = a_k - i b_k, k = 1..N (mean omitted),
-    in the layout of spectral.synthesize_rows and analyze_rows.  Every
-    operation acts row by row, so a (batch, N) array flows a batch of
-    independent states and a 1-D row is the batch-free case.
+    A flow row holds the m_pad // 2 + 1 bins of pocketfft's real FFT of length m_pad: bin k =
+    1..N holds c_k = a_k - i b_k, and bin 0 and every bin above N hold exactly 0.  ``pad`` puts
+    (..., N) rows into that layout and ``rows[..., modes]`` reads them back.  Every operation acts
+    row by row on the last axis, so a (batch, bins) array flows a batch of independent states and
+    a 1-D row is the batch-free case.
 
-    The padded grid has m_pad >= 3N+1 points, which keeps u^2 alias-free on
-    modes 1..N (an even m_pad is fine: its Nyquist bin lies above every kept
-    mode).  m_pad is rounded up to a 5-smooth length because 3N+1 is often
-    prime (97 at N = 32, 193 at N = 64), and pocketfft transforms prime
-    lengths several times slower.
+    The grid has m_pad >= 3N+1 points, which keeps u^2 alias-free on modes 1..N (an even m_pad
+    is fine: its Nyquist bin lies above every kept mode).  m_pad is rounded up to a 5-smooth
+    length because 3N+1 is often prime (97 at N = 32, 193 at N = 64), and pocketfft transforms
+    prime lengths several times slower.  The inverse FFT at scale 0.5 gives a row's grid values
+    v, the forward FFT at scale 1/m the row of v^2/2 and at 2/m the row of u v.  Those scales
+    are np.fft's norm="forward" ones times 0.5, 1 and 2, and pocketfft applies each as one final
+    multiply, so the kernel is exact against np.fft at its own scalings.  phi, gen, dual, zw and
+    mask are 0 at bin 0 and above N, so multiplying by them projects a product onto 1..N.
     """
 
     def __init__(self, n: int, linear_only: bool = False):
         self.n = n
+        self.m_pad = m = smooth_grid_size(3 * n + 1)
+        self.modes = slice(1, n + 1)
+        self.linear_only = linear_only
         k = wavenumbers(n)
-        self.phi = dispersion_symbol(k)
+        self.phi = self.pad(dispersion_symbol(k), float)
+        self.zw = self.pad(math.pi * (1.0 + k * k) / k, float)
         self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
         self.dual = 1j * self.phi  # its transpose in the pairing Re sum conj(lam) c
-        self.zw = math.pi * (1.0 + k * k) / k
-        self.m_pad = m = smooth_grid_size(3 * n + 1)
-        self.linear_only = linear_only
+        self.mask = self.pad(np.ones(n))
         self._rfft = RFFT[m % 2]
-        self._bin_scale, self._m = np.array(0.5 * m, complex), np.array(float(m))
-        self._irfft_scale, self._rfft_scale = np.array(1.0 / m), (np.array(1.0), np.array(2.0))
-        self._work = None  # padded spectrum, grid values, grid product, product spectrum
-        self._lead = self._views = None
+        self._half, self._scale = np.array(0.5), (np.array(1.0 / m), np.array(2.0 / m))
+        self._rows = np.empty((0, m))  # the grid workspace, sized by row capacity
+        self._lead = self._grid = None
 
     @classmethod
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
-    def _bind(self, lead: tuple) -> None:
-        """Point the workspace views at rows of leading shape lead.
+    def pad(self, c: np.ndarray, dtype=complex) -> np.ndarray:
+        """A new array holding the rows c, shape (..., N), in the padded layout."""
+        y = np.zeros(c.shape[:-1] + (self.m_pad // 2 + 1,), dtype)
+        y[..., self.modes] = c
+        return y
 
-        The buffers are sized by row capacity and only grow: a batch takes their leading rows, so
-        a shrinking batch reuses them.  Bins 0 and > N of the padded spectrum are never written,
-        so they stay 0 in every row.
-        """
-        rows = math.prod(lead)
-        if self._work is None or len(self._work[0]) < rows:
-            bins = self.m_pad // 2 + 1
-            self._work = (np.zeros((rows, bins), complex), np.empty((rows, self.m_pad)),
-                          np.empty((rows, self.m_pad)), np.empty((rows, bins), complex))
-        spec, vals, prod_vals, prod = (w[:rows].reshape(*lead, w.shape[-1]) for w in self._work)
-        modes = slice(1, self.n + 1)
-        self._lead = lead
-        self._views = spec, spec[..., modes], vals, prod_vals, prod, prod[..., modes].view(float)
+    def square_half(self, c: np.ndarray, out: np.ndarray, u=None, vals=None) -> np.ndarray:
+        """The padded spectrum of v^2/2, v the grid values of the rows c, written into out.
 
-    def square_half(self, c: np.ndarray, out: np.ndarray, u=None) -> np.ndarray:
-        """Modes 1..N of v^2/2 per row, v the grid values of c, dealiased exactly, written into out.
-
-        Given grid rows u, the modes of u v instead: the adjoint's product.  The spectrum layout
-        and scalings of spectral.synthesize_rows and analyze_rows, in the workspace: v^2 takes the
-        forward scale 1 and u v the scale 2, then one divide by m.  Power-of-two scaling is exact:
-        the bits of v (v/2) doubled, unless v^2 nears the subnormal range (|v| < ~1e-153).
+        Given grid rows u, that of u v instead: the adjoint's product.  vals, if given, receives
+        v (a tape's rows).  Bins 0 and above N of out hold the rest of the product's spectrum,
+        which every caller projects away.  The grid buffer is sized by row capacity and
+        only grows: a batch takes its leading rows, so a shrinking batch reuses it.
         """
         if c.shape[:-1] != self._lead:
-            self._bind(c.shape[:-1])
-        spec, modes_in, vals, prod_vals, prod, modes_out = self._views
-        np.multiply(self._bin_scale, c, out=modes_in)
-        IRFFT(spec, self._irfft_scale, axes=FFT_AXES, out=vals)
-        np.multiply(vals if u is None else u, vals, out=prod_vals)
-        self._rfft(prod_vals, self._rfft_scale[u is not None], axes=FFT_AXES, out=prod)
-        np.divide(modes_out, self._m, out=out.view(float))
-        return out
+            rows = math.prod(c.shape[:-1])
+            if len(self._rows) < rows:
+                self._rows = np.empty((rows, self.m_pad))
+            self._lead = c.shape[:-1]
+            self._grid = self._rows[:rows].reshape(self._lead + (self.m_pad,))
+        grid = self._grid
+        v = IRFFT(c, self._half, axes=FFT_AXES, out=grid if vals is None else vals)
+        np.multiply(v if u is None else u, v, out=grid)
+        return self._rfft(grid, self._scale[u is not None], axes=FFT_AXES, out=out)
 
     def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
         """-dx (1-dxx)^{-1} (u^2/2), the quadratic part of the right-hand side, written into out."""
@@ -238,9 +235,9 @@ class _VecOps:
             return out
         return np.multiply(self.gen, self.square_half(c, out), out=out)
 
-    def rhs(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The right-hand side of each row of c, written into out, which must not overlap c."""
-        s = c if self.linear_only else np.add(c, self.square_half(c, out), out=out)
+    def rhs(self, c: np.ndarray, out: np.ndarray, vals=None) -> np.ndarray:
+        """The right-hand side of each row of c into out, not overlapping c; vals: square_half's."""
+        s = c if self.linear_only else np.add(c, self.square_half(c, out, vals=vals), out=out)
         return np.multiply(self.gen, s, out=out)
 
     def rhs_adjoint(self, lam: np.ndarray, u: np.ndarray, out: np.ndarray,
@@ -254,7 +251,7 @@ class _VecOps:
         mu = np.multiply(self.dual, lam, out=out)
         if self.linear_only:
             return out
-        return np.add(mu, self.square_half(mu, tmp, u), out=out)
+        return np.add(mu, np.multiply(self.mask, self.square_half(mu, tmp, u), out=tmp), out=out)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -290,8 +287,9 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     coefficients of -(u + u^2/2); concretely rhs(cos x) =
     (1/2) sin x + (1/10) sin 2x.
     """
-    state = _padded(state, cfg, "rhs")
-    return TrigState.from_row(_VecOps.of(cfg).rhs(state.row, np.empty(cfg.N, complex)))
+    ops = _VecOps.of(cfg)
+    c = ops.pad(_padded(state, cfg, "rhs").row)
+    return TrigState.from_row(ops.rhs(c, np.empty_like(c))[ops.modes])
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -302,7 +300,7 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     """
     require_mean_zero(state, "free_evolution")
     ops = _VecOps(state.n_modes)
-    return TrigState.from_row(ops.free(state.row, t))
+    return TrigState.from_row(ops.free(ops.pad(state.row), t)[ops.modes])
 
 
 def rk4_coefficients(dt: float, dtype) -> tuple:
@@ -367,16 +365,17 @@ def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: np.ndarray, tol: float, step
     A stalled solve raises FlowError.  Given tape, a (rows, m_pad) array, the grid values of each
     row's midpoint (y + z)/2 are written into it.
     """
-    y2 = y.reshape(-1, y.shape[-1])
+    y2, work = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])
     z, stalled, residual = _midpoint_solve(ops, lambda x, out, rows: ops.rhs(x, out), y2, dt, tol,
-                                           work.reshape(5, *y2.shape))
+                                           work)
     if stalled.size:
         raise FlowError(
             f"implicit midpoint solver stalled at step {step_no}: "
             f"residual {float(np.max(residual)):.3e} > tol {tol:.3e}"
         )
     if tape is not None:
-        tape[...] = synthesize_rows(0.0, 0.5 * (y2 + z), ops.m_pad)
+        mid = np.multiply(_HALF, np.add(y2, z, out=work[3]), out=work[3])
+        IRFFT(mid, ops._half, axes=FFT_AXES, out=tape)
     np.copyto(y2, z)
 
 
@@ -435,7 +434,7 @@ def _picard_subinterval(
     for _ in range(max_iter):
         integrals, _total = duhamel(ys)
         ops.free(y0 + integrals, tau, ys_new)
-        diff = float(np.max(sobolev_norms(0.0, ys_new - ys, 0.0)))
+        diff = float(np.max(sobolev_norms(0.0, (ys_new - ys)[:, ops.modes], 0.0)))
         if diffs and diff >= diffs[-1] and diff > tol:
             grew += 1
             if grew >= 2 or not math.isfinite(diff):
@@ -476,26 +475,26 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
 
     y is a (batch, N) array, or a single (N,) row, which spares the
     batch axis's per-call overhead on long serial flows; Picard takes only
-    the single row.  Takes ceil(|t_span| / dt) equal steps, none for a zero
-    horizon.  Every trace_every steps, and after the last, calls record(t, y).
-    Step i records into tape[:, i], if given, the grid values of its rk4 stage
-    inputs or midpoints.  Raises FlowError naming the step and time (and the
-    row, for a batch) as soon as a row turns non-finite.  Returns the final
-    rows, the step count and the Picard X^0 differences per subinterval.
-    More than MAX_STEPS steps are refused with a ValueError, before anything
-    is allocated.
+    the single row.  The rows enter ops's padded layout here and leave it on
+    return and in record.  Takes ceil(|t_span| / dt) equal steps, none for a
+    zero horizon.  Every trace_every steps, and after the last, calls
+    record(t, y).  Step i records into tape[:, i], if given, the grid values
+    of its rk4 stage inputs or midpoints.  Raises FlowError naming the step
+    and time (and the row, for a batch) as soon as a row turns non-finite.
+    Returns the final rows, the step count and the Picard X^0 differences
+    per subinterval.  More than MAX_STEPS steps are refused with a
+    ValueError, before anything is allocated.
     """
     n_steps = _step_count(t_span, cfg.dt)
     dt = t_span / max(n_steps, 1)
     picard_diffs = []
-    # rk4 and the midpoint step this copy in place, in one set of five work rows.
-    y, work = y.astype(complex), np.empty((5,) + y.shape, complex)
+    # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
+    y = ops.pad(y)
+    work = np.empty((5,) + y.shape, complex)
     coef = rk4_coefficients(dt, complex)
 
     def taped_rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        ops.rhs(x, out)
-        np.copyto(next(slots), ops._views[2])  # the grid values of x
-        return out
+        return ops.rhs(x, out, next(slots))
 
     rhs = ops.rhs if tape is None else taped_rhs
     # A row that overflows is reported below as a FlowError; numpy's own
@@ -520,8 +519,8 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
                     f"(t = {(i + 1) * dt:.6g})"
                 )
             if trace_every and ((i + 1) % trace_every == 0 or i + 1 == n_steps):
-                record((i + 1) * dt, y)
-    return y, n_steps, picard_diffs
+                record((i + 1) * dt, y[..., ops.modes])
+    return y[..., ops.modes].copy(), n_steps, picard_diffs
 
 
 def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int = 0) -> FlowResult:
@@ -592,9 +591,9 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     """integrate_batch's final rows, bit for bit, and the tape adjoint_batch reads.
 
     The tape, of shape (batch, *tape_shape(t_span, cfg)), holds per row and
-    step the padded-grid values of each rk4 stage input, copied from the
-    workspace as the product kernel computes them, or of the implicit
-    midpoint's converged midpoint (y + z)/2.
+    step the padded-grid values of each rk4 stage input, written there by
+    the product kernel's inverse FFT, or of the implicit midpoint's
+    converged midpoint (y + z)/2.
     """
     _check_rows(c, cfg)
     tape = np.empty((len(c),) + tape_shape(t_span, cfg))
@@ -654,10 +653,10 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     tape and cotangent alone, bit for bit; a row that overflows comes back
     non-finite, and the caller decides what that costs.
     """
-    lam = np.array(lam, dtype=complex)
+    ops = _VecOps.of(cfg)
+    lam = ops.pad(np.asarray(lam))
     n_steps = tape.shape[1]
     dt = t_span / max(n_steps, 1)
-    ops = _VecOps.of(cfg)
     work = np.empty((7,) + lam.shape, complex)
     coef = rk4_coefficients(dt, complex) + (np.array(dt / 3.0, complex),)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -666,7 +665,7 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
                 _rk4_adjoint_step(ops, tape[:, i], lam, coef, work)
             else:
                 _midpoint_adjoint_step(ops, tape[:, i, 0], lam, coef[1], cfg.midpoint_tol, work)
-    return lam
+    return lam[..., ops.modes].copy()
 
 
 def invariants_of(state: TrigState) -> tuple[float, float, float]:

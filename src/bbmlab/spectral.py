@@ -33,7 +33,7 @@ MAX_MODES = 1 << 14
 # wrap them in about 4 us of argument handling per call.  The module is private to numpy (present
 # from 2.0 on); tests/test_spectral.py pins the ufuncs and their bits.  A ufunc takes (rows,
 # scale) and transforms along the last axis of its input and of out, whose length sets that of an
-# inverse transform.  IRFFT takes scale 1/m (numpy's default norm), the forward RFFT 1.0.
+# inverse transform.  IRFFT takes 1/m here (numpy's default norm), RFFT 1.0; flow._VecOps, its own.
 FFT_AXES = [(-1,), (), (-1,)]
 IRFFT = _pocketfft.irfft
 RFFT = (_pocketfft.rfft_n_even, _pocketfft.rfft_n_odd)  # indexed by the parity m % 2

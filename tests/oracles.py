@@ -368,8 +368,10 @@ class PairRowFlow:
 
     The same arithmetic as flow._VecOps on its complex rows c = a - i b,
     written out on the cosine and sine parts: u^2/2 on the 5-smooth padded
-    grid, the rotation a cos - b sin, a sin + b cos, rk4 and the implicit
-    midpoint fixed point.  Every result must match the package bit for bit.
+    grid (c_k itself in the half spectrum, the inverse FFT at 0.5 times
+    np.fft's norm="forward" scale, the forward one at that scale), the
+    rotation a cos - b sin, a sin + b cos, rk4 and the implicit midpoint
+    fixed point.  Every result must match the package bit for bit.
     """
 
     def __init__(self, n, linear_only=False):
@@ -385,11 +387,11 @@ class PairRowFlow:
         wa, wb = y[:n], y[n:]
         if not self.linear_only:
             spec = np.zeros(m // 2 + 1, dtype=complex)
-            spec[1:n + 1] = 0.5 * m * (wa - 1j * wb)
-            vals = np.fft.irfft(spec, m)
-            prod = np.fft.rfft(vals * vals)
-            wa = wa + prod[1:n + 1].real / m
-            wb = wb + prod[1:n + 1].imag / -m
+            spec[1:n + 1] = wa - 1j * wb
+            vals = 0.5 * np.fft.irfft(spec, m, norm="forward")
+            prod = np.fft.rfft(vals * vals, norm="forward")
+            wa = wa + prod[1:n + 1].real
+            wb = wb - prod[1:n + 1].imag
         return np.concatenate([-self.phi * wb, self.phi * wa])
 
     def free(self, y, t):

@@ -999,7 +999,7 @@ FUZZ_STDOUT = {
     ),
     "galerkin": (
         "galerkin: defect(N=4) = 3.763223e-10 against reference N = 16\n"
-        "galerkin: defect(N=8) = 1.308902e-18 against reference N = 16\n"
+        "galerkin: defect(N=8) = 3.553501e-19 against reference N = 16\n"
     ),
     "estimates": "estimates: (0.5, 0.5, 0.5) bilinear max ratio 0.071521 over 10 samples, "
                  "sweep bounded: True\n",

@@ -80,6 +80,27 @@ class TestRhs:
         assert np.max(np.abs(fast.a - ref.a)) < 1e-12
         assert np.max(np.abs(fast.b - ref.b)) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 128),
+        batch=st.sampled_from([1, 5]),
+        log_radius=st.floats(-3.0, 2.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_padded_rows_match_oracle_relative(self, n_modes, batch, log_radius, seed):
+        # The padded-row kernel on 1 and 5 rows, against the convolution oracle, to 1e-12 of
+        # the oracle's largest coefficient.
+        states = [sobolev_ball_state(substream(seed, "rhs", i), n_modes, 0.5, 10.0 ** log_radius)
+                  for i in range(batch)]
+        ops = flow._VecOps(n_modes)
+        c = ops.pad(rows_of(states))
+        rows = ops.rhs(c, np.empty_like(c))
+        for u, row in zip(states, rows):
+            ref = oracle_rhs(u, n_modes).row
+            got, want = rhs(u, FlowConfig(N=n_modes, dt=1e-3)), TrigState.from_row(row[ops.modes])
+            assert _same_bits(got.a, want.a) and _same_bits(got.b, want.b)
+            assert np.max(np.abs(row[ops.modes] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
 
 class TestFreeEvolution:
     def test_quarter_turn(self):
@@ -333,6 +354,76 @@ class TestAdjoint:
             integrate_taped(np.zeros((1, 8), complex), 0.5, cfg)
 
 
+def _padding(rows, n_modes):
+    """Bin 0 and the bins above n_modes of the finite rows among rows (any leading shape)."""
+    rows = np.asarray(rows).reshape(-1, np.shape(rows)[-1])
+    rows = rows[np.isfinite(rows).all(axis=-1)]
+    return np.concatenate([rows[:, :1], rows[:, n_modes + 1:]], axis=-1)
+
+
+class TestPaddedLayout:
+    """Flow rows live in the padded half spectrum, exactly 0 at bin 0 and above N."""
+
+    @pytest.mark.parametrize("n_modes", [1, 8, 32, 128])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_bins_outside_the_modes_stay_zero(self, monkeypatch, n_modes, batch):
+        # Every step's rows, every kernel's input and output, forward and reverse.
+        bins = flow._VecOps(n_modes).m_pad // 2 + 1
+        seen = {}
+
+        def watch(owner, name, rows_of_call):
+            inner = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                result = inner(*args, **kwargs)
+                for rows in rows_of_call(args, result):
+                    assert np.shape(rows)[-1] == bins, name
+                    assert np.all(_padding(rows, n_modes) == 0.0), name
+                    seen[name] = seen.get(name, 0) + np.size(rows) // bins
+                return result
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        for name in ("rhs", "rhs_adjoint", "nonlinear", "free"):
+            watch(flow._VecOps, name, lambda args, result: (args[1], result))
+        watch(flow, "rk4_step", lambda args, result: (args[1],))
+        watch(flow, "_midpoint_step", lambda args, result: (args[1],))
+        watch(flow, "_picard_subinterval", lambda args, result: (args[1], result[0]))
+        watch(flow, "_rk4_adjoint_step", lambda args, result: (args[2],))
+        watch(flow, "_midpoint_adjoint_step", lambda args, result: (args[2],))
+
+        states = [random_state(i, n_modes, radius=0.3) for i in range(batch)]
+        c = rows_of(states)
+        for integ in ("rk4", "implicit_midpoint"):
+            for linear_only in (False, True):
+                cfg = FlowConfig(N=n_modes, dt=0.05, integrator=integ, linear_only=linear_only)
+                integrate(states[0], 0.2, cfg)
+                integrate_batch(c, 0.2, cfg)
+                _, tape = integrate_taped(c, 0.2, cfg)
+                adjoint_batch(tape, c[::-1], 0.2, cfg)
+        integrate_batch(c, 0.4, FlowConfig(N=n_modes, dt=0.2, integrator="picard"))
+        assert set(seen) == {"rhs", "rhs_adjoint", "nonlinear", "free", "rk4_step",
+                             "_midpoint_step", "_picard_subinterval", "_rk4_adjoint_step",
+                             "_midpoint_adjoint_step"}
+        assert seen["rk4_step"] == 2 * 4 * (1 + 2 * batch)
+        assert seen["_picard_subinterval"] == 4 * batch
+
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint"])
+    @pytest.mark.parametrize("n_modes", [8, 32])
+    def test_adjoint_is_the_transpose_of_the_tangent_linear_oracle(self, integrator, n_modes):
+        # Both maps on every real direction of one taped row: <e_i, J e_j> = <J^T e_i, e_j>.
+        cfg = FlowConfig(N=n_modes, dt=0.05, integrator=integrator)
+        c = rows_of([random_state(3, n_modes, radius=0.8)])
+        _, tape = integrate_taped(c, 0.5, cfg)
+        basis = np.concatenate([np.eye(n_modes), 1j * np.eye(n_modes)])
+        taped = np.repeat(tape, len(basis), axis=0)
+        jac = tangent_linear(taped, basis, 0.5, cfg)
+        jac_t = adjoint_batch(taped, basis, 0.5, cfg)
+        forward = _pairing(basis[:, None, :], jac[None, :, :])
+        reverse = _pairing(jac_t[:, None, :], basis[None, :, :])
+        assert np.max(np.abs(forward - reverse)) <= 1e-12 * np.max(np.abs(forward))
+
+
 class TestPairRowReference:
     """The complex half-spectrum rows against the real [a, b] rows they replaced."""
 
@@ -388,9 +479,11 @@ class TestPairRowReference:
         # every shape change and each result keeps the bits of a fresh one.
         n, t_span = 12, 0.4
         ops = flow._VecOps(n)
+        bins = ops.m_pad // 2 + 1
         shapes = []
         square_half = ops.square_half
-        ops.square_half = lambda c, out: (shapes.append(c.shape), square_half(c, out))[1]
+        ops.square_half = lambda c, out, *args, **kwargs: (
+            shapes.append(c.shape), square_half(c, out, *args, **kwargs))[1]
         states = [random_state(i, n, radius=10.0 ** (-4.0 + i / 32)) for i in range(128)]
         ref = PairRowFlow(n)
         for rows, integ in ((rows_of(states), "rk4"), (states[0].row, "rk4"),
@@ -405,18 +498,18 @@ class TestPairRowReference:
         # The 8-row midpoint batch shrinks as its rows converge, at different iterations.
         midpoint_batches = {shape[0] for shape in shapes if len(shape) == 2 and shape[0] < 8}
         assert len(midpoint_batches) > 1
-        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffers
-        # allocated for its first 8 rows: the same objects at every active-set size.
+        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffer
+        # allocated for its first 8 rows: the same object at every active-set size.
         fresh = flow._VecOps(n)
         seen = []
         fresh_square_half = fresh.square_half
-        fresh.square_half = lambda c, out: (
-            fresh_square_half(c, out), seen.append((c.shape, fresh._work)))[0]
+        fresh.square_half = lambda c, out, *args, **kwargs: (
+            fresh_square_half(c, out, *args, **kwargs), seen.append((c.shape, fresh._rows)))[0]
         cfg = FlowConfig(N=n, dt=0.1, integrator="implicit_midpoint")
         rows = rows_of(states[::16])
         got = flow._advance(fresh, rows, t_span, cfg)[0]
-        assert len({shape for shape, _ in seen}) > 1 and len(seen[0][1][0]) == 8
-        assert all(all(a is b for a, b in zip(work, seen[0][1])) for _, work in seen)
+        assert len({shape for shape, _ in seen}) > 1 and len(seen[0][1]) == 8
+        assert all(work is seen[0][1] for _, work in seen)
         for c, u0 in zip(got, map(TrigState.from_row, rows)):
             a, b = ref.integrate(u0, t_span, cfg.dt, "implicit_midpoint", cfg.midpoint_tol)
             assert _same_bits(TrigState.from_row(c).a, a) and _same_bits(TrigState.from_row(c).b, b)
@@ -424,10 +517,10 @@ class TestPairRowReference:
         got = flow._advance(ops, states[0].row, t_span, cfg)
         want = flow._advance(flow._VecOps(n), states[0].row, t_span, cfg)
         assert _same_bits(got[0], want[0]) and got[2] == want[2]
-        nodes = rows_of(states[:8])
+        nodes = ops.pad(rows_of(states[:8]))
         assert _same_bits(ops.nonlinear(nodes, np.empty_like(nodes)),
                           [flow._VecOps(n).nonlinear(c, np.empty_like(c)) for c in nodes])
-        assert (8, n) in shapes and (n,) in shapes and (128, n) in shapes
+        assert (8, bins) in shapes and (bins,) in shapes and (128, bins) in shapes
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -513,7 +606,7 @@ def _serial_picard(ops, y0, h, tol, max_iter):
 
     def duhamel(values):
         v = np.array(
-            [ops.free(ops.nonlinear(values[j], np.empty(ops.n, complex)), -flat_tau[j])
+            [ops.free(ops.nonlinear(values[j], np.empty_like(values[j])), -flat_tau[j])
              for j in range(n_nodes)]
         ).reshape(n_panels, len(flow._PNODES), -1)
         panel_full = ph * np.einsum("j,pjd->pd", flow._PWEIGHTS, v)
@@ -548,8 +641,8 @@ class TestPicard:
             cfg = FlowConfig(N=32, dt=h, integrator="picard", picard_max_iter=200)
             res = integrate(u0, h, cfg)
             ops = flow._VecOps.of(cfg)
-            y_end, diffs = _serial_picard(ops, u0.row, h, flow._PICARD_TOL, 200)
-            assert np.max(np.abs(res.final.row - y_end)) <= 1e-12
+            y_end, diffs = _serial_picard(ops, ops.pad(u0.row), h, flow._PICARD_TOL, 200)
+            assert np.max(np.abs(res.final.row - y_end[ops.modes])) <= 1e-12
             assert len(res.picard_diffs[0]) == len(diffs)
             assert np.max(np.abs(np.array(res.picard_diffs[0]) - diffs)) <= 1e-12
 

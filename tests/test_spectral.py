@@ -381,30 +381,28 @@ class TestPocketfftUfuncs:
                               np.fft.irfft(spec, m))
 
     def test_square_half_matches_np_fft_bit_for_bit(self):
+        # The flow rows hold c_k itself in the padded half spectrum: the inverse transform at
+        # scale 0.5 gives the grid values, the forward one at 1/m the spectrum of v^2/2, all bins.
         for n, m in FLOW_LENGTHS.items():
             ops = _VecOps(n)
             for lead in ((), (3,)):
-                c = _random_rows(np.random.default_rng([n, len(lead)]), lead, n)
-                spec = np.zeros(lead + (m // 2 + 1,), complex)
-                spec[..., 1:n + 1] = 0.5 * m * c
-                vals = np.fft.irfft(spec, m)
-                want = _np_fft_modes(np.fft.rfft(vals * (0.5 * vals)), n, m)
+                c = ops.pad(_random_rows(np.random.default_rng([n, len(lead)]), lead, n))
+                vals = 0.5 * np.fft.irfft(c, m, norm="forward")
+                want = np.fft.rfft(vals * vals, norm="forward")
                 assert _same_bits(ops.square_half(c, np.empty_like(c)), want), (n, lead)
 
     def test_adjoint_product_matches_np_fft_bit_for_bit(self):
-        # square_half(c, out, u) takes the forward transform at scale 2, which pocketfft
-        # applies as a final multiply: the bits of 2 rfft(u v), then / m, on the float view.
+        # square_half(c, out, u) takes the forward transform at scale 2/m, which pocketfft
+        # applies as a final multiply: the bits of 2 rfft(u v) at norm="forward", all bins.
         for n, m in FLOW_LENGTHS.items():
             ops = _VecOps(n)
             for lead in ((), (3,)):
                 rng = np.random.default_rng([n, len(lead), 1])
                 for scale in (1.0, 1e-150, 1e3):
-                    c = scale * _random_rows(rng, lead, n)
+                    c = ops.pad(scale * _random_rows(rng, lead, n))
                     u = scale * rng.standard_normal(lead + (m,))
-                    spec = np.zeros(lead + (m // 2 + 1,), complex)
-                    spec[..., 1:n + 1] = 0.5 * m * c
-                    prod = 2.0 * np.fft.rfft(u * np.fft.irfft(spec, m))
-                    want = (prod[..., 1:n + 1].view(float) / m).view(complex)
+                    vals = 0.5 * np.fft.irfft(c, m, norm="forward")
+                    want = 2.0 * np.fft.rfft(u * vals, norm="forward")
                     got = ops.square_half(c, np.empty_like(c), u)
                     assert _same_bits(got, want), (n, lead, scale)
 
