@@ -1,23 +1,32 @@
 #!/usr/bin/env python3
 """Per-layer timings of the flow kernels, as one JSON object on standard output.
 
-    PYTHONPATH=src python3 scripts/layerbench.py [--repeats 15] [--seed 0] [--quick]
+    python3 scripts/layerbench.py [--against TREE] [--quick]
 
-Each layer is one call of a flow kernel on fixed rows: the rhs at N = 32, 64
-and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit
-midpoint step (N = 32, one row), one Picard subinterval (N = 32, length 1),
-a taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass.
-A repeat times a fixed number of calls of every layer in turn, so a drift in
-the host's speed reaches all layers alike; each layer reports the median and
-quartiles of its per-call time over the repeats, in microseconds.  The host
-record holds the fields perfbench records: git revision, Python and numpy
-versions, nproc and the seed.  --quick runs 3 repeats of few calls, to check
-that the script runs, not to measure.
+Each layer is one call of a flow kernel on the same inputs every time: the rhs at N = 32, 64
+and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step (N = 32,
+one row), one Picard subinterval (N = 32, length 1), a taped 2-row rk4 flow at N = 32 over
+T = 1 (dt = 0.02) and its reverse pass.  The steppers work in place, so their row is reset
+from a saved copy before each call.  A repeat times a fixed number of calls of every layer in
+turn, so a drift in the host's speed reaches all layers alike; each layer reports the median
+and quartiles of its per-call time over REPEATS repeats, in microseconds.
+
+--against TREE also loads the bbmlab of another checkout (TREE/src) into the same process and
+times each layer's call block on both trees back to back, the order alternating from repeat
+to repeat.  Separate processes see the host's speed change between them, which can swamp a
+kernel's difference; back-to-back blocks in one process resolve it.  The "against" record
+holds the other tree's timings, the relative change of this tree's median and the number of
+repeats in which this tree was faster.
+
+The host record holds the fields perfbench records: git revision, Python and numpy versions,
+nproc and the seed.  --quick runs 3 repeats of few calls, to check that the script runs, not
+to measure.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -28,99 +37,151 @@ import time
 
 import numpy as np
 
-from bbmlab import flow
-from bbmlab.flow import FlowConfig, adjoint_batch, integrate_taped, rk4_coefficients, rk4_step
-from bbmlab.sampling import sobolev_ball_rows, substream
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+REPEATS = 15
+SEED = 0
 
 
-def _git_revision() -> str:
-    if not os.path.exists(os.path.join(ROOT, ".git")):
+def _git_revision(root: str) -> str:
+    if not os.path.exists(os.path.join(root, ".git")):
         return "unknown"
     try:
-        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
                              text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
-def _rows(seed: int, n_modes: int, batch: int, radius: float = 0.5) -> np.ndarray:
-    return sobolev_ball_rows([substream(seed, "layerbench", n_modes, i) for i in range(batch)],
-                             n_modes, 0.5, radius)
+def load_tree(root: str):
+    """The flow and sampling modules of the bbmlab under root/src, apart from any other copy.
+
+    The modules are imported afresh and the bbmlab modules already imported are put back
+    afterwards, so two trees' kernels can be timed in one process.
+    """
+    def ours():
+        return [name for name in sys.modules if name == "bbmlab" or name.startswith("bbmlab.")]
+
+    saved = {name: sys.modules.pop(name) for name in ours()}
+    src = os.path.join(os.path.abspath(root), "src")
+    sys.path.insert(0, src)
+    try:
+        return importlib.import_module("bbmlab.flow"), importlib.import_module("bbmlab.sampling")
+    finally:
+        sys.path.remove(src)
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
 
 
-def layers(seed: int) -> dict:
-    """name -> (zero-argument call, calls per repeat), every call on fixed inputs."""
+def layers(flow, sampling) -> dict:
+    """name -> (zero-argument call, calls per repeat) for one tree's flow kernels."""
+    def rows(n_modes, batch, radius=0.5):
+        streams = [sampling.substream(SEED, "layerbench", n_modes, i) for i in range(batch)]
+        return sampling.sobolev_ball_rows(streams, n_modes, 0.5, radius)
+
+    def layout(ops, c):
+        # A tree whose kernels take (..., N) rows, before the padded layout, has no pad.
+        return ops.pad(c) if hasattr(ops, "pad") else c.copy()
+
+    def from_start(y0, step):
+        y = y0.copy()
+
+        def call():
+            np.copyto(y, y0)
+            step(y)
+        return call
+
     out = {}
     for n_modes in (32, 64, 128):
         ops = flow._VecOps(n_modes)
         for batch in (1, 16):
-            c = ops.pad(_rows(seed, n_modes, batch))
+            c = layout(ops, rows(n_modes, batch))
             c = c[0] if batch == 1 else c
             res = np.empty_like(c)
             out[f"rhs/N={n_modes}/rows={batch}"] = (lambda ops=ops, c=c, res=res: ops.rhs(c, res),
                                                    400)
     ops = flow._VecOps(64)
-    y = ops.pad(_rows(seed, 64, 1)[0])
-    work, coef = np.empty((5,) + y.shape, complex), rk4_coefficients(1e-3, complex)
-    out["rk4_step/N=64/rows=1"] = (lambda: rk4_step(ops.rhs, y, coef, work), 200)
+    y0 = layout(ops, rows(64, 1)[0])
+    work, coef = np.empty((5,) + y0.shape, complex), flow.rk4_coefficients(1e-3, complex)
+    out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(ops.rhs, y, coef, work)),
+                                   200)
     mid_ops = flow._VecOps(32)
-    y_mid = mid_ops.pad(_rows(seed, 32, 1))
+    y_mid = layout(mid_ops, rows(32, 1))
     mid_work, mid_dt = np.empty((5,) + y_mid.shape, complex), np.array(1e-3, complex)
-    out["midpoint_step/N=32/rows=1"] = (
-        lambda: flow._midpoint_step(mid_ops, y_mid, mid_dt, 1e-12, 1, mid_work), 100)
-    y_picard = mid_ops.pad(_rows(seed, 32, 1, radius=1.0)[0])
+    out["midpoint_step/N=32/rows=1"] = (from_start(y_mid, lambda y: flow._midpoint_step(
+        mid_ops, y, mid_dt, 1e-12, 1, mid_work)), 100)
+    y_picard = layout(mid_ops, rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)
-    cfg = FlowConfig(N=32, dt=0.02)
-    c = _rows(seed, 32, 2)
-    _, tape = integrate_taped(c, 1.0, cfg)
-    out["integrate_taped/N=32/rows=2/T=1"] = (lambda: integrate_taped(c, 1.0, cfg), 5)
-    out["adjoint_batch/N=32/rows=2/T=1"] = (lambda: adjoint_batch(tape, c, 1.0, cfg), 5)
+    cfg = flow.FlowConfig(N=32, dt=0.02)
+    c = rows(32, 2)
+    _, tape = flow.integrate_taped(c, 1.0, cfg)
+    out["integrate_taped/N=32/rows=2/T=1"] = (lambda: flow.integrate_taped(c, 1.0, cfg), 5)
+    out["adjoint_batch/N=32/rows=2/T=1"] = (lambda: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
     return out
 
 
-def measure(seed: int, repeats: int, scale: float) -> dict:
-    """Median and quartiles, in microseconds per call, of each layer over interleaved repeats."""
-    ops = layers(seed)
-    calls = {name: max(1, round(number * scale)) for name, (_, number) in ops.items()}
-    times = {name: [] for name in ops}
-    for name, (call, _) in ops.items():  # one warm-up call: workspaces, caches
-        call()
-    for _ in range(repeats):
-        for name, (call, _) in ops.items():
-            t0 = time.perf_counter()
-            for _ in range(calls[name]):
-                call()
-            times[name].append(1e6 * (time.perf_counter() - t0) / calls[name])
-    result = {}
-    for name, samples in times.items():
-        q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
-        result[name] = {"unit": "us", "median": median, "q1": q1, "q3": q3,
-                        "calls": calls[name], "repeats": repeats}
-    return result
+def _stats(samples: list, calls: int) -> dict:
+    q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
+    return {"unit": "us", "median": median, "q1": q1, "q3": q3, "calls": calls,
+            "repeats": len(samples)}
+
+
+def measure(trees: list, repeats: int, scale: float) -> tuple[dict, list]:
+    """Calls per block of each layer, and per tree its microseconds per call in each repeat.
+
+    Every repeat times each layer's call block on every tree back to back, the trees' order
+    turning by one from repeat to repeat.
+    """
+    calls_of = [layers(*modules) for modules in trees]
+    calls = {name: max(1, round(number * scale)) for name, (_, number) in calls_of[0].items()}
+    times = [{name: [] for name in calls} for _ in trees]
+    for tree_calls in calls_of:  # one warm-up call: workspaces, caches
+        for call, _ in tree_calls.values():
+            call()
+    for rep in range(repeats):
+        for name in calls:
+            for k in range(len(trees)):
+                t = (k + rep) % len(trees)
+                call = calls_of[t][name][0]
+                t0 = time.perf_counter()
+                for _ in range(calls[name]):
+                    call()
+                times[t][name].append(1e6 * (time.perf_counter() - t0) / calls[name])
+    return calls, times
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=15)
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--against", metavar="TREE",
+                    help="a checkout whose bbmlab is timed in the same process, block by block")
     ap.add_argument("--quick", action="store_true", help="3 repeats of few calls")
     args = ap.parse_args(argv)
-    if args.repeats < 2:
-        ap.error("--repeats must be at least 2, for quartiles")
-    repeats, scale = (3, 0.05) if args.quick else (args.repeats, 1.0)
+    repeats, scale = (3, 0.05) if args.quick else (REPEATS, 1.0)
+    trees = [load_tree(ROOT)] + ([load_tree(args.against)] if args.against else [])
     environment = {
-        "git_revision": _git_revision(),
+        "git_revision": _git_revision(ROOT),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
-        "seed": args.seed,
+        "seed": SEED,
     }
-    record = {"environment": environment, "quick": args.quick,
-              "layers": measure(args.seed, repeats, scale)}
+    calls, times = measure(trees, repeats, scale)
+    timings = [{name: _stats(samples, calls[name]) for name, samples in tree.items()}
+               for tree in times]
+    record = {"environment": environment, "quick": args.quick, "layers": timings[0]}
+    if args.against:
+        this, other = timings
+        record["against"] = {
+            "tree": os.path.abspath(args.against),
+            "git_revision": _git_revision(args.against),
+            "layers": other,
+            "relative_change": {name: this[name]["median"] / other[name]["median"] - 1.0
+                                for name in this},
+            "this_faster": {name: sum(a < b for a, b in zip(times[0][name], times[1][name]))
+                            for name in this},
+        }
     json.dump(record, sys.stdout)
     print()
     return 0

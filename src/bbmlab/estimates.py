@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import (FlowConfig, FlowError, _VecOps, _padded, integrate_batch, rk4_coefficients,
-                   rk4_step)
+from .flow import (FlowConfig, FlowError, _padded, free_evolution, integrate_batch,
+                   rk4_coefficients, rk4_step)
 from .sampling import sobolev_ball_rows, substream
 from .spectral import (
     MAX_MODES,
@@ -248,13 +248,13 @@ def smoothing_ratio(u0: TrigState, v0: TrigState, t_span: float, eps: float,
     denom = sobolev_norm(u0 - v0, 0.5 - eps)
     if denom == 0.0:
         raise ValueError("smoothing_ratio requires distinct initial states")
-    ops = _VecOps.of(cfg)
     c = c0 = np.array([_padded(u, cfg, "smoothing_ratio").row for u in (u0, v0)])
     best = 0.0
     dt_seg = t_span / _SMOOTHING_TIMES
     for i in range(1, _SMOOTHING_TIMES + 1):
         c = integrate_batch(c, dt_seg, cfg)
-        nl = ops.free(ops.pad(c), -i * dt_seg)[:, ops.modes] - c0
+        rotated = [free_evolution(TrigState.from_row(row), -i * dt_seg).row for row in c]
+        nl = np.array(rotated) - c0
         best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
     return best
 

@@ -3,10 +3,12 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
-SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "layerbench.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "layerbench.py"
 LAYERS = {
     *(f"rhs/N={n}/rows={rows}" for n in (32, 64, 128) for rows in (1, 16)),
     "rk4_step/N=64/rows=1",
@@ -25,20 +27,31 @@ def layerbench():
     return module
 
 
-def test_quick_mode_prints_every_layer_with_its_quartiles(layerbench, capsys):
-    assert layerbench.main(["--quick"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert set(record) == {"environment", "quick", "layers"} and record["quick"] is True
-    assert set(record["environment"]) == {"git_revision", "python", "numpy", "nproc", "seed"}
-    assert set(record["layers"]) == LAYERS
-    for name, layer in record["layers"].items():
+def check_layers(layers):
+    assert set(layers) == LAYERS
+    for name, layer in layers.items():
         assert set(layer) == {"unit", "median", "q1", "q3", "calls", "repeats"}, name
         assert layer["unit"] == "us" and layer["repeats"] == 3 and layer["calls"] >= 1, name
         assert 0.0 < layer["q1"] <= layer["median"] <= layer["q3"], name
 
 
-def test_one_repeat_has_no_quartiles_and_exits_2(layerbench, capsys):
-    with pytest.raises(SystemExit) as exc:
-        layerbench.main(["--repeats", "1"])
-    assert exc.value.code == 2
-    assert "--repeats must be at least 2" in capsys.readouterr().err
+def test_quick_mode_prints_every_layer_with_its_quartiles(layerbench, capsys):
+    assert layerbench.main(["--quick"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert set(record) == {"environment", "quick", "layers"} and record["quick"] is True
+    assert set(record["environment"]) == {"git_revision", "python", "numpy", "nproc", "seed"}
+    check_layers(record["layers"])
+
+
+def test_against_times_a_second_tree_in_process_and_leaves_bbmlab_imported(layerbench, capsys):
+    import bbmlab.flow
+
+    assert layerbench.main(["--quick", "--against", str(ROOT)]) == 0
+    assert sys.modules["bbmlab.flow"] is bbmlab.flow
+    record = json.loads(capsys.readouterr().out)
+    against = record["against"]
+    assert set(against) == {"tree", "git_revision", "layers", "relative_change", "this_faster"}
+    check_layers(record["layers"])
+    check_layers(against["layers"])
+    assert set(against["relative_change"]) == set(against["this_faster"]) == LAYERS
+    assert all(0 <= wins <= 3 for wins in against["this_faster"].values())
