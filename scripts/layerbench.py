@@ -5,11 +5,13 @@
 
 Each layer is one call of a flow kernel on the same inputs every time: the rhs at N = 32, 64
 and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step (N = 32,
-one row), one Picard subinterval (N = 32, length 1), a taped 2-row rk4 flow at N = 32 over
-T = 1 (dt = 0.02) and its reverse pass.  The steppers work in place, so their row is reset
-from a saved copy before each call.  A repeat times a fixed number of calls of every layer in
-turn, so a drift in the host's speed reaches all layers alike; each layer reports the median
-and quartiles of its per-call time over REPEATS repeats, in microseconds.
+one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval (N = 32,
+length 1), a taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, and
+one smoothing ratio (N = 32, T = 1, dt = 0.01: 32 flow segments of two rows).  The steppers
+work in place, so their row is reset from a saved copy before each call.  A repeat times a
+fixed number of calls of every layer in turn, so a drift in the host's speed reaches all
+layers alike; each layer reports the median and quartiles of its per-call time over REPEATS
+repeats, in microseconds.
 
 --against TREE also loads the bbmlab of another checkout (TREE/src) into the same process and
 times each layer's call block on both trees back to back, the order alternating from repeat
@@ -54,7 +56,7 @@ def _git_revision(root: str) -> str:
 
 
 def load_tree(root: str):
-    """The flow and sampling modules of the bbmlab under root/src, apart from any other copy.
+    """The flow, sampling and estimates modules of the bbmlab under root/src, apart from others.
 
     The modules are imported afresh and the bbmlab modules already imported are put back
     afterwards, so two trees' kernels can be timed in one process.
@@ -66,7 +68,8 @@ def load_tree(root: str):
     src = os.path.join(os.path.abspath(root), "src")
     sys.path.insert(0, src)
     try:
-        return importlib.import_module("bbmlab.flow"), importlib.import_module("bbmlab.sampling")
+        return tuple(importlib.import_module(f"bbmlab.{name}")
+                     for name in ("flow", "sampling", "estimates"))
     finally:
         sys.path.remove(src)
         for name in ours():
@@ -74,7 +77,7 @@ def load_tree(root: str):
         sys.modules.update(saved)
 
 
-def layers(flow, sampling) -> dict:
+def layers(flow, sampling, estimates) -> dict:
     """name -> (zero-argument call, calls per repeat) for one tree's flow kernels."""
     def rows(n_modes, batch, radius=0.5):
         streams = [sampling.substream(SEED, "layerbench", n_modes, i) for i in range(batch)]
@@ -111,6 +114,14 @@ def layers(flow, sampling) -> dict:
     mid_work, mid_dt = np.empty((5,) + y_mid.shape, complex), np.array(1e-3, complex)
     out["midpoint_step/N=32/rows=1"] = (from_start(y_mid, lambda y: flow._midpoint_step(
         mid_ops, y, mid_dt, 1e-12, 1, mid_work)), 100)
+    # A flow Jacobian's batch: 8 modes' real and imaginary parts bumped by +-1e-4 and +-5e-5.
+    jac_ops = flow._VecOps(8)
+    bumps = np.concatenate([np.eye(8), 1j * np.eye(8)])
+    y_jac = layout(jac_ops, rows(8, 1)[0] + np.concatenate(
+        [sign * h * bumps for h in (1e-4, 5e-5) for sign in (1.0, -1.0)]))
+    jac_work, jac_dt = np.empty((5,) + y_jac.shape, complex), np.array(5e-3, complex)
+    out["midpoint_step/N=8/rows=64"] = (from_start(y_jac, lambda y: flow._midpoint_step(
+        jac_ops, y, jac_dt, 1e-13, 1, jac_work)), 50)
     y_picard = layout(mid_ops, rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)
@@ -119,6 +130,11 @@ def layers(flow, sampling) -> dict:
     _, tape = flow.integrate_taped(c, 1.0, cfg)
     out["integrate_taped/N=32/rows=2/T=1"] = (lambda: flow.integrate_taped(c, 1.0, cfg), 5)
     out["adjoint_batch/N=32/rows=2/T=1"] = (lambda: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
+    u0, v0 = (sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", name), 32, 0.5,
+                                          0.8) for name in ("u0", "v0"))
+    smoothing = flow.FlowConfig(N=32, dt=0.01)
+    out["smoothing_ratio/N=32/T=1"] = (
+        lambda: estimates.smoothing_ratio(u0, v0, 1.0, 1.0 / 24.0, smoothing), 3)
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .flow import (FlowConfig, FlowError, _padded, free_evolution, integrate_batch,
+from .flow import (FlowConfig, FlowError, _padded, integrate_batch, interaction_samples,
                    rk4_coefficients, rk4_step)
 from .sampling import sobolev_ball_rows, substream
 from .spectral import (
@@ -240,23 +240,17 @@ def smoothing_ratio(u0: TrigState, v0: TrigState, t_span: float, eps: float,
 
     sup over sampled t in [0, T] of
     ||NL_t(u0) - NL_t(v0)||_{H^{1/2+eps}} / ||u0 - v0||_{H^{1/2-eps}},
-    where NL_t is the deviation from free rotation.  The time sup uses a
-    uniform grid of _SMOOTHING_TIMES points (an under-estimate of the true sup).
+    where NL_t is the deviation from free rotation.  The time sup uses a uniform grid of
+    _SMOOTHING_TIMES points, sampled in one flow.interaction_samples pass (an under-estimate).
     """
     if not 0.0 < eps < 1.0 / 12.0:
         raise ValueError(f"eps must lie in (0, 1/12), got {eps}")
     denom = sobolev_norm(u0 - v0, 0.5 - eps)
     if denom == 0.0:
         raise ValueError("smoothing_ratio requires distinct initial states")
-    c = c0 = np.array([_padded(u, cfg, "smoothing_ratio").row for u in (u0, v0)])
-    best = 0.0
-    dt_seg = t_span / _SMOOTHING_TIMES
-    for i in range(1, _SMOOTHING_TIMES + 1):
-        c = integrate_batch(c, dt_seg, cfg)
-        rotated = [free_evolution(TrigState.from_row(row), -i * dt_seg).row for row in c]
-        nl = np.array(rotated) - c0
-        best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
-    return best
+    c0 = np.array([_padded(u, cfg, "smoothing_ratio").row for u in (u0, v0)])
+    nl = interaction_samples(c0, t_span, _SMOOTHING_TIMES, cfg)
+    return float(np.max(sobolev_norms(0.0, nl[:, 0] - nl[:, 1], 0.5 + eps))) / denom
 
 
 def canonical_form_matrix(n_pairs: int) -> np.ndarray:
@@ -287,10 +281,8 @@ def flow_jacobian(
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"finite-difference step h = {h} outside [1e-6, 1e-3]")
-    if active_modes > 8:
-        raise ValueError("at most 8 active mode pairs are supported")
-    if active_modes > cfg.N:
-        raise ValueError("active_modes exceeds the truncation")
+    if not 1 <= active_modes <= min(8, cfg.N):
+        raise ValueError(f"active_modes = {active_modes} outside 1..{min(8, cfg.N)}")
     c0 = _padded(u0, cfg, "flow_jacobian").row
     step_sizes = (h, 0.5 * h) if check_step else (h,)
     # Row k bumps coordinate i (p_i, or q_{i-n} at column N + i - n) by sign * step.

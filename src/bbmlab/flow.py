@@ -29,23 +29,24 @@ transform at scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0
 outside 1..N, so its multiply projects the product back: an rhs is five
 ufunc calls.  Fixed scalars are 0-d arrays built once (``rk4_coefficients``),
 so no call resolves a Python number.  The grid workspace is sized by row
-capacity, so the implicit midpoint's shrinking set of unconverged rows takes
-its leading rows; rk4 and the midpoint step the rows in place.  A flow takes
-at most MAX_STEPS steps, and none over a zero horizon.
+capacity, so the implicit midpoint's set of unconverged rows, gathered only
+when it shrinks, takes its leading rows; rk4 and the midpoint step the rows
+in place.  A flow takes at most MAX_STEPS steps, none over a zero horizon.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
-iterates to its own tolerance; Picard flows row by row): the witness
-search, the flow Jacobian and the smoothing ratio build their rows with
-spectral.pair_rows and read them with spectral.pair_coords.  A row that
-turns non-finite stops the loop with a ``FlowError``.
+iterates to its own tolerance; Picard flows row by row), as the witness
+search and the flow Jacobian do.  ``interaction_samples`` samples
+e^{-tL}Phi_t(c) - c along one such flow, for ``nonlinear_part`` and the
+smoothing ratio.  A row that turns non-finite stops the loop with a
+``FlowError``.
 
 ``integrate_taped`` runs the loop with a tape, into which the product
 kernel's inverse FFT writes the grid values of each rk4 stage input (or of
 each converged implicit midpoint), and ``adjoint_batch`` runs the discrete
-adjoint of the step map backwards over it: one reverse pass pulls a cotangent at the horizon
-back to the initial rows, which is how the witness search takes its
-gradients.  The implicit midpoint's transpose is the same implicit solve with
-the adjoint right-hand side, so both directions share one fixed-point solver.
+adjoint of the step map backwards over it: one reverse pass pulls a
+cotangent at the horizon back to the initial rows, which is how the witness
+search takes its gradients.  The implicit midpoint's transpose is the same
+implicit solve with the adjoint right-hand side: one fixed-point solver.
 
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
@@ -54,6 +55,7 @@ rhs(cos x) = (1/2) sin x + (1/10) sin 2x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -256,16 +258,19 @@ class _VecOps:
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
 
-        An array t of shape (..., 1) gives each row its own time.
+        An array t of shape (..., 1) gives each row its own time; rotation(t) may stand for t.
         """
-        th = t * self.phi
-        cos, sin = np.cos(th), np.sin(th)
-        if out is None:
-            out = np.empty(np.broadcast_shapes(c.shape, th.shape), dtype=complex)
+        cos, sin = t if isinstance(t, tuple) else self.rotation(t)
+        out = np.empty(np.broadcast_shapes(c.shape, cos.shape), complex) if out is None else out
         # c e^{-i th} part by part: a complex product may fuse multiply-adds.
         out.real = c.real * cos + c.imag * sin
         out.imag = c.imag * cos - c.real * sin
         return out
+
+    def rotation(self, t) -> tuple:
+        """The tables cos(t phi), sin(t phi) that free rotates by, to reuse for one t."""
+        th = t * self.phi
+        return np.cos(th), np.sin(th)
 
     def znorm(self, c: np.ndarray) -> np.ndarray:
         return np.sqrt(np.sum(self.zw * (c.real ** 2 + c.imag ** 2), axis=-1))
@@ -335,26 +340,31 @@ def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt, tol, work: np.ndarray) -
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
     rhs); dt is a 0-d complex array.  g(x, out, rows) writes g at x, standing for the rows `rows`
     of y, into out.  A row stops once the Z norm of its change is at most tol (a number, or one
-    per row) or is not finite.  The active rows take the leading rows of work, shape
-    (5, *y.shape).  Returns z, in work[0], and the indices and last changes of the rows still
-    moving after _MIDPOINT_MAX_ITER.
+    per row) or is not finite.  Until one stops, all rows iterate on y itself (rows a slice);
+    then the moving ones are gathered into leading rows of work, shape (5, *y.shape).  Returns
+    z, in work[0], and the indices and last changes of the rows still moving after
+    _MIDPOINT_MAX_ITER, whose rows of z the callers discard.
     """
     z, ya, za, mid, f = work
     np.add(y, np.multiply(dt, g(y, f, slice(None)), out=z), out=z)
-    active = np.arange(len(y))
+    active, rows = np.arange(len(y)), slice(None)
+    y_k, z_k, f_k, tol_k = y, z, f, tol
     for _ in range(_MIDPOINT_MAX_ITER):
-        k = active.size
-        ya_k, za_k, mid_k, f_k = ya[:k], za[:k], mid[:k], f[:k]
-        np.take(y, active, axis=0, out=ya_k)
-        np.take(z, active, axis=0, out=za_k)
-        np.multiply(_HALF, np.add(ya_k, za_k, out=mid_k), out=mid_k)
-        z_new = np.add(ya_k, np.multiply(dt, g(mid_k, f_k, active), out=f_k), out=f_k)
-        delta = ops.znorm(np.subtract(z_new, za_k, out=za_k))
-        z[active] = z_new
-        moving = delta > (tol[active] if isinstance(tol, np.ndarray) else tol)
-        active = active[moving]
+        mid_k = mid[:len(y_k)]
+        np.multiply(_HALF, np.add(y_k, z_k, out=mid_k), out=mid_k)
+        np.add(y_k, np.multiply(dt, g(mid_k, f_k, rows), out=f_k), out=f_k)
+        delta = ops.znorm(np.subtract(f_k, z_k, out=mid_k))
+        z_k, f_k = f_k, z_k
+        moving = delta > tol_k
+        if moving.all() and moving.size:
+            continue
+        z[active] = z_k
+        active = rows = active[moving]
         if not active.size:
             break
+        y_k = np.take(y, active, axis=0, out=ya[:active.size])
+        z_k = np.take(z, active, axis=0, out=za[:active.size])
+        f_k, tol_k = f[:active.size], tol[active] if isinstance(tol, np.ndarray) else tol
     return z, active, delta[moving]
 
 
@@ -379,11 +389,12 @@ def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: np.ndarray, tol: float, step
     np.copyto(y2, z)
 
 
+@functools.cache
 def _gauss_collocation(n_nodes: int = 8):
     """Nodes/weights on [0,1] plus the interpolatory integration matrix.
 
     integ[j] @ f(nodes) integrates the degree n_nodes-1 interpolant of f
-    from 0 to node j; built in the Legendre basis for conditioning.
+    from 0 to node j; built in the Legendre basis (for conditioning) on first use.
     """
     xi, wi = np.polynomial.legendre.leggauss(n_nodes)
     x = 0.5 * (xi + 1.0)
@@ -398,42 +409,39 @@ def _gauss_collocation(n_nodes: int = 8):
     return x, w, integ
 
 
-_PNODES, _PWEIGHTS, _PINTEG = _gauss_collocation(8)
-
-
 def _picard_subinterval(
     ops: _VecOps, y0: np.ndarray, h: float, tol: float, max_iter: int, t0: float
 ) -> tuple[np.ndarray, list[float]]:
     """Solve the Duhamel equation on [t0, t0+h] by fixed-point iteration.
 
-    u(t) = e^{tL}(u0 + int_0^t e^{-sL} Q(u(s)) ds) with L the free rotation
-    and Q the quadratic term.  The integral uses composite 8-node
-    Gauss-Legendre collocation (panels of length <= _PICARD_PANEL_MAX);
-    iterates are represented by their values at all panel nodes, one row
-    per node.  Returns the endpoint vector and the successive-iterate X^0
-    differences.
+    u(t) = e^{tL}(u0 + int_0^t e^{-sL} Q(u(s)) ds) with L the free rotation and Q the quadratic
+    term.  The integral uses composite 8-node Gauss-Legendre collocation (panels of length <=
+    _PICARD_PANEL_MAX); iterates are represented by their values at all panel nodes, one row per
+    node, rotated by tables built once for the node times tau and -tau.  Returns the endpoint
+    vector and the successive-iterate X^0 differences.
     """
+    nodes, weights, integ = _gauss_collocation()
     n_panels = max(1, math.ceil(abs(h) / _PICARD_PANEL_MAX))
     ph = h / n_panels
     # Node times, panel by panel: tau[p, j] = p*ph + ph*x_j, one per row.
-    tau = (ph * np.arange(n_panels)[:, None] + ph * _PNODES[None, :]).reshape(-1, 1)
-    n_nodes = len(tau)
-    ys, ys_new, quad, rot = np.empty((4, n_nodes, y0.shape[-1]), complex)  # iterates swap buffers
-    ops.free(y0, tau, ys)
+    tau = (ph * np.arange(n_panels)[:, None] + ph * nodes[None, :]).reshape(-1, 1)
+    ys, ys_new, quad, rot = np.empty((4, len(tau), y0.shape[-1]), complex)  # iterates swap buffers
+    forward, back = ops.rotation(tau), ops.rotation(-tau)
+    ops.free(y0, forward, ys)
     diffs: list[float] = []
     grew = 0
 
     def duhamel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = ops.free(ops.nonlinear(values, quad), -tau, rot).reshape(n_panels, len(_PNODES), -1)
-        panel_full = ph * np.einsum("j,pjd->pd", _PWEIGHTS, v)
+        v = ops.free(ops.nonlinear(values, quad), back, rot).reshape(n_panels, len(nodes), -1)
+        panel_full = ph * np.einsum("j,pjd->pd", weights, v)
         prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
-        node_part = ph * np.einsum("ij,pjd->pid", _PINTEG, v)
-        integrals = (prefix[:-1, None, :] + node_part).reshape(n_nodes, -1)
+        node_part = ph * np.einsum("ij,pjd->pid", integ, v)
+        integrals = (prefix[:-1, None, :] + node_part).reshape(len(tau), -1)
         return integrals, prefix[-1]
 
     for _ in range(max_iter):
         integrals, _total = duhamel(ys)
-        ops.free(y0 + integrals, tau, ys_new)
+        ops.free(y0 + integrals, forward, ys_new)
         diff = float(np.max(sobolev_norms(0.0, (ys_new - ys)[:, ops.modes], 0.0)))
         if diffs and diff >= diffs[-1] and diff > tol:
             grew += 1
@@ -459,7 +467,8 @@ def _picard_subinterval(
 
 
 def _step_count(t_span: float, dt: float, name: str = "dt") -> int:
-    """ceil(|t_span| / dt), 0 for a zero horizon; above MAX_STEPS a ValueError naming name, T."""
+    """ceil(|t_span| / dt), 0 for a zero horizon; a non-finite T or over MAX_STEPS: ValueError."""
+    require_finite("T", t_span)
     steps = abs(t_span) / dt
     if not steps <= MAX_STEPS:
         raise ValueError(
@@ -551,26 +560,46 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
     )
 
 
-def _check_rows(c: np.ndarray, cfg: FlowConfig) -> None:
+def _check_rows(c: np.ndarray, cfg: FlowConfig, op: str = "integrate_batch") -> None:
     if c.ndim != 2 or c.shape[1] != cfg.N:
-        raise ValueError(f"integrate_batch needs rows of shape (batch, {cfg.N}), got {c.shape}")
+        raise ValueError(f"{op} needs rows of shape (batch, {cfg.N}), got {c.shape}")
 
 
 def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
     """Flow the independent coefficient rows c, shape (batch, cfg.N), over [0, t_span].
 
     Row i of the result is integrate(TrigState.from_row(c[i]), t_span,
-    cfg).final as a row: bit for bit under rk4, and to solver tolerance
-    under implicit_midpoint, where each row iterates until its own residual
-    meets midpoint_tol.  The Picard integrator solves one row at a time.
+    cfg).final as a row, bit for bit: each implicit-midpoint row iterates
+    until its own residual meets midpoint_tol; Picard solves row by row.
     """
     _check_rows(c, cfg)
+    return _flow_rows(_VecOps.of(cfg), c, t_span, cfg)
+
+
+def _flow_rows(ops: _VecOps, c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
+    """integrate_batch's rows, on ops."""
     if not len(c):
         return c.copy()
-    ops = _VecOps.of(cfg)
     if cfg.integrator == "picard":
         return np.array([_advance(ops, row, t_span, cfg)[0] for row in c])
     return _advance(ops, c, t_span, cfg)[0]
+
+
+def interaction_samples(c: np.ndarray, t_span: float, n_times: int, cfg: FlowConfig) -> np.ndarray:
+    """e^{-t_i L} Phi_{t_i}(c) - c, shape (n_times, batch, N), at t_i = i t_span / n_times, i >= 1.
+
+    Segment i flows segment i - 1's endpoint rows as integrate_batch(rows, t_span / n_times, cfg)
+    does, on one workspace for the whole pass, and one rotation takes them back by t_i.
+    """
+    _check_rows(c, cfg, "interaction_samples")
+    if n_times < 1:
+        raise ValueError(f"interaction_samples needs n_times >= 1, got {n_times}")
+    ops, seg = _VecOps.of(cfg), t_span / n_times
+    samples, y = np.empty((n_times,) + c.shape, complex), c
+    for i in range(1, n_times + 1):
+        y = _flow_rows(ops, y, seg, cfg)
+        np.subtract(ops.free(ops.pad(y), -i * seg)[..., ops.modes], c, out=samples[i - 1])
+    return samples
 
 
 def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:
@@ -595,7 +624,7 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     the product kernel's inverse FFT, or of the implicit midpoint's
     converged midpoint (y + z)/2.
     """
-    _check_rows(c, cfg)
+    _check_rows(c, cfg, "integrate_taped")
     tape = np.empty((len(c),) + tape_shape(t_span, cfg))
     # A linear_only flow has no products to record.
     return _advance(_VecOps.of(cfg), c, t_span, cfg, tape=tape if tape.size else None)[0], tape
@@ -688,12 +717,11 @@ def invariants_of(state: TrigState) -> tuple[float, float, float]:
 def nonlinear_part(u0: TrigState, t_span: float, cfg: FlowConfig) -> TrigState:
     """Deviation of the flow from the free rotation in interaction coordinates.
 
-    Returns e^{-t L} Phi_t(u0) - u0, where L is the free rotation generator.
-    Zero is a fixed point; the result is one derivative smoother than u0.
+    Returns e^{-t L} Phi_t(u0) - u0, L the free rotation generator: interaction_samples
+    at one time.  Zero is a fixed point; the result is one derivative smoother than u0.
     """
-    require_mean_zero(u0, "nonlinear_part")
-    final = integrate(u0, t_span, cfg).final
-    return free_evolution(final, -t_span) - u0.padded(cfg.N)
+    c = _padded(u0, cfg, "nonlinear_part").row
+    return TrigState.from_row(interaction_samples(c[None], t_span, 1, cfg)[0, 0])
 
 
 def galerkin_defect(u0: TrigState, t_span: float, n_small: int, cfg_ref: FlowConfig) -> float:

@@ -1,15 +1,17 @@
 """Independent slow-path oracles for the spectral operations.
 
 Everything here but reference_estimate, reference_flow_jacobian,
-reference_maximize_image_radius, fd_gradients, reference_ball_image_scan,
-tangent_linear and PairRowFlow works from the definitions (convolution
-sums, Riemann quadrature, trig calculus) without touching the package's FFT
-paths, so the fast implementations can be checked against it at 1e-12.
-reference_estimate is the pair-by-pair loop the batched estimate sweep must
-reproduce bit for bit, reference_flow_jacobian the state-by-state bump loop
-flow_jacobian must reproduce bit for bit, reference_maximize_image_radius
-the start-by-start ascent the lock-step witness search must reproduce bit
-for bit, and PairRowFlow the real-row flow core the complex-row one must
+reference_smoothing_ratio, reference_maximize_image_radius, fd_gradients,
+reference_ball_image_scan, tangent_linear and PairRowFlow works from the
+definitions (convolution sums, Riemann quadrature, trig calculus) without
+touching the package's FFT paths, so the fast implementations can be checked
+against it at 1e-12.  reference_estimate is the pair-by-pair loop the batched
+estimate sweep must reproduce bit for bit, reference_flow_jacobian the
+state-by-state bump loop flow_jacobian must reproduce bit for bit,
+reference_smoothing_ratio the segment-by-segment loop of public flow calls
+smoothing_ratio must reproduce exactly, reference_maximize_image_radius the
+start-by-start ascent the lock-step witness search must reproduce bit for
+bit, and PairRowFlow the real-row flow core the complex-row one must
 reproduce bit for bit.  fd_gradients is the central-difference gradient the
 witness search's adjoint gradient must match to O(h^2),
 reference_ball_image_scan the image radii of random sphere points that any
@@ -24,7 +26,7 @@ import time
 import numpy as np
 
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
-from bbmlab.flow import FlowError, integrate, integrate_batch, integrate_taped
+from bbmlab.flow import FlowError, free_evolution, integrate, integrate_batch, integrate_taped
 from bbmlab.sampling import sobolev_ball_state, substream, z_sphere_row
 from bbmlab.spectral import (
     TrigState,
@@ -183,6 +185,23 @@ def reference_flow_jacobian(u0, t_span, active_modes, h, cfg):
             images.append(np.concatenate([final.a[:n] / scale[:n], final.b[:n] / scale[:n]]))
         jac[:, i] = (images[0] - images[1]) / (2.0 * h)
     return jac
+
+
+def reference_smoothing_ratio(u0, v0, t_span, eps, cfg, n_times=32):
+    """smoothing_ratio as a loop of n_times segments over the public flow functions.
+
+    Both states are flowed segment by segment as one integrate_batch call each,
+    every endpoint row is rotated back to time 0 by free_evolution, and the
+    running sup of the H^{1/2+eps} quotient is kept.
+    """
+    denom = sobolev_norm(u0 - v0, 0.5 - eps)
+    c = c0 = np.array([u.padded(cfg.N).row for u in (u0, v0)])
+    best, dt_seg = 0.0, t_span / n_times
+    for i in range(1, n_times + 1):
+        c = integrate_batch(c, dt_seg, cfg)
+        nl = np.array([free_evolution(TrigState.from_row(row), -i * dt_seg).row for row in c]) - c0
+        best = max(best, float(sobolev_norms(0.0, nl[0] - nl[1], 0.5 + eps)) / denom)
+    return best
 
 
 def reference_maximize_image_radius(cfg):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbmlab import estimates
 from bbmlab.estimates import (
     _SWEEP_BATCH,
     bilinear_ratio,
@@ -24,7 +26,8 @@ from bbmlab.sampling import sobolev_ball_rows, sobolev_ball_state, substream
 from bbmlab.spectral import MAX_MODES, TrigState, dispersion_symbol, unit_cos_mode
 
 from conftest import random_state
-from oracles import oracle_product, reference_estimate, reference_flow_jacobian
+from oracles import (oracle_product, reference_estimate, reference_flow_jacobian,
+                     reference_smoothing_ratio)
 
 # (sampler, mode, s, r, r') cases covering both samplers and both modes.
 SWEEP_CASES = [
@@ -227,6 +230,20 @@ class TestSmoothingRatio:
         assert math.isfinite(r1) and r1 > 0.0
         assert 0.5 < r1 / r2 < 2.0
 
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint", "picard"])
+    @pytest.mark.parametrize("n_modes", [8, 16])
+    @pytest.mark.parametrize("t_span", [1.0, -0.5, 0.0])
+    def test_equals_segment_loop_reference(self, integrator, n_modes, t_span):
+        # One interaction_samples pass against 32 integrate_batch segments, each endpoint
+        # rotated back by free_evolution: the same number, not just a close one.
+        u0 = sobolev_ball_state(substream(4, "smoothing", "u", n_modes), n_modes, 0.5, 0.9)
+        v0 = sobolev_ball_state(substream(4, "smoothing", "v", n_modes), n_modes, 0.5, 0.6)
+        cfg = FlowConfig(N=n_modes, dt=0.25 if integrator == "picard" else 0.05,
+                         integrator=integrator)
+        got = smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
+        assert got == reference_smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
+        assert (got == 0.0) == (t_span == 0.0)
+
 
 class TestFlowJacobian:
     def test_identity_at_zero_horizon(self):
@@ -269,6 +286,19 @@ class TestFlowJacobian:
             flow_jacobian(u0, 0.1, 2, 1e-7, cfg)
         with pytest.raises(ValueError, match="8"):
             flow_jacobian(random_state(3, 16), 0.1, 9, 1e-4, FlowConfig(N=16, dt=1e-2))
+
+    def test_active_mode_count_outside_range_named_before_any_flow(self, monkeypatch):
+        # active_modes = 0 used to flow every bump and then fail in pair_coords with
+        # "n_pairs = 0 outside 1..8".
+        def no_flow(*args):
+            raise AssertionError("flowed before checking active_modes")
+
+        monkeypatch.setattr(estimates, "integrate_batch", no_flow)
+        for active_modes, n_modes, top in ((0, 8, 8), (-2, 8, 8), (9, 16, 8), (5, 4, 4)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"active_modes = {active_modes} outside 1..{top}")):
+                flow_jacobian(random_state(1, n_modes), 0.1, active_modes, 1e-4,
+                              FlowConfig(N=n_modes, dt=1e-2))
 
     def test_step_check_quiet_on_smooth_flow(self):
         u0 = random_state(4, 4, radius=0.3)

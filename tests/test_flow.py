@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from bbmlab.flow import (
     integrate,
     integrate_batch,
     integrate_taped,
+    interaction_samples,
     invariants_of,
     nonlinear_part,
     rhs,
@@ -27,6 +32,9 @@ from bbmlab.spectral import MAX_MODES, TrigState, smooth_grid_size, sobolev_norm
 
 from conftest import random_state, trig_states
 from oracles import PairRowFlow, oracle_cubic_integral, oracle_rhs, tangent_linear
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 def l2(u):
@@ -228,11 +236,7 @@ class TestIntegrateBatch:
             for u0, c in zip(states, rows):
                 row = TrigState.from_row(c)
                 single = integrate(u0, t_span, cfg).final
-                if integ == "rk4":
-                    assert np.array_equal(row.a, single.a) and np.array_equal(row.b, single.b)
-                else:
-                    assert np.max(np.abs(row.a - single.a)) <= 1e-12
-                    assert np.max(np.abs(row.b - single.b)) <= 1e-12
+                assert _same_bits(row.a, single.a) and _same_bits(row.b, single.b)
 
     def test_row_shape_mismatch_names_both_shapes(self):
         cfg = FlowConfig(N=8, dt=1e-2)
@@ -241,6 +245,10 @@ class TestIntegrateBatch:
             with pytest.raises(ValueError, match=re.escape(
                     f"integrate_batch needs rows of shape (batch, 8), got {shape}")):
                 integrate_batch(np.zeros(shape, dtype=complex), 0.1, cfg)
+            # integrate_taped used to report the same mismatch as integrate_batch's.
+            with pytest.raises(ValueError, match=re.escape(
+                    f"integrate_taped needs rows of shape (batch, 8), got {shape}")):
+                integrate_taped(np.zeros(shape, dtype=complex), 0.1, cfg)
 
     def test_returned_rows_are_fresh(self):
         # rk4 steps its own copy in place: neither the input rows nor the
@@ -347,6 +355,23 @@ class TestAdjoint:
         pulled = adjoint_batch(tape, lam, 0.6, cfg)
         for i in range(4):
             assert _same_bits(pulled[i], adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.6, cfg)[0])
+
+    def test_reverse_rows_stopping_at_different_iterations_keep_their_bits(self, monkeypatch):
+        # Cotangents on high and low modes converge after different numbers of iterations,
+        # so the reverse solve runs on all rows first and then on gathered subsets.
+        cfg = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint")
+        c = rows_of([random_state(i, 12, radius=0.3) for i in range(6)])
+        modes = (12, 1, 7, 2, 11, 4)
+        lam = rows_of([TrigState.single_mode(k, 12, a_k=1.0, b_k=0.5) for k in modes])
+        _, tape = integrate_taped(c, 0.4, cfg)
+        sizes = []
+        rhs_adjoint = flow._VecOps.rhs_adjoint
+        monkeypatch.setattr(flow._VecOps, "rhs_adjoint", lambda ops, lam, u, out, tmp: (
+            sizes.append(len(lam)), rhs_adjoint(ops, lam, u, out, tmp))[1])
+        pulled = adjoint_batch(tape, lam, 0.4, cfg)
+        assert len({size for size in sizes if size < 6}) > 1
+        for i in range(6):
+            assert _same_bits(pulled[i], adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.4, cfg)[0])
 
     def test_picard_has_no_tape(self):
         cfg = FlowConfig(N=8, dt=0.1, integrator="picard")
@@ -597,9 +622,10 @@ class TestMidpointStall:
 
 def _serial_picard(ops, y0, h, tol, max_iter):
     """Per-node list-comprehension form of the Duhamel fixed point (the reference)."""
+    nodes, weights, integ = flow._gauss_collocation()
     n_panels = max(1, math.ceil(abs(h) / flow._PICARD_PANEL_MAX))
     ph = h / n_panels
-    flat_tau = (ph * np.arange(n_panels)[:, None] + ph * flow._PNODES[None, :]).ravel()
+    flat_tau = (ph * np.arange(n_panels)[:, None] + ph * nodes[None, :]).ravel()
     n_nodes = len(flat_tau)
     ys = np.array([ops.free(y0, t) for t in flat_tau])
     diffs = []
@@ -608,12 +634,12 @@ def _serial_picard(ops, y0, h, tol, max_iter):
         v = np.array(
             [ops.free(ops.nonlinear(values[j], np.empty_like(values[j])), -flat_tau[j])
              for j in range(n_nodes)]
-        ).reshape(n_panels, len(flow._PNODES), -1)
-        panel_full = ph * np.einsum("j,pjd->pd", flow._PWEIGHTS, v)
+        ).reshape(n_panels, len(nodes), -1)
+        panel_full = ph * np.einsum("j,pjd->pd", weights, v)
         prefix = np.concatenate(
             [np.zeros((1, v.shape[-1]), dtype=v.dtype), np.cumsum(panel_full, axis=0)]
         )
-        node_part = ph * np.einsum("ij,pjd->pid", flow._PINTEG, v)
+        node_part = ph * np.einsum("ij,pjd->pid", integ, v)
         return (prefix[:-1, None, :] + node_part).reshape(n_nodes, -1), prefix[-1]
 
     for _ in range(max_iter):
@@ -626,6 +652,47 @@ def _serial_picard(ops, y0, h, tol, max_iter):
             break
     _, total = duhamel(ys)
     return ops.free(y0 + total, h), diffs
+
+
+# test_pinned_bits's X^0 differences and final (a, b), as float.hex strings.
+PICARD_PIN_DIFFS = [
+    [
+        "0x1.24ab6f6202618p-6", "0x1.29e0f1d3ce003p-11", "0x1.23694f4ac71a6p-16",
+        "0x1.5abf1e4a3c1d1p-22", "0x1.8b0e62adf06f0p-28", "0x1.547f72af5a518p-34",
+        "0x1.07ff0b5282beep-40",
+    ],
+    [
+        "0x1.6068bbce84652p-6", "0x1.80de098c65b37p-11", "0x1.c172f160a1890p-16",
+        "0x1.1e7776c64569ap-21", "0x1.93d31194591cap-27", "0x1.5ee2982a8ea4cp-33",
+        "0x1.5fe2148181fc1p-39", "0x1.cceffb71f22b5p-46",
+    ],
+]
+PICARD_PIN_A = [
+    "-0x1.1629ca618cd7ep-3", "0x1.977c25392fd22p-4", "-0x1.77b9c668d75d3p-6",
+    "-0x1.000dff6f331a8p-5", "0x1.8bdaf1bcb32e0p-5", "0x1.ed1d30281c9f7p-9",
+    "-0x1.1422aadc0a492p-5", "0x1.35b0f899ce345p-6", "-0x1.4ebbf81027eeap-9",
+    "-0x1.91a0faf534f9cp-7", "-0x1.a4bdd6f445e75p-8", "0x1.fb989a0090deap-6",
+    "-0x1.769a604fd3d18p-7", "0x1.6bc304c01a270p-11", "-0x1.75925e12a7b0dp-8",
+    "-0x1.b67f4a50e5c13p-7", "0x1.94ff5b5aedc58p-6", "0x1.bd646e85c6454p-7",
+    "0x1.9c39e5370135ap-6", "-0x1.b6a8735912614p-8", "-0x1.e41bad5cc65e7p-12",
+    "0x1.e1b618f6ba53ep-10", "-0x1.f78f6c8eccd18p-10", "-0x1.978bbd22081b4p-12",
+    "-0x1.7e5672a784528p-7", "-0x1.fd8c5c25bf3aap-11", "-0x1.99ec515015e2ep-11",
+    "-0x1.7c982f16eb70cp-7", "-0x1.fe5d51b123ba8p-10", "-0x1.532c83ad7146fp-8",
+    "-0x1.4bfd9e238b882p-10", "-0x1.8f9ad5877e3d0p-12",
+]
+PICARD_PIN_B = [
+    "-0x1.df0241a564d4ep-3", "-0x1.4314bec4ea49dp-4", "0x1.9baff7518be87p-5",
+    "0x1.65f0aa7094a0fp-4", "-0x1.8ba1e22d947d6p-7", "0x1.8e68e36b732bep-6",
+    "-0x1.a0460fc1afd90p-7", "0x1.2cc16dfb2e08bp-5", "-0x1.f00cbea6a16ffp-10",
+    "0x1.77a443c7322e3p-6", "-0x1.6f08a42431541p-8", "0x1.6bee22e8343aep-9",
+    "-0x1.17f9b40c9d915p-10", "-0x1.222426d2ca22ep-7", "-0x1.b622ec87d9833p-6",
+    "-0x1.6185fa8fc0fdep-9", "0x1.555020f48f26ep-8", "-0x1.94c5838de2af1p-8",
+    "-0x1.9058586d151bap-7", "0x1.042ecdd5effaap-6", "0x1.2704b0fe31d23p-7",
+    "0x1.77be9156ed90dp-8", "0x1.cbd1943133821p-8", "-0x1.ef76d36fcdac3p-7",
+    "-0x1.3fca51ec87baap-9", "0x1.77e860d6d0d23p-8", "-0x1.b9ac20dcf62c2p-7",
+    "-0x1.d683fdca7f1c8p-12", "-0x1.cdd2488064d98p-8", "-0x1.19ebf77905b52p-7",
+    "-0x1.6814ec7e80089p-12", "-0x1.737ee2f128c6ep-8",
+]
 
 
 class TestPicard:
@@ -651,6 +718,27 @@ class TestPicard:
         cfg = FlowConfig(N=16, dt=1.0, integrator="picard", picard_max_iter=30)
         with pytest.raises(FlowError, match=r"subinterval \[0, 1\]"):
             integrate(u0, 1.0, cfg)
+
+    def test_pinned_bits(self):
+        # One N = 32 flow of two subintervals, its final row and X^0 differences recorded
+        # with float.hex before the rotation tables were built once per subinterval.
+        u0 = sobolev_ball_state(substream(5, "picard-pin"), 32, 0.5, 1.0)
+        res = integrate(u0, 2.0, FlowConfig(N=32, dt=1.0, integrator="picard", picard_max_iter=200))
+        assert [[d.hex() for d in sub] for sub in res.picard_diffs] == PICARD_PIN_DIFFS
+        assert [float(x).hex() for x in res.final.a] == PICARD_PIN_A
+        assert [float(x).hex() for x in res.final.b] == PICARD_PIN_B
+
+    def test_collocation_tables_built_on_first_use(self):
+        code = "import bbmlab.flow as f; print(f._gauss_collocation.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.split() == ["0"]
+        nodes, weights, integ = flow._gauss_collocation()
+        assert flow._gauss_collocation()[0] is nodes
+        assert nodes.shape == weights.shape == (8,) and integ.shape == (8, 8)
+        assert abs(float(np.sum(weights)) - 1.0) < 1e-15
+        # integ[j] @ 1 integrates 1 from 0 to node j.
+        assert np.max(np.abs(integ.sum(axis=1) - nodes)) < 1e-14
 
     def test_diffs_recorded_and_contracting(self):
         u0 = random_state(8, 16, radius=0.5)
@@ -715,6 +803,49 @@ class TestNonlinearPart:
         assert abs(n64 - n32) / n32 < 1e-4
 
 
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint", "picard"])
+    def test_is_the_rotated_back_endpoint_of_integrate(self, integrator):
+        # Fewer modes than N, so zero modes (and their signs) go through too.
+        cfg = FlowConfig(N=16, dt=0.25 if integrator == "picard" else 0.05, integrator=integrator)
+        u0 = random_state(6, 12, radius=0.8)
+        for t_span in (0.7, -0.4, 0.0):
+            got = nonlinear_part(u0, t_span, cfg)
+            want = free_evolution(integrate(u0, t_span, cfg).final, -t_span) - u0.padded(16)
+            assert _same_bits(got.a, want.a) and _same_bits(got.b, want.b)
+
+
+class TestInteractionSamples:
+    @pytest.mark.parametrize("integrator", ["rk4", "implicit_midpoint", "picard"])
+    def test_samples_are_the_segment_loop_on_one_workspace(self, monkeypatch, integrator):
+        cfg = FlowConfig(N=10, dt=0.25 if integrator == "picard" else 0.05, integrator=integrator)
+        c = rows_of([random_state(i, 10, radius=10.0 ** (-2 + i)) for i in range(3)])
+        built = []
+        init = flow._VecOps.__init__
+        monkeypatch.setattr(flow._VecOps, "__init__",
+                            lambda ops, *args: (built.append(args), init(ops, *args))[1])
+        samples = interaction_samples(c, -0.6, 4, cfg)
+        monkeypatch.undo()
+        assert len(built) == 1 and samples.shape == (4, 3, 10)
+        seg, y = -0.6 / 4, c
+        for i in range(1, 5):
+            y = integrate_batch(y, seg, cfg)
+            rotated = [free_evolution(TrigState.from_row(row), -i * seg).row for row in y]
+            assert _same_bits(samples[i - 1], np.array(rotated) - c)
+
+    def test_zero_horizon_and_row_shapes(self):
+        cfg = FlowConfig(N=8, dt=0.1)
+        c = rows_of([random_state(i, 8) for i in range(2)])
+        assert np.all(interaction_samples(c, 0.0, 3, cfg) == 0.0)
+        assert interaction_samples(c[:0], 0.5, 3, cfg).shape == (3, 0, 8)
+        with pytest.raises(ValueError, match=re.escape(
+                "interaction_samples needs rows of shape (batch, 8), got (8,)")):
+            interaction_samples(c[0], 0.5, 3, cfg)
+        for n_times in (0, -1):
+            with pytest.raises(ValueError, match=f"^interaction_samples needs n_times >= 1, "
+                                                 f"got {n_times}$"):
+                interaction_samples(c, 0.5, n_times, cfg)
+
+
 class TestGalerkinDefect:
     def test_same_truncation_is_zero(self):
         u0 = smooth_profile(32)
@@ -766,6 +897,27 @@ class TestConfigValidation:
                                r"subintervals of up to \S+ quadrature panels, more than "
                                r"flow.MAX_PICARD_PANELS = 1000$"):
                 FlowConfig(N=4, dt=dt, integrator="picard")
+
+    @pytest.mark.parametrize("t_span", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_named_before_any_step(self, monkeypatch, t_span):
+        # A nan horizon used to be reported as needing "nan steps, more than flow.MAX_STEPS".
+        def no_step(*args):
+            raise AssertionError("stepped")
+
+        for stepper in ("rk4_step", "_midpoint_step", "_picard_subinterval"):
+            monkeypatch.setattr(flow, stepper, no_step)
+        u0 = random_state(1, 8)
+        c = rows_of([u0])
+        for integrator in ("rk4", "implicit_midpoint", "picard"):
+            cfg = FlowConfig(N=8, dt=0.1, integrator=integrator)
+            calls = [lambda: integrate(u0, t_span, cfg), lambda: integrate_batch(c, t_span, cfg),
+                     lambda: interaction_samples(c, t_span, 4, cfg),
+                     lambda: nonlinear_part(u0, t_span, cfg), lambda: flow._step_count(t_span, 0.1)]
+            if integrator != "picard":
+                calls.append(lambda: integrate_taped(c, t_span, cfg))
+            for call in calls:
+                with pytest.raises(ValueError, match=f"^T must be finite, got {t_span!r}$"):
+                    call()
 
     def test_mode_count_capped(self):
         # 10^13 modes used to pass and then fail allocating the first state.

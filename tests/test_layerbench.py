@@ -13,9 +13,11 @@ LAYERS = {
     *(f"rhs/N={n}/rows={rows}" for n in (32, 64, 128) for rows in (1, 16)),
     "rk4_step/N=64/rows=1",
     "midpoint_step/N=32/rows=1",
+    "midpoint_step/N=8/rows=64",
     "picard_subinterval/N=32/h=1",
     "integrate_taped/N=32/rows=2/T=1",
     "adjoint_batch/N=32/rows=2/T=1",
+    "smoothing_ratio/N=32/T=1",
 }
 
 
