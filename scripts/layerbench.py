@@ -3,15 +3,16 @@
 
     python3 scripts/layerbench.py [--against TREE] [--quick]
 
-Each layer is one call of a flow kernel on the same inputs every time: the rhs at N = 32, 64
-and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step (N = 32,
-one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval (N = 32,
-length 1), a taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, and
-one smoothing ratio (N = 32, T = 1, dt = 0.01: 32 flow segments of two rows).  The steppers
-work in place, so their row is reset from a saved copy before each call.  A repeat times a
-fixed number of calls of every layer in turn, so a drift in the host's speed reaches all
-layers alike; each layer reports the median and quartiles of its per-call time over REPEATS
-repeats, in microseconds.
+Each layer is one call of a flow kernel on the same inputs every time: the bound rhs at N =
+32, 64 and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step
+(N = 32, one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval
+(N = 32, length 1), one integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of
+`bbmlab simulate`), a taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse
+pass, both again on 16 rows (a witness search's 16 starts), and one smoothing ratio (N = 32,
+T = 1, dt = 0.01: 32 flow segments of two rows).  The steppers work in place, so their row is
+reset from a saved copy before each call.  A repeat times a fixed number of calls of every
+layer in turn, so a drift in the host's speed reaches all layers alike; each layer reports
+the median and quartiles of its per-call time over REPEATS repeats, in microseconds.
 
 --against TREE also loads the bbmlab of another checkout (TREE/src) into the same process and
 times each layer's call block on both trees back to back, the order alternating from repeat
@@ -87,6 +88,15 @@ def layers(flow, sampling, estimates) -> dict:
         # A tree whose kernels take (..., N) rows, before the padded layout, has no pad.
         return ops.pad(c) if hasattr(ops, "pad") else c.copy()
 
+    def kernels(ops, c):
+        # A tree without bind reaches its kernels as methods, whatever the rows' shape.
+        return ops.bind(c.shape[:-1]) if hasattr(ops, "bind") else ops
+
+    def midpoint_step(ops, y, dt, tol, work):
+        # The (rows, bins) rows y on kernels bound to them, or on ops for a tree without bind.
+        stepper = kernels(ops, y)
+        return lambda y: flow._midpoint_step(stepper, y, dt, tol, 1, work)
+
     def from_start(y0, step):
         y = y0.copy()
 
@@ -101,35 +111,42 @@ def layers(flow, sampling, estimates) -> dict:
         for batch in (1, 16):
             c = layout(ops, rows(n_modes, batch))
             c = c[0] if batch == 1 else c
-            res = np.empty_like(c)
-            out[f"rhs/N={n_modes}/rows={batch}"] = (lambda ops=ops, c=c, res=res: ops.rhs(c, res),
-                                                   400)
+            rhs, res = kernels(ops, c).rhs, np.empty_like(c)
+            out[f"rhs/N={n_modes}/rows={batch}"] = (lambda rhs=rhs, c=c, res=res: rhs(c, res), 400)
     ops = flow._VecOps(64)
     y0 = layout(ops, rows(64, 1)[0])
     work, coef = np.empty((5,) + y0.shape, complex), flow.rk4_coefficients(1e-3, complex)
-    out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(ops.rhs, y, coef, work)),
+    rhs = kernels(ops, y0).rhs
+    out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(rhs, y, coef, work)),
                                    200)
     mid_ops = flow._VecOps(32)
     y_mid = layout(mid_ops, rows(32, 1))
     mid_work, mid_dt = np.empty((5,) + y_mid.shape, complex), np.array(1e-3, complex)
-    out["midpoint_step/N=32/rows=1"] = (from_start(y_mid, lambda y: flow._midpoint_step(
-        mid_ops, y, mid_dt, 1e-12, 1, mid_work)), 100)
+    out["midpoint_step/N=32/rows=1"] = (from_start(y_mid, midpoint_step(
+        mid_ops, y_mid, mid_dt, 1e-12, mid_work)), 100)
     # A flow Jacobian's batch: 8 modes' real and imaginary parts bumped by +-1e-4 and +-5e-5.
     jac_ops = flow._VecOps(8)
     bumps = np.concatenate([np.eye(8), 1j * np.eye(8)])
     y_jac = layout(jac_ops, rows(8, 1)[0] + np.concatenate(
         [sign * h * bumps for h in (1e-4, 5e-5) for sign in (1.0, -1.0)]))
     jac_work, jac_dt = np.empty((5,) + y_jac.shape, complex), np.array(5e-3, complex)
-    out["midpoint_step/N=8/rows=64"] = (from_start(y_jac, lambda y: flow._midpoint_step(
-        jac_ops, y, jac_dt, 1e-13, 1, jac_work)), 50)
+    out["midpoint_step/N=8/rows=64"] = (from_start(y_jac, midpoint_step(
+        jac_ops, y_jac, jac_dt, 1e-13, jac_work)), 50)
     y_picard = layout(mid_ops, rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)
+    u_long = sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", "long"), 64, 0.5,
+                                         0.5)
+    long_cfg = flow.FlowConfig(N=64, dt=1e-3)
+    out["integrate/N=64/rows=1/T=1"] = (lambda: flow.integrate(u_long, 1.0, long_cfg), 1)
     cfg = flow.FlowConfig(N=32, dt=0.02)
-    c = rows(32, 2)
-    _, tape = flow.integrate_taped(c, 1.0, cfg)
-    out["integrate_taped/N=32/rows=2/T=1"] = (lambda: flow.integrate_taped(c, 1.0, cfg), 5)
-    out["adjoint_batch/N=32/rows=2/T=1"] = (lambda: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
+    for batch in (2, 16):
+        c = rows(32, batch)
+        _, tape = flow.integrate_taped(c, 1.0, cfg)
+        out[f"integrate_taped/N=32/rows={batch}/T=1"] = (
+            lambda c=c: flow.integrate_taped(c, 1.0, cfg), 5)
+        out[f"adjoint_batch/N=32/rows={batch}/T=1"] = (
+            lambda c=c, tape=tape: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
     u0, v0 = (sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", name), 32, 0.5,
                                           0.8) for name in ("u0", "v0"))
     smoothing = flow.FlowConfig(N=32, dt=0.01)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -70,6 +71,7 @@ def _list(cast):
 
 
 _CASTS = {int: _int, float: _float, bool: _bool, str: str}
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per config class
 
 
 class _Cfg:
@@ -108,7 +110,7 @@ class _Cfg:
         Each value is parsed by its field's annotation (an optional type by
         the type it wraps) and defaults to the field's own default.
         """
-        hints = typing.get_type_hints(cls)
+        hints = _type_hints(cls)
         kwargs = {}
         for field in dataclasses.fields(cls):
             if field.name in skip:
@@ -320,7 +322,9 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main call and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="bbmlab", description="BBM-on-the-circle spectral experiments"
     )
@@ -328,7 +332,11 @@ def main(argv=None) -> int:
     for name in _COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("config", help="path to the INI config file")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _Cfg(args.config)

@@ -20,18 +20,15 @@ Three integrators:
 All three share one stepping loop over half-spectrum rows c_k = a_k - i b_k
 in pocketfft's padded layout: the m_pad // 2 + 1 bins of a length-m_pad real
 FFT, exactly 0 at bin 0 and above N.  A row enters that layout when a flow
-starts and leaves it at the end and at each trace point.  The spectral
-kernels (``square_half``, ``nonlinear``, ``rhs``, ``free``, ``znorm``) act on
-the last axis and write into buffers the caller passes.  ``square_half``,
-the one product kernel, calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT)
-on the row itself: the inverse at scale 0.5, the grid product, the forward
-transform at scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0
-outside 1..N, so its multiply projects the product back: an rhs is five
-ufunc calls.  Fixed scalars are 0-d arrays built once (``rk4_coefficients``),
-so no call resolves a Python number.  The grid workspace is sized by row
-capacity, so the implicit midpoint's set of unconverged rows, gathered only
-when it shrinks, takes its leading rows; rk4 and the midpoint step the rows
-in place.  A flow takes at most MAX_STEPS steps, none over a zero horizon.
+starts and leaves it at the end and at each trace point.  A flow binds its
+kernels (``_VecOps.bind``) once to its row shape, and a step is their ufunc
+calls.  The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the
+row itself: the inverse at scale 0.5, the grid product, the forward transform
+at scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0 outside
+1..N, so its multiply projects the product back: an rhs is five ufunc calls.
+Fixed scalars are 0-d arrays and per-N symbols read-only tables, built once.
+The implicit midpoint rebinds only when its set of unconverged rows shrinks.
+A flow takes at most MAX_STEPS steps, none over a zero horizon, in place.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row), as the witness
@@ -58,6 +55,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -80,7 +79,7 @@ from .spectral import (
 
 _INTEGRATORS = ("rk4", "implicit_midpoint", "picard")
 _MIDPOINT_MAX_ITER = 100
-_HALF = np.array(0.5, complex)  # the midpoint's (y + z)/2 on complex rows; see rk4_coefficients
+_HALF = np.array(0.5, complex)  # the midpoint's (y + z)/2; .real scales a row to grid values
 # The successive-iterate X^0 difference at which a Picard subinterval has converged.
 _PICARD_TOL = 1e-12
 
@@ -166,6 +165,19 @@ class FlowResult:
     picard_diffs: tuple = ()
 
 
+@functools.cache
+def _tables(n: int) -> tuple:
+    """_VecOps's read-only tables at N = n, built on first use and shared by every flow."""
+    m, k = smooth_grid_size(3 * n + 1), wavenumbers(n)
+    phi, zw, mask = np.zeros((3, m // 2 + 1))
+    phi[1:n + 1], zw[1:n + 1], mask[1:n + 1] = dispersion_symbol(k), math.pi * (1 + k * k) / k, 1
+    gen, dual, mask = -1j * phi, 1j * phi, mask + 0j  # the linear rhs -i phi c, its transpose
+    one, two = np.array(1.0 / m), np.array(2.0 / m)
+    for table in (phi, zw, gen, dual, mask, one, two):
+        table.flags.writeable = False
+    return m, phi, zw, gen, dual, mask, (one, two)
+
+
 class _VecOps:
     """Workspace and spectral kernels for flow rows in the padded half-spectrum layout.
 
@@ -183,23 +195,14 @@ class _VecOps:
     are np.fft's norm="forward" ones times 0.5, 1 and 2, and pocketfft applies each as one final
     multiply, so the kernel is exact against np.fft at its own scalings.  phi, gen, dual, zw and
     mask are 0 at bin 0 and above N, so multiplying by them projects a product onto 1..N.
+    ``bind`` hands out the kernels, once per row shape.
     """
 
     def __init__(self, n: int, linear_only: bool = False):
-        self.n = n
-        self.m_pad = m = smooth_grid_size(3 * n + 1)
-        self.modes = slice(1, n + 1)
-        self.linear_only = linear_only
-        k = wavenumbers(n)
-        self.phi = self.pad(dispersion_symbol(k), float)
-        self.zw = self.pad(math.pi * (1.0 + k * k) / k, float)
-        self.gen = -1j * self.phi  # linear rhs -i phi c: the free rotation is c e^{-i phi t}
-        self.dual = 1j * self.phi  # its transpose in the pairing Re sum conj(lam) c
-        self.mask = self.pad(np.ones(n))
-        self._rfft = RFFT[m % 2]
-        self._half, self._scale = np.array(0.5), (np.array(1.0 / m), np.array(2.0 / m))
-        self._rows = np.empty((0, m))  # the grid workspace, sized by row capacity
-        self._lead = self._grid = None
+        self.n, self.modes, self.linear_only = n, slice(1, n + 1), linear_only
+        self.m_pad, self.phi, self.zw, self.gen, self.dual, self.mask, self._scale = _tables(n)
+        self._rfft = RFFT[self.m_pad % 2]
+        self._rows, self._tiled = np.empty((0, self.m_pad)), None  # the workspace, by row capacity
 
     @classmethod
     def of(cls, cfg: FlowConfig) -> "_VecOps":
@@ -211,49 +214,67 @@ class _VecOps:
         y[..., self.modes] = c
         return y
 
-    def square_half(self, c: np.ndarray, out: np.ndarray, u=None, vals=None) -> np.ndarray:
-        """The padded spectrum of v^2/2, v the grid values of the rows c, written into out.
+    def bind(self, lead: tuple = ()) -> SimpleNamespace:
+        """The kernels of rows of shape lead + (bins,), each its ufunc calls writing into out.
 
-        Given grid rows u, that of u v instead: the adjoint's product.  vals, if given, receives
-        v (a tape's rows).  Bins 0 and above N of out hold the rest of the product's spectrum,
-        which every caller projects away.  The grid buffer is sized by row capacity and
-        only grows: a batch takes its leading rows, so a shrinking batch reuses it.
+        square_half(c, out): the padded spectrum of v^2/2, v the grid values of c (the rest of
+        the product in bins 0 and above N); nonlinear(c, out): -dx (1-dxx)^{-1} (u^2/2); rhs(c,
+        out): the right-hand side; taped(slots): the rhs writing v into next(slots), a tape's
+        rows; rhs_adjoint(lam, u, out): the transpose of the rhs's derivative at grid rows u,
+        lam -> mu + P_N(u w) with mu = i phi lam and w its grid values, in the pairing Re sum
+        conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring d in place; bind: this
+        method.  out overlaps no input.  The grid workspace and the symbols tiled to a batch
+        (numpy's contiguous loops, bit for bit) grow with row capacity, and a smaller batch
+        takes their leading rows.
         """
-        if c.shape[:-1] != self._lead:
-            rows = math.prod(c.shape[:-1])
-            if len(self._rows) < rows:
-                self._rows = np.empty((rows, self.m_pad))
-            self._lead = c.shape[:-1]
-            self._grid = self._rows[:rows].reshape(self._lead + (self.m_pad,))
-        grid = self._grid
-        v = IRFFT(c, self._half, axes=FFT_AXES, out=grid if vals is None else vals)
-        np.multiply(v if u is None else u, v, out=grid)
-        return self._rfft(grid, self._scale[u is not None], axes=FFT_AXES, out=out)
+        rows, shape = math.prod(lead), lead + (self.m_pad // 2 + 1,)
+        if len(self._rows) < rows:
+            self._rows, self._tiled = np.empty((rows, self.m_pad)), None
+        symbols = (self.gen, self.dual, self.mask, self.zw)
+        if lead and self._tiled is None:
+            self._tiled = [np.repeat(table[None], len(self._rows), axis=0) for table in symbols]
+        gen, dual, mask, zw = [t[:rows].reshape(shape) for t in self._tiled] if lead else symbols
+        grid = self._rows[:rows].reshape(lead + (self.m_pad,))
+        squares, tmp = np.empty(shape), np.empty(shape, complex)  # znorm's and rhs_adjoint's
+        irfft, rfft, half, (one, two), axes = IRFFT, self._rfft, _HALF.real, self._scale, FFT_AXES
+        add, multiply, reduce, sqrt = np.add, np.multiply, np.add.reduce, np.sqrt
 
-    def nonlinear(self, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """-dx (1-dxx)^{-1} (u^2/2), the quadratic part of the right-hand side, written into out."""
-        if self.linear_only:
-            out[...] = 0.0
-            return out
-        return np.multiply(self.gen, self.square_half(c, out), out=out)
+        def square_half(c, out):
+            v = irfft(c, half, axes=axes, out=grid)
+            return rfft(multiply(v, v, out=grid), one, axes=axes, out=out)
 
-    def rhs(self, c: np.ndarray, out: np.ndarray, vals=None) -> np.ndarray:
-        """The right-hand side of each row of c into out, not overlapping c; vals: square_half's."""
-        s = c if self.linear_only else np.add(c, self.square_half(c, out, vals=vals), out=out)
-        return np.multiply(self.gen, s, out=out)
+        def nonlinear(c, out):
+            return multiply(gen, square_half(c, out), out=out)
 
-    def rhs_adjoint(self, lam: np.ndarray, u: np.ndarray, out: np.ndarray,
-                    tmp: np.ndarray) -> np.ndarray:
-        """Transpose of the rhs's derivative at the rows of grid values u, applied to lam, into out.
+        def taped(slots):
+            def rhs(c, out):
+                v = irfft(c, half, axes=axes, out=next(slots))
+                rfft(multiply(v, v, out=grid), one, axes=axes, out=out)
+                return multiply(gen, add(c, out, out=out), out=out)
+            return rhs
 
-        In the pairing Re sum conj(lam_k) d_k the derivative d -> -i phi (d + P_N(u v)), v the
-        grid values of d, has the transpose lam -> mu + P_N(u w), mu = i phi lam and w the grid
-        values of mu.  tmp, shaped like out, receives P_N(u w); out must not overlap lam.
-        """
-        mu = np.multiply(self.dual, lam, out=out)
-        if self.linear_only:
-            return out
-        return np.add(mu, np.multiply(self.mask, self.square_half(mu, tmp, u), out=tmp), out=out)
+        def rhs_adjoint(lam, u, out):
+            mu = multiply(dual, lam, out=out)
+            w = irfft(mu, half, axes=axes, out=grid)
+            rfft(multiply(u, w, out=grid), two, axes=axes, out=tmp)
+            return add(mu, multiply(mask, tmp, out=tmp), out=out)
+
+        def znorm(d):
+            parts = d.view(float)
+            multiply(parts, parts, out=parts)
+            add(d.real, d.imag, out=squares)
+            return sqrt(reduce(multiply(zw, squares, out=squares), axis=-1))
+
+        if self.linear_only:  # the free rotation: no product, and no tape to write
+            def nonlinear(c, out):
+                out[...] = 0.0
+                return out
+
+            def rhs_adjoint(lam, u, out):
+                return multiply(dual, lam, out=out)
+        rhs = functools.partial(multiply, gen) if self.linear_only else taped(repeat(grid))
+        return SimpleNamespace(square_half=square_half, nonlinear=nonlinear, rhs=rhs, taped=taped,
+                               rhs_adjoint=rhs_adjoint, znorm=znorm, bind=self.bind)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -271,9 +292,6 @@ class _VecOps:
         """The tables cos(t phi), sin(t phi) that free rotates by, to reuse for one t."""
         th = t * self.phi
         return np.cos(th), np.sin(th)
-
-    def znorm(self, c: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.sum(self.zw * (c.real ** 2 + c.imag ** 2), axis=-1))
 
 
 def _padded(state: TrigState, cfg: FlowConfig, op: str) -> TrigState:
@@ -294,7 +312,7 @@ def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     """
     ops = _VecOps.of(cfg)
     c = ops.pad(_padded(state, cfg, "rhs").row)
-    return TrigState.from_row(ops.rhs(c, np.empty_like(c))[ops.modes])
+    return TrigState.from_row(ops.bind().rhs(c, np.empty_like(c))[ops.modes])
 
 
 def free_evolution(state: TrigState, t: float) -> TrigState:
@@ -334,59 +352,59 @@ def rk4_step(f, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
     np.add(y, np.multiply(sixth_dt, np.add(k1, k4, out=k1), out=k1), out=y)
 
 
-def _midpoint_solve(ops: _VecOps, g, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
+def _midpoint_solve(kernels, g_of, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
     """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
-    rhs); dt is a 0-d complex array.  g(x, out, rows) writes g at x, standing for the rows `rows`
-    of y, into out.  A row stops once the Z norm of its change is at most tol (a number, or one
-    per row) or is not finite.  Until one stops, all rows iterate on y itself (rows a slice);
-    then the moving ones are gathered into leading rows of work, shape (5, *y.shape).  Returns
-    z, in work[0], and the indices and last changes of the rows still moving after
-    _MIDPOINT_MAX_ITER, whose rows of z the callers discard.
+    rhs); dt is a 0-d complex array.  g_of(kernels, rows) writes g(x, out), at x standing for the
+    rows `rows` of y, with kernels bound to them.  A row stops once the Z norm of its change is
+    at most tol (a number, or one per row) or is not finite.  Until one stops, all rows iterate
+    on y itself; then the moving ones are gathered into leading rows of work, shape (5,
+    *y.shape), and the kernels rebound.  Returns z, in work[0], and the indices and last changes
+    of the rows still moving after _MIDPOINT_MAX_ITER, whose rows of z the callers discard.
     """
     z, ya, za, mid, f = work
-    np.add(y, np.multiply(dt, g(y, f, slice(None)), out=z), out=z)
-    active, rows = np.arange(len(y)), slice(None)
-    y_k, z_k, f_k, tol_k = y, z, f, tol
+    g, znorm = g_of(kernels, slice(None)), kernels.znorm
+    np.add(y, np.multiply(dt, g(y, f), out=z), out=z)
+    active, y_k, z_k, f_k, mid_k, tol_k = np.arange(len(y)), y, z, f, mid, tol
     for _ in range(_MIDPOINT_MAX_ITER):
-        mid_k = mid[:len(y_k)]
         np.multiply(_HALF, np.add(y_k, z_k, out=mid_k), out=mid_k)
-        np.add(y_k, np.multiply(dt, g(mid_k, f_k, rows), out=f_k), out=f_k)
-        delta = ops.znorm(np.subtract(f_k, z_k, out=mid_k))
+        np.add(y_k, np.multiply(dt, g(mid_k, f_k), out=f_k), out=f_k)
+        delta = znorm(np.subtract(f_k, z_k, out=mid_k))
         z_k, f_k = f_k, z_k
         moving = delta > tol_k
         if moving.all() and moving.size:
             continue
         z[active] = z_k
-        active = rows = active[moving]
+        active = active[moving]
         if not active.size:
             break
+        kernels = kernels.bind((active.size,))
+        g, znorm = g_of(kernels, active), kernels.znorm
         y_k = np.take(y, active, axis=0, out=ya[:active.size])
         z_k = np.take(z, active, axis=0, out=za[:active.size])
-        f_k, tol_k = f[:active.size], tol[active] if isinstance(tol, np.ndarray) else tol
+        f_k, mid_k = f[:active.size], mid[:active.size]
+        tol_k = tol[active] if isinstance(tol, np.ndarray) else tol
     return z, active, delta[moving]
 
 
-def _midpoint_step(ops: _VecOps, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
+def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
                    work: np.ndarray, tape=None) -> None:
-    """One implicit-midpoint step of 0-d complex length dt, in place on y; work as in rk4_step.
+    """One implicit-midpoint step of 0-d complex length dt, in place on the (rows, bins) y.
 
-    A stalled solve raises FlowError.  Given tape, a (rows, m_pad) array, the grid values of each
-    row's midpoint (y + z)/2 are written into it.
+    kernels are bound to y's rows, and work is _midpoint_solve's.  A stalled solve raises
+    FlowError.  Given tape, a (rows, m_pad) array, the midpoints' grid values go into it.
     """
-    y2, work = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])
-    z, stalled, residual = _midpoint_solve(ops, lambda x, out, rows: ops.rhs(x, out), y2, dt, tol,
-                                           work)
+    z, stalled, residual = _midpoint_solve(kernels, lambda k, rows: k.rhs, y, dt, tol, work)
     if stalled.size:
         raise FlowError(
             f"implicit midpoint solver stalled at step {step_no}: "
             f"residual {float(np.max(residual)):.3e} > tol {tol:.3e}"
         )
     if tape is not None:
-        mid = np.multiply(_HALF, np.add(y2, z, out=work[3]), out=work[3])
-        IRFFT(mid, ops._half, axes=FFT_AXES, out=tape)
-    np.copyto(y2, z)
+        mid = np.multiply(_HALF, np.add(y, z, out=work[3]), out=work[3])
+        IRFFT(mid, _HALF.real, axes=FFT_AXES, out=tape)
+    np.copyto(y, z)
 
 
 @functools.cache
@@ -427,12 +445,13 @@ def _picard_subinterval(
     tau = (ph * np.arange(n_panels)[:, None] + ph * nodes[None, :]).reshape(-1, 1)
     ys, ys_new, quad, rot = np.empty((4, len(tau), y0.shape[-1]), complex)  # iterates swap buffers
     forward, back = ops.rotation(tau), ops.rotation(-tau)
+    nonlinear = ops.bind((len(tau),)).nonlinear
     ops.free(y0, forward, ys)
     diffs: list[float] = []
     grew = 0
 
     def duhamel(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = ops.free(ops.nonlinear(values, quad), back, rot).reshape(n_panels, len(nodes), -1)
+        v = ops.free(nonlinear(values, quad), back, rot).reshape(n_panels, len(nodes), -1)
         panel_full = ph * np.einsum("j,pjd->pd", weights, v)
         prefix = np.concatenate([np.zeros((1, v.shape[-1])), np.cumsum(panel_full, axis=0)])
         node_part = ph * np.einsum("ij,pjd->pid", integ, v)
@@ -501,25 +520,26 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     y = ops.pad(y)
     work = np.empty((5,) + y.shape, complex)
     coef = rk4_coefficients(dt, complex)
-
-    def taped_rhs(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return ops.rhs(x, out, next(slots))
-
-    rhs = ops.rhs if tape is None else taped_rhs
+    y2, work2 = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])  # the midpoint's
+    kernels = ops.bind(y2.shape[:-1] if cfg.integrator == "implicit_midpoint" else y.shape[:-1])
+    # rk4's rhs, writing the tape's rows in the order the stages are taken, step by step.
+    f = kernels.rhs if tape is None else kernels.taped(chain.from_iterable(
+        tape.transpose(1, 2, 0, 3)))
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            # The step's tape rows: one per rk4 stage input, or one for the midpoints.
-            slots = iter(() if tape is None else tape[:, i].swapaxes(0, 1))
             if cfg.integrator == "rk4":
-                rk4_step(rhs, y, coef, work)
+                rk4_step(f, y, coef, work)
             elif cfg.integrator == "implicit_midpoint":
-                _midpoint_step(ops, y, coef[1], cfg.midpoint_tol, i + 1, work, next(slots, None))
+                _midpoint_step(kernels, y2, coef[1], cfg.midpoint_tol, i + 1, work2,
+                               None if tape is None else tape[:, i, 0])
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))
-            if not np.isfinite(y).all():
+            # A finite sum of squared moduli proves every entry finite; only one that is not
+            # (an entry past 1e154, or not finite) needs the exact test.
+            if not math.isfinite(np.vdot(y, y).real) and not np.isfinite(y).all():
                 where = ""
                 if y.ndim > 1:
                     where = f" in row {int(np.flatnonzero(~np.isfinite(y).all(axis=-1))[0])}"
@@ -613,7 +633,7 @@ def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:
         raise ValueError("integrator = 'picard' has no adjoint: taped flows take rk4 or "
                          "implicit_midpoint")
     stages = 4 if cfg.integrator == "rk4" else 1
-    return _step_count(t_span, cfg.dt), stages, 0 if cfg.linear_only else _VecOps.of(cfg).m_pad
+    return _step_count(t_span, cfg.dt), stages, 0 if cfg.linear_only else _tables(cfg.N)[0]
 
 
 def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -630,29 +650,29 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     return _advance(_VecOps.of(cfg), c, t_span, cfg, tape=tape if tape.size else None)[0], tape
 
 
-def _rk4_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, coef: tuple,
+def _rk4_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, coef: tuple,
                       work: np.ndarray) -> None:
     """The transpose of one rk4_step, in place on the cotangent rows lam.
 
     u, of shape (rows, 4, m_pad), holds the grid values of the step's four stage inputs; coef
-    is rk4_coefficients(dt, complex) and dt/3, as 0-d arrays; work, of shape (7, *lam.shape),
-    the stage cotangents and temporaries.  With A_s the adjoint rhs at stage s, the stage
-    cotangents are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt l4), l2 = A2(dt/3 lam + dt/2 l3),
-    l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
+    is rk4_coefficients(dt, complex) and dt/3, as 0-d arrays; work, of shape (6, *lam.shape),
+    the stage cotangents and temporaries; kernels are bound to lam's rows.  With A_s the
+    adjoint rhs at stage s, the stage cotangents are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt
+    l4), l2 = A2(dt/3 lam + dt/2 l3), l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
     """
     half_dt, dt, _, sixth_dt, third_dt = coef
-    l1, l2, l3, l4, x, y, tmp = work
-    ops.rhs_adjoint(np.multiply(sixth_dt, lam, out=x), u[:, 3], l4, tmp)
+    l1, l2, l3, l4, x, y = work
+    kernels.rhs_adjoint(np.multiply(sixth_dt, lam, out=x), u[:, 3], l4)
     # Stage s's cotangent from lam and stage s + 1's, written into work[s].
     for s, weight, step, later in ((2, third_dt, dt, l4), (1, third_dt, half_dt, l3),
                                    (0, sixth_dt, half_dt, l2)):
         np.add(np.multiply(weight, lam, out=x), np.multiply(step, later, out=y), out=x)
-        ops.rhs_adjoint(x, u[:, s], work[s], tmp)
+        kernels.rhs_adjoint(x, u[:, s], work[s])
     for stage_cotangent in (l1, l2, l3, l4):
         np.add(lam, stage_cotangent, out=lam)
 
 
-def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
+def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
                            tol: float, work: np.ndarray) -> None:
     """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
 
@@ -660,13 +680,14 @@ def _midpoint_adjoint_step(ops: _VecOps, u: np.ndarray, lam: np.ndarray, dt: np.
     tangent map (I - dt/2 J)^{-1} (I + dt/2 J) has the transpose lam -> nu, nu = lam + dt
     A((lam + nu)/2) with A the adjoint rhs at u: the forward step's equation.  A row iterates
     until its change is at most 2 tol |lam|_Z (a cotangent has no scale of its own); a row that
-    stalls is set to nan, which fails its start.  work has the shape of _rk4_adjoint_step's.
+    stalls is set to nan, which fails its start.  kernels and work as in _rk4_adjoint_step.
     """
-    def adjoint_rhs(x: np.ndarray, out: np.ndarray, rows) -> np.ndarray:
-        return ops.rhs_adjoint(x, u[rows], out, work[5, :len(x)])
+    def adjoint_rhs(bound, rows):
+        u_k = u[rows]
+        return lambda x, out: bound.rhs_adjoint(x, u_k, out)
 
-    nu, stalled, _ = _midpoint_solve(ops, adjoint_rhs, lam, dt, 2.0 * tol * ops.znorm(lam),
-                                     work[:5])
+    nu, stalled, _ = _midpoint_solve(kernels, adjoint_rhs, lam, dt,
+                                     2.0 * tol * kernels.znorm(lam.copy()), work[:5])
     nu[stalled] = np.nan
     np.copyto(lam, nu)
 
@@ -686,14 +707,15 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     lam = ops.pad(np.asarray(lam))
     n_steps = tape.shape[1]
     dt = t_span / max(n_steps, 1)
-    work = np.empty((7,) + lam.shape, complex)
+    work = np.empty((6,) + lam.shape, complex)
     coef = rk4_coefficients(dt, complex) + (np.array(dt / 3.0, complex),)
+    kernels = ops.bind(lam.shape[:-1])
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(n_steps)):
             if cfg.integrator == "rk4":
-                _rk4_adjoint_step(ops, tape[:, i], lam, coef, work)
+                _rk4_adjoint_step(kernels, tape[:, i], lam, coef, work)
             else:
-                _midpoint_adjoint_step(ops, tape[:, i, 0], lam, coef[1], cfg.midpoint_tol, work)
+                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, coef[1], cfg.midpoint_tol, work)
     return lam[..., ops.modes].copy()
 
 

@@ -1082,3 +1082,35 @@ class TestDriver:
         assert code == 2
         assert (f"bbmlab simulate: cannot write {outdir / name}: Is a directory"
                 in capsys.readouterr().err)
+
+
+class TestParserOncePerProcess:
+    """main builds its parser on the first call and reads each config class's hints once."""
+
+    def test_two_calls_build_one_parser_and_read_hints_once(self, tmp_path, monkeypatch):
+        cli._parser.cache_clear()
+        cli._type_hints.cache_clear()
+        text = SIMULATE_T0.replace("T = 0.0", "T = 0.1")
+        for _ in range(2):
+            assert run(tmp_path, monkeypatch, "simulate", text)[0] == 0
+        assert cli._parser.cache_info()[:2] == (1, 1)  # hits, misses
+        assert cli._type_hints.cache_info()[:2] == (1, 1)  # FlowConfig, read twice
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulte", "cfg.ini"], "bbmlab: error: argument command: invalid choice: 'simulte'"),
+        (["simulate"], "bbmlab simulate: error: the following arguments are required: config"),
+    ])
+    def test_bad_command_line_exits_2_with_argparse_message(self, capsys, argv, message):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+
+    def test_misspelt_key_exits_2_naming_it_on_the_kept_parser(self, tmp_path, monkeypatch,
+                                                                capsys):
+        text = SIMULATE_T0.replace("[state]", "integrater = picard\n[state]")
+        for _ in range(2):
+            assert run(tmp_path, monkeypatch, "simulate", text)[0] == 2
+            assert "unknown config key(s) `integrater` in [flow]" in capsys.readouterr().err

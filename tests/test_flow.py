@@ -102,7 +102,7 @@ class TestRhs:
                   for i in range(batch)]
         ops = flow._VecOps(n_modes)
         c = ops.pad(rows_of(states))
-        rows = ops.rhs(c, np.empty_like(c))
+        rows = ops.bind(c.shape[:-1]).rhs(c, np.empty_like(c))
         for u, row in zip(states, rows):
             ref = oracle_rhs(u, n_modes).row
             got, want = rhs(u, FlowConfig(N=n_modes, dt=1e-3)), TrigState.from_row(row[ops.modes])
@@ -365,9 +365,16 @@ class TestAdjoint:
         lam = rows_of([TrigState.single_mode(k, 12, a_k=1.0, b_k=0.5) for k in modes])
         _, tape = integrate_taped(c, 0.4, cfg)
         sizes = []
-        rhs_adjoint = flow._VecOps.rhs_adjoint
-        monkeypatch.setattr(flow._VecOps, "rhs_adjoint", lambda ops, lam, u, out, tmp: (
-            sizes.append(len(lam)), rhs_adjoint(ops, lam, u, out, tmp))[1])
+        bind = flow._VecOps.bind
+
+        def counting_bind(ops, lead=()):
+            kernels = bind(ops, lead)
+            rhs_adjoint = kernels.rhs_adjoint
+            kernels.rhs_adjoint = lambda lam, u, out: (
+                sizes.append(len(lam)), rhs_adjoint(lam, u, out))[1]
+            return kernels
+
+        monkeypatch.setattr(flow._VecOps, "bind", counting_bind)
         pulled = adjoint_batch(tape, lam, 0.4, cfg)
         assert len({size for size in sizes if size < 6}) > 1
         for i in range(6):
@@ -392,13 +399,12 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("n_modes", [1, 8, 32, 128])
     @pytest.mark.parametrize("batch", [1, 3])
     def test_bins_outside_the_modes_stay_zero(self, monkeypatch, n_modes, batch):
-        # Every step's rows, every kernel's input and output, forward and reverse.
+        # Every step's rows, every kernel's input and output, forward and reverse.  The kernels
+        # are watched where _VecOps.bind hands them out.
         bins = flow._VecOps(n_modes).m_pad // 2 + 1
         seen = {}
 
-        def watch(owner, name, rows_of_call):
-            inner = getattr(owner, name)
-
+        def wrap(name, inner, rows_of_call):
             def wrapped(*args, **kwargs):
                 result = inner(*args, **kwargs)
                 for rows in rows_of_call(args, result):
@@ -406,11 +412,26 @@ class TestPaddedLayout:
                     assert np.all(_padding(rows, n_modes) == 0.0), name
                     seen[name] = seen.get(name, 0) + np.size(rows) // bins
                 return result
+            return wrapped
 
-            monkeypatch.setattr(owner, name, wrapped)
+        def watch(owner, name, rows_of_call):
+            monkeypatch.setattr(owner, name, wrap(name, getattr(owner, name), rows_of_call))
 
-        for name in ("rhs", "rhs_adjoint", "nonlinear", "free"):
-            watch(flow._VecOps, name, lambda args, result: (args[1], result))
+        bind = flow._VecOps.bind
+
+        def watched_bind(ops, lead=()):
+            kernels = bind(ops, lead)
+            for name in ("rhs", "rhs_adjoint", "nonlinear"):
+                setattr(kernels, name, wrap(name, getattr(kernels, name),
+                                            lambda args, result: (args[0], result)))
+            kernels.znorm = wrap("znorm", kernels.znorm, lambda args, result: (args[0],))
+            taped = kernels.taped
+            kernels.taped = lambda slots: wrap("taped_rhs", taped(slots),
+                                               lambda args, result: (args[0], result))
+            return kernels
+
+        monkeypatch.setattr(flow._VecOps, "bind", watched_bind)
+        watch(flow._VecOps, "free", lambda args, result: (args[1], result))
         watch(flow, "rk4_step", lambda args, result: (args[1],))
         watch(flow, "_midpoint_step", lambda args, result: (args[1],))
         watch(flow, "_picard_subinterval", lambda args, result: (args[1], result[0]))
@@ -427,9 +448,9 @@ class TestPaddedLayout:
                 _, tape = integrate_taped(c, 0.2, cfg)
                 adjoint_batch(tape, c[::-1], 0.2, cfg)
         integrate_batch(c, 0.4, FlowConfig(N=n_modes, dt=0.2, integrator="picard"))
-        assert set(seen) == {"rhs", "rhs_adjoint", "nonlinear", "free", "rk4_step",
-                             "_midpoint_step", "_picard_subinterval", "_rk4_adjoint_step",
-                             "_midpoint_adjoint_step"}
+        assert set(seen) == {"rhs", "taped_rhs", "rhs_adjoint", "nonlinear", "znorm", "free",
+                             "rk4_step", "_midpoint_step", "_picard_subinterval",
+                             "_rk4_adjoint_step", "_midpoint_adjoint_step"}
         assert seen["rk4_step"] == 2 * 4 * (1 + 2 * batch)
         assert seen["_picard_subinterval"] == 4 * batch
 
@@ -502,13 +523,13 @@ class TestPairRowReference:
         # One _VecOps flows a 128-row rk4 batch, one row, a midpoint batch
         # whose active rows shrink, then Picard nodes: its workspace follows
         # every shape change and each result keeps the bits of a fresh one.
+        # shapes holds the row shape of every binding of the kernels.
         n, t_span = 12, 0.4
         ops = flow._VecOps(n)
         bins = ops.m_pad // 2 + 1
         shapes = []
-        square_half = ops.square_half
-        ops.square_half = lambda c, out, *args, **kwargs: (
-            shapes.append(c.shape), square_half(c, out, *args, **kwargs))[1]
+        bind = ops.bind
+        ops.bind = lambda lead=(): (shapes.append(lead + (bins,)), bind(lead))[1]
         states = [random_state(i, n, radius=10.0 ** (-4.0 + i / 32)) for i in range(128)]
         ref = PairRowFlow(n)
         for rows, integ in ((rows_of(states), "rk4"), (states[0].row, "rk4"),
@@ -523,18 +544,19 @@ class TestPairRowReference:
         # The 8-row midpoint batch shrinks as its rows converge, at different iterations.
         midpoint_batches = {shape[0] for shape in shapes if len(shape) == 2 and shape[0] < 8}
         assert len(midpoint_batches) > 1
-        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffer
-        # allocated for its first 8 rows: the same object at every active-set size.
+        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffers
+        # allocated for its first 8 rows: the same grid and tiled symbols at every active-set
+        # size.
         fresh = flow._VecOps(n)
         seen = []
-        fresh_square_half = fresh.square_half
-        fresh.square_half = lambda c, out, *args, **kwargs: (
-            fresh_square_half(c, out, *args, **kwargs), seen.append((c.shape, fresh._rows)))[0]
+        fresh_bind = fresh.bind
+        fresh.bind = lambda lead=(): (fresh_bind(lead),
+                                      seen.append((lead, fresh._rows, fresh._tiled)))[0]
         cfg = FlowConfig(N=n, dt=0.1, integrator="implicit_midpoint")
         rows = rows_of(states[::16])
         got = flow._advance(fresh, rows, t_span, cfg)[0]
-        assert len({shape for shape, _ in seen}) > 1 and len(seen[0][1]) == 8
-        assert all(work is seen[0][1] for _, work in seen)
+        assert len({shape for shape, _, _ in seen}) > 1 and len(seen[0][1]) == 8
+        assert all(work is seen[0][1] and tiled is seen[0][2] for _, work, tiled in seen)
         for c, u0 in zip(got, map(TrigState.from_row, rows)):
             a, b = ref.integrate(u0, t_span, cfg.dt, "implicit_midpoint", cfg.midpoint_tol)
             assert _same_bits(TrigState.from_row(c).a, a) and _same_bits(TrigState.from_row(c).b, b)
@@ -543,8 +565,8 @@ class TestPairRowReference:
         want = flow._advance(flow._VecOps(n), states[0].row, t_span, cfg)
         assert _same_bits(got[0], want[0]) and got[2] == want[2]
         nodes = ops.pad(rows_of(states[:8]))
-        assert _same_bits(ops.nonlinear(nodes, np.empty_like(nodes)),
-                          [flow._VecOps(n).nonlinear(c, np.empty_like(c)) for c in nodes])
+        assert _same_bits(ops.bind(nodes.shape[:-1]).nonlinear(nodes, np.empty_like(nodes)),
+                          [flow._VecOps(n).bind().nonlinear(c, np.empty_like(c)) for c in nodes])
         assert (8, bins) in shapes and (bins,) in shapes and (128, bins) in shapes
 
 
@@ -592,6 +614,31 @@ class TestBlowUp:
         with pytest.raises(FlowError, match="step"):
             integrate(self.BIG, 50.0, cfg)
 
+    def test_messages_name_the_first_non_finite_step_time_and_row(self):
+        # The messages as recorded when every step tested each entry with np.isfinite.
+        small = TrigState.single_mode(1, 16, a_k=0.1)
+        midpoint = FlowConfig(N=16, dt=2.0, integrator="implicit_midpoint")
+        for call, message in (
+            (lambda: integrate(self.BIG, 50.0, self.CFG),
+             "state became non-finite at step 3 of 25 (t = 6)"),
+            (lambda: integrate_batch(rows_of([small, self.BIG, small]), 50.0, self.CFG),
+             "state became non-finite in row 1 at step 3 of 25 (t = 6)"),
+            (lambda: integrate(self.BIG, 50.0, midpoint),
+             "state became non-finite at step 1 of 25 (t = 2)"),
+        ):
+            with pytest.raises(FlowError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_finite_rows_whose_sums_overflow_flow_on(self):
+        # Five bins at 4e307 sum past the largest double, five at 1e200 square past it, and
+        # every entry of both rows stays finite through the linear flow.
+        c = np.array([np.full(5, 4e307 + 0j), np.full(5, 1e200 - 1e200j)])
+        cfg = FlowConfig(N=5, dt=0.1, linear_only=True)
+        rows = integrate_batch(c, 1.0, cfg)
+        assert np.isfinite(rows).all()
+        for row, c0 in zip(rows, c):
+            assert _same_bits(row, integrate(TrigState.from_row(c0), 1.0, cfg).final.row)
+
 
 class TestMidpointStall:
     """The implicit-midpoint solver out of iterations, in the flow and in its transpose."""
@@ -620,6 +667,23 @@ class TestMidpointStall:
             assert np.isnan(alone).all() if stalled[i] else _same_bits(pulled[i], alone)
 
 
+class TestZNorm:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        rows=st.integers(1, 64),
+        log_scale=st.floats(-150.0, 150.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_bound_znorm_is_the_summed_formula_bit_for_bit(self, n_modes, rows, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        ops = flow._VecOps(n_modes)
+        c = ops.pad(10.0 ** log_scale * (rng.standard_normal((rows, n_modes))
+                                         + 1j * rng.standard_normal((rows, n_modes))))
+        want = np.sqrt(np.sum(ops.zw * (c.real ** 2 + c.imag ** 2), axis=-1))
+        assert _same_bits(ops.bind((rows,)).znorm(c.copy()), want)
+
+
 def _serial_picard(ops, y0, h, tol, max_iter):
     """Per-node list-comprehension form of the Duhamel fixed point (the reference)."""
     nodes, weights, integ = flow._gauss_collocation()
@@ -627,12 +691,13 @@ def _serial_picard(ops, y0, h, tol, max_iter):
     ph = h / n_panels
     flat_tau = (ph * np.arange(n_panels)[:, None] + ph * nodes[None, :]).ravel()
     n_nodes = len(flat_tau)
+    nonlinear = ops.bind().nonlinear
     ys = np.array([ops.free(y0, t) for t in flat_tau])
     diffs = []
 
     def duhamel(values):
         v = np.array(
-            [ops.free(ops.nonlinear(values[j], np.empty_like(values[j])), -flat_tau[j])
+            [ops.free(nonlinear(values[j], np.empty_like(values[j])), -flat_tau[j])
              for j in range(n_nodes)]
         ).reshape(n_panels, len(nodes), -1)
         panel_full = ph * np.einsum("j,pjd->pd", weights, v)
