@@ -6,13 +6,15 @@
 Each layer is one call of a flow kernel on the same inputs every time: the bound rhs at N =
 32, 64 and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step
 (N = 32, one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval
-(N = 32, length 1), one integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of
-`bbmlab simulate`), a taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse
-pass, both again on 16 rows (a witness search's 16 starts), and one smoothing ratio (N = 32,
-T = 1, dt = 0.01: 32 flow segments of two rows).  The steppers work in place, so their row is
-reset from a saved copy before each call.  A repeat times a fixed number of calls of every
-layer in turn, so a drift in the host's speed reaches all layers alike; each layer reports
-the median and quartiles of its per-call time over REPEATS repeats, in microseconds.
+(N = 32, length 1) on a kept workspace, a whole one-subinterval Picard integrate (N = 32, h =
+1: a fresh workspace and binding, as in the certify workload's Picard experiments), one
+integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of `bbmlab simulate`), a
+taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, both again on 16
+rows (a witness search's 16 starts), and one smoothing ratio (N = 32, T = 1, dt = 0.01: 32
+flow segments of two rows).  The steppers work in place, so their row is reset from a saved
+copy before each call.  A repeat times a fixed number of calls of every layer in turn, so a
+drift in the host's speed reaches all layers alike; each layer reports the median and
+quartiles of its per-call time over REPEATS repeats, in microseconds.
 
 --against TREE also loads the bbmlab of another checkout (TREE/src) into the same process and
 times each layer's call block on both trees back to back, the order alternating from repeat
@@ -135,6 +137,10 @@ def layers(flow, sampling, estimates) -> dict:
     y_picard = layout(mid_ops, rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)
+    u_picard = sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", "picard"), 32,
+                                           0.5, 1.0)
+    picard_cfg = flow.FlowConfig(N=32, dt=1.0, integrator="picard", picard_max_iter=200)
+    out["integrate_picard/N=32/h=1"] = (lambda: flow.integrate(u_picard, 1.0, picard_cfg), 5)
     u_long = sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", "long"), 64, 0.5,
                                          0.5)
     long_cfg = flow.FlowConfig(N=64, dt=1e-3)

@@ -324,7 +324,7 @@ _COMMANDS = {
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first main call and kept for the process."""
+    """The command-line parser, built on the first main call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="bbmlab", description="BBM-on-the-circle spectral experiments"
     )

@@ -21,14 +21,14 @@ All three share one stepping loop over half-spectrum rows c_k = a_k - i b_k
 in pocketfft's padded layout: the m_pad // 2 + 1 bins of a length-m_pad real
 FFT, exactly 0 at bin 0 and above N.  A row enters that layout when a flow
 starts and leaves it at the end and at each trace point.  A flow binds its
-kernels (``_VecOps.bind``) once to its row shape, and a step is their ufunc
-calls.  The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the
-row itself: the inverse at scale 0.5, the grid product, the forward transform
-at scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0 outside
-1..N, so its multiply projects the product back: an rhs is five ufunc calls.
-Fixed scalars are 0-d arrays and per-N symbols read-only tables, built once.
-The implicit midpoint rebinds only when its set of unconverged rows shrinks.
-A flow takes at most MAX_STEPS steps, none over a zero horizon, in place.
+kernels (``_VecOps.bind``) to its row shape once, the implicit midpoint again
+when its set of unconverged rows shrinks, and a step is their ufunc calls.
+The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the row
+itself: the inverse at scale 0.5, the grid product, the forward transform at
+scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0 outside 1..N,
+so its multiply projects the product back: an rhs is five ufunc calls.  Fixed
+scalars are 0-d arrays and per-N symbols read-only tables, built once.  A flow
+takes at most MAX_STEPS steps, none over a zero horizon, in place.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row), as the witness
@@ -175,7 +175,7 @@ def _tables(n: int) -> tuple:
     one, two = np.array(1.0 / m), np.array(2.0 / m)
     for table in (phi, zw, gen, dual, mask, one, two):
         table.flags.writeable = False
-    return m, phi, zw, gen, dual, mask, (one, two)
+    return m, phi, zw, gen, dual, mask, (RFFT[m % 2], one, two)
 
 
 class _VecOps:
@@ -200,8 +200,7 @@ class _VecOps:
 
     def __init__(self, n: int, linear_only: bool = False):
         self.n, self.modes, self.linear_only = n, slice(1, n + 1), linear_only
-        self.m_pad, self.phi, self.zw, self.gen, self.dual, self.mask, self._scale = _tables(n)
-        self._rfft = RFFT[self.m_pad % 2]
+        self.m_pad, self.phi, self.zw, self.gen, self.dual, self.mask, self._fft = _tables(n)
         self._rows, self._tiled = np.empty((0, self.m_pad)), None  # the workspace, by row capacity
 
     @classmethod
@@ -218,25 +217,25 @@ class _VecOps:
         """The kernels of rows of shape lead + (bins,), each its ufunc calls writing into out.
 
         square_half(c, out): the padded spectrum of v^2/2, v the grid values of c (the rest of
-        the product in bins 0 and above N); nonlinear(c, out): -dx (1-dxx)^{-1} (u^2/2); rhs(c,
-        out): the right-hand side; taped(slots): the rhs writing v into next(slots), a tape's
-        rows; rhs_adjoint(lam, u, out): the transpose of the rhs's derivative at grid rows u,
-        lam -> mu + P_N(u w) with mu = i phi lam and w its grid values, in the pairing Re sum
-        conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring d in place; bind: this
-        method.  out overlaps no input.  The grid workspace and the symbols tiled to a batch
-        (numpy's contiguous loops, bit for bit) grow with row capacity, and a smaller batch
-        takes their leading rows.
+        the product in bins 0 and above N); product(c, u, out): that of u v, u grid rows;
+        nonlinear(c, out): -dx (1-dxx)^{-1} (u^2/2); rhs(c, out): the right-hand side;
+        taped(slots): the rhs writing v into next(slots), a tape's rows; rhs_adjoint(lam, u,
+        out): the transpose of the rhs's derivative at grid rows u, lam -> mu + P_N(u w) with mu
+        = i phi lam and w its grid values, in the pairing Re sum conj(lam_k) d_k; znorm(d): the
+        Z norm of each row, squaring d in place; bind: this method.  out overlaps no input.
+        The grid workspace and the symbols tiled to a batch (numpy's contiguous loops, bit for
+        bit) grow with row capacity, and a smaller batch takes their leading rows.
         """
         rows, shape = math.prod(lead), lead + (self.m_pad // 2 + 1,)
         if len(self._rows) < rows:
             self._rows, self._tiled = np.empty((rows, self.m_pad)), None
         symbols = (self.gen, self.dual, self.mask, self.zw)
-        if lead and self._tiled is None:
-            self._tiled = [np.repeat(table[None], len(self._rows), axis=0) for table in symbols]
+        if lead and self._tiled is None:  # row 0 of each table, taken once per row of capacity
+            self._tiled = [t[None].take(np.zeros(len(self._rows), int), axis=0) for t in symbols]
         gen, dual, mask, zw = [t[:rows].reshape(shape) for t in self._tiled] if lead else symbols
         grid = self._rows[:rows].reshape(lead + (self.m_pad,))
         squares, tmp = np.empty(shape), np.empty(shape, complex)  # znorm's and rhs_adjoint's
-        irfft, rfft, half, (one, two), axes = IRFFT, self._rfft, _HALF.real, self._scale, FFT_AXES
+        irfft, half, axes, (rfft, one, two) = IRFFT, _HALF.real, FFT_AXES, self._fft
         add, multiply, reduce, sqrt = np.add, np.multiply, np.add.reduce, np.sqrt
 
         def square_half(c, out):
@@ -253,11 +252,13 @@ class _VecOps:
                 return multiply(gen, add(c, out, out=out), out=out)
             return rhs
 
+        def product(c, u, out):
+            w = irfft(c, half, axes=axes, out=grid)
+            return rfft(multiply(u, w, out=grid), two, axes=axes, out=out)
+
         def rhs_adjoint(lam, u, out):
             mu = multiply(dual, lam, out=out)
-            w = irfft(mu, half, axes=axes, out=grid)
-            rfft(multiply(u, w, out=grid), two, axes=axes, out=tmp)
-            return add(mu, multiply(mask, tmp, out=tmp), out=out)
+            return add(mu, multiply(mask, product(mu, u, tmp), out=tmp), out=out)
 
         def znorm(d):
             parts = d.view(float)
@@ -273,8 +274,9 @@ class _VecOps:
             def rhs_adjoint(lam, u, out):
                 return multiply(dual, lam, out=out)
         rhs = functools.partial(multiply, gen) if self.linear_only else taped(repeat(grid))
-        return SimpleNamespace(square_half=square_half, nonlinear=nonlinear, rhs=rhs, taped=taped,
-                               rhs_adjoint=rhs_adjoint, znorm=znorm, bind=self.bind)
+        return SimpleNamespace(square_half=square_half, product=product, nonlinear=nonlinear,
+                               rhs=rhs, taped=taped, rhs_adjoint=rhs_adjoint, znorm=znorm,
+                               bind=self.bind)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -356,12 +358,12 @@ def _midpoint_solve(kernels, g_of, y: np.ndarray, dt, tol, work: np.ndarray) -> 
     """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
-    rhs); dt is a 0-d complex array.  g_of(kernels, rows) writes g(x, out), at x standing for the
-    rows `rows` of y, with kernels bound to them.  A row stops once the Z norm of its change is
-    at most tol (a number, or one per row) or is not finite.  Until one stops, all rows iterate
-    on y itself; then the moving ones are gathered into leading rows of work, shape (5,
-    *y.shape), and the kernels rebound.  Returns z, in work[0], and the indices and last changes
-    of the rows still moving after _MIDPOINT_MAX_ITER, whose rows of z the callers discard.
+    rhs); dt is a 0-d complex array.  g_of(kernels, rows) is g(x, out) for x standing for the
+    rows `rows` of y, on kernels bound to them.  A row stops once the Z norm of its change is at
+    most tol (a number, or one per row) or is not finite.  All rows iterate on y itself until
+    one stops; then the moving ones are gathered into leading rows of work, (5, *y.shape), and
+    the kernels rebound.  Returns z, in work[0], and the indices and last changes of the rows
+    still moving after _MIDPOINT_MAX_ITER; the callers discard those rows of z.
     """
     z, ya, za, mid, f = work
     g, znorm = g_of(kernels, slice(None)), kernels.znorm
@@ -501,30 +503,28 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
              record=None, tape=None) -> tuple[np.ndarray, int, list]:
     """The one stepping loop: flow the rows of y over [0, t_span].
 
-    y is a (batch, N) array, or a single (N,) row, which spares the
-    batch axis's per-call overhead on long serial flows; Picard takes only
-    the single row.  The rows enter ops's padded layout here and leave it on
-    return and in record.  Takes ceil(|t_span| / dt) equal steps, none for a
-    zero horizon.  Every trace_every steps, and after the last, calls
-    record(t, y).  Step i records into tape[:, i], if given, the grid values
-    of its rk4 stage inputs or midpoints.  Raises FlowError naming the step
-    and time (and the row, for a batch) as soon as a row turns non-finite.
-    Returns the final rows, the step count and the Picard X^0 differences
-    per subinterval.  More than MAX_STEPS steps are refused with a
-    ValueError, before anything is allocated.
+    y is a (batch, N) array, or a single (N,) row, which spares the batch axis's per-call
+    overhead on long serial flows; Picard takes only the single row.  The rows enter ops's padded
+    layout here and leave it on return and in record.  Takes ceil(|t_span| / dt) equal steps, none
+    for a zero horizon.  Every trace_every steps, and after the last, calls record(t, y).  Step i
+    records into tape[:, i], if given, the grid values of its rk4 stage inputs or midpoints.
+    Raises FlowError naming the step and time (and the row, for a batch) as soon as a row turns
+    non-finite.  Returns the final rows, the step count and the Picard X^0 differences per
+    subinterval.  More than MAX_STEPS steps are refused with a ValueError, before anything is
+    allocated.
     """
     n_steps = _step_count(t_span, cfg.dt)
     dt = t_span / max(n_steps, 1)
     picard_diffs = []
-    # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
     y = ops.pad(y)
-    work = np.empty((5,) + y.shape, complex)
-    coef = rk4_coefficients(dt, complex)
-    y2, work2 = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])  # the midpoint's
-    kernels = ops.bind(y2.shape[:-1] if cfg.integrator == "implicit_midpoint" else y.shape[:-1])
-    # rk4's rhs, writing the tape's rows in the order the stages are taken, step by step.
-    f = kernels.rhs if tape is None else kernels.taped(chain.from_iterable(
-        tape.transpose(1, 2, 0, 3)))
+    if cfg.integrator != "picard":  # which binds its own node rows
+        # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
+        work, coef = np.empty((5,) + y.shape, complex), rk4_coefficients(dt, complex)
+        y2, work2 = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])  # the midpoint's
+        kernels = ops.bind(y2.shape[:-1] if cfg.integrator == "implicit_midpoint" else y.shape[:-1])
+        # rk4's rhs, writing the tape's rows in the order the stages are taken, step by step.
+        f = kernels.rhs if tape is None else kernels.taped(chain.from_iterable(
+            tape.transpose(1, 2, 0, 3)))
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -15,6 +15,7 @@ LAYERS = {
     "midpoint_step/N=32/rows=1",
     "midpoint_step/N=8/rows=64",
     "picard_subinterval/N=32/h=1",
+    "integrate_picard/N=32/h=1",
     "integrate/N=64/rows=1/T=1",
     *(f"{layer}/N=32/rows={rows}/T=1" for layer in ("integrate_taped", "adjoint_batch")
       for rows in (2, 16)),

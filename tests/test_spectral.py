@@ -393,21 +393,25 @@ class TestPocketfftUfuncs:
                 assert _same_bits(got, want), (n, lead)
 
     def test_adjoint_product_matches_np_fft_bit_for_bit(self):
-        # rhs_adjoint's product u w, w the grid values of mu = i phi lam, takes the forward
-        # transform at scale 2/m, which pocketfft applies as a final multiply: the bits of
-        # 2 rfft(u w) at norm="forward", all bins, projected by the mask and added to mu.
+        # product(c, u, out) takes the forward transform at scale 2/m, which pocketfft applies
+        # as a final multiply: the bits of 2 rfft(u v) at norm="forward", all bins.  rhs_adjoint
+        # is mu + mask * product(mu, u), mu = dual * lam.
         for n, m in FLOW_LENGTHS.items():
             ops = _VecOps(n)
             for lead in ((), (3,)):
                 rng = np.random.default_rng([n, len(lead), 1])
                 for scale in (1.0, 1e-150, 1e3):
-                    lam = ops.pad(scale * _random_rows(rng, lead, n))
+                    c = ops.pad(scale * _random_rows(rng, lead, n))
                     u = scale * rng.standard_normal(lead + (m,))
-                    mu = ops.dual * lam
-                    vals = 0.5 * np.fft.irfft(mu, m, norm="forward")
-                    want = ops.mask * (2.0 * np.fft.rfft(u * vals, norm="forward"))
-                    got = ops.bind(lead).rhs_adjoint(lam, u, np.empty_like(lam))
-                    assert _same_bits(got, mu + want), (n, lead, scale)
+                    vals = 0.5 * np.fft.irfft(c, m, norm="forward")
+                    want = 2.0 * np.fft.rfft(u * vals, norm="forward")
+                    kernels = ops.bind(lead)
+                    got = kernels.product(c, u, np.empty_like(c))
+                    assert _same_bits(got, want), (n, lead, scale)
+                    mu = ops.dual * c
+                    adjoint = mu + ops.mask * kernels.product(mu, u, np.empty_like(c))
+                    got = kernels.rhs_adjoint(c, u, np.empty_like(c))
+                    assert _same_bits(got, adjoint), (n, lead, scale)
 
     def test_exact_product_matches_np_fft_bit_for_bit(self):
         for n_out, m in PRODUCT_LENGTHS.items():
