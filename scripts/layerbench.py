@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the flow kernels, as one JSON object on standard output.
+"""Per-layer timings of the flow and estimate kernels, as one JSON object on standard output.
 
     python3 scripts/layerbench.py [--against TREE] [--quick]
 
-Each layer is one call of a flow kernel on the same inputs every time: the bound rhs at N =
+Each layer is one call of a kernel on the same inputs every time: the bound rhs at N =
 32, 64 and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step
 (N = 32, one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval
 (N = 32, length 1) on a kept workspace, a whole one-subinterval Picard integrate (N = 32, h =
 1: a fresh workspace and binding, as in the certify workload's Picard experiments), one
 integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of `bbmlab simulate`), a
 taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, both again on 16
-rows (a witness search's 16 starts), and one smoothing ratio (N = 32, T = 1, dt = 0.01: 32
-flow segments of two rows).  The steppers work in place, so their row is reset from a saved
-copy before each call.  A repeat times a fixed number of calls of every layer in turn, so a
+rows (a witness search's 16 starts), one smoothing ratio (N = 32, T = 1, dt = 0.01: 32 flow
+segments of two rows), and the estimate sweep's gaussian chunk: one substream key, the u and v
+normals of 32 samples at N = 128 and the bilinear ratios of those 32 row pairs.  The steppers
+work in place, so their row is reset from a saved copy before each call.  A repeat times a fixed number of calls of every layer in turn, so a
 drift in the host's speed reaches all layers alike; each layer reports the median and
 quartiles of its per-call time over REPEATS repeats, in microseconds.
 
@@ -81,10 +82,13 @@ def load_tree(root: str):
 
 
 def layers(flow, sampling, estimates) -> dict:
-    """name -> (zero-argument call, calls per repeat) for one tree's flow kernels."""
+    """name -> (zero-argument call, calls per repeat) for one tree's kernels."""
     def rows(n_modes, batch, radius=0.5):
         streams = [sampling.substream(SEED, "layerbench", n_modes, i) for i in range(batch)]
-        return sampling.sobolev_ball_rows(streams, n_modes, 0.5, radius)
+        if not hasattr(sampling, "sweep_normals"):  # a tree whose rows take the generators
+            return sampling.sobolev_ball_rows(streams, n_modes, 0.5, radius)
+        draws = np.array([stream.standard_normal((2, n_modes)) for stream in streams])
+        return sampling.sobolev_ball_rows(draws, 0.5, radius)
 
     def layout(ops, c):
         # A tree whose kernels take (..., N) rows, before the padded layout, has no pad.
@@ -158,6 +162,19 @@ def layers(flow, sampling, estimates) -> dict:
     smoothing = flow.FlowConfig(N=32, dt=0.01)
     out["smoothing_ratio/N=32/T=1"] = (
         lambda: estimates.smoothing_ratio(u0, v0, 1.0, 1.0 / 24.0, smoothing), 3)
+    # The estimate sweep's gaussian chunk: one key's generator, the u and v draws of 32
+    # samples at N = 128 (the per-key substream loop in a tree without sweep_normals), and
+    # the bilinear ratios of the chunk's rows.
+    chunk = range(estimates._SWEEP_BATCH)
+    out["substream/keys=1"] = (lambda: sampling.substream(SEED, 128, 0, 0), 200)
+    if hasattr(sampling, "sweep_normals"):
+        out["sweep_normals/N=128/rows=32"] = (lambda: sampling.sweep_normals(SEED, 128, chunk), 10)
+    else:
+        out["sweep_normals/N=128/rows=32"] = (lambda: np.array([[sampling.substream(
+            SEED, 128, i, j).standard_normal((2, 128)) for j in (0, 1)] for i in chunk]), 10)
+    u, v = estimates._sample_rows("gaussian", SEED, chunk, 128, 0.5, 0.5)
+    out["bilinear_ratio/N=128/rows=32"] = (
+        lambda: estimates._ratio_rows(u, v, 0.5, 0.5, 0.5, "bilinear_ratio"), 20)
     return out
 
 

@@ -341,6 +341,8 @@ def main(argv=None) -> int:
     try:
         cfg = _Cfg(args.config)
         seed = cfg.get("run", "seed", _int, 0)
+        if not 0 <= seed < 1 << 64:
+            raise ConfigError(f"[run] seed must lie in 0..2^64 - 1, got {seed}")
         run = _COMMANDS[args.command](cfg, seed)
         outdir = _outdir(cfg, args.command)
         cfg.reject_unread()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .flow import (FlowConfig, FlowError, _padded, integrate_batch, interaction_samples,
                    rk4_coefficients, rk4_step)
-from .sampling import sobolev_ball_rows, substream
+from .sampling import sobolev_ball_rows, sweep_normals
 from .spectral import (
     MAX_MODES,
     TrigState,
@@ -169,8 +169,9 @@ def _sample_rows(sampler: str, seed: int, idx: range, n_modes: int, r: float, rp
     """Coefficient rows (mean, c) of the u and v draws of samples idx at N = n_modes."""
     if sampler == "gaussian":
         # Sample i always comes from the substreams (seed, N, i, 0) and (seed, N, i, 1).
-        u = sobolev_ball_rows([substream(seed, n_modes, i, 0) for i in idx], n_modes, r, 1.0)
-        v = sobolev_ball_rows([substream(seed, n_modes, i, 1) for i in idx], n_modes, rprime, 1.0)
+        draws = sweep_normals(seed, n_modes, idx)
+        u = sobolev_ball_rows(draws[:, 0], r, 1.0)
+        v = sobolev_ball_rows(draws[:, 1], rprime, 1.0)
         return (0.0, u), (0.0, v)
     # Near-resonant concentrated pairs cos(Kx), cos((K+-1)x), K swept to N.
     i = np.arange(idx.start, idx.stop)[:, None]
@@ -192,10 +193,11 @@ def estimate_constant(
 ) -> EstimateReport:
     """Observed supremum of the estimate's ratio over n_samples draws per truncation.
 
-    Sample i at truncation N always uses the substream (seed, N, i), so the
-    supremum is non-decreasing in n_samples for a fixed seed.  The samples
-    are drawn and measured _SWEEP_BATCH at a time, with one padded-grid
-    product per chunk; the first sample reaching the supremum is reported.
+    Gaussian sample i at truncation N draws u and v from the substreams (seed, N, i, 0) and
+    (seed, N, i, 1), so the supremum is non-decreasing in n_samples for a fixed seed.  The
+    samples are drawn (sampling.sweep_normals: those substreams' draws, bit for bit) and
+    measured _SWEEP_BATCH at a time, with one padded-grid product per chunk; the first
+    sample reaching the supremum is reported.
     """
     check_exponents(s, r, rprime, mode)
     if n_samples < 1:

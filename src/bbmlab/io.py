@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .estimates import EstimateReport
-from .spectral import TrigState
+from .spectral import MAX_MODES, TrigState
 from .squeeze import SqueezeReport
 
 
@@ -48,8 +48,9 @@ def read_state_csv(path, n_modes: int | None = None) -> TrigState:
 
     Rejects a file that read_text cannot read, naming it, and, naming the
     file and line, a row that does not parse or holds a non-finite number,
-    a negative or repeated k, a k above n_modes (when given), and a nonzero
-    b on the k = 0 (mean) row.  The state has as many modes as its largest k.
+    a negative or repeated k, a k above n_modes (spectral.MAX_MODES when not
+    given), and a nonzero b on the k = 0 (mean) row.  The state has as many
+    modes as its largest k.
     """
     mean = 0.0
     pairs = {}
@@ -68,8 +69,9 @@ def read_state_csv(path, n_modes: int | None = None) -> TrigState:
             raise ValueError(f"{where}: non-finite coefficient in {line!r}")
         if k < 0:
             raise ValueError(f"{where}: negative mode k = {k}")
-        if n_modes is not None and k > n_modes:
-            raise ValueError(f"{where}: mode k = {k} exceeds the truncation N = {n_modes}")
+        if k > (MAX_MODES if n_modes is None else n_modes):
+            bound = f"spectral.MAX_MODES = {MAX_MODES}" if n_modes is None else n_modes
+            raise ValueError(f"{where}: mode k = {k} exceeds the truncation N = {bound}")
         if k in seen:
             raise ValueError(f"{where}: duplicate row for mode k = {k}")
         seen.add(k)

@@ -152,6 +152,15 @@ class TestStateCsv:
         with pytest.raises(ValueError, match=r"state\.csv, line 4: mode k = 3 exceeds the truncation N = 2"):
             read_state_csv(path, 2)
 
+    def test_mode_above_max_modes_rejected_without_n(self, tmp_path):
+        # Without a truncation the arrays used to be sized by k: k = 9999999999 asked numpy for
+        # 74.5 GiB and failed with a bare _ArrayMemoryError that named neither file nor line.
+        path = self._rows(tmp_path, ["1,0.5,0", f"{MAX_MODES + 1},0.1,0", "9999999999,0,0"])
+        with pytest.raises(ValueError, match=rf"state\.csv, line 3: mode k = {MAX_MODES + 1} "
+                                             rf"exceeds the truncation N = spectral\.MAX_MODES"):
+            read_state_csv(path)
+        assert read_state_csv(self._rows(tmp_path, [f"{MAX_MODES},0.1,0"])).n_modes == MAX_MODES
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(rows=st.lists(st.one_of(
@@ -398,6 +407,20 @@ n_samples = 5
         code, _ = run(tmp_path, monkeypatch, "estimates", text)
         assert code == 2
         assert "2s - r - r' < 1/4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_64_bits_exits_2_before_work(self, tmp_path, monkeypatch, capsys, seed):
+        # Used to run masked to 64 bits: 2^64 wrote seed 0's CSV bytes and -1 those of 2^64 - 1,
+        # while the manifest recorded the seed given.
+        def no_work(*args):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(estimates, "_sample_rows", no_work)
+        text = f"[run]\nseed = {seed}\n[estimates]\ns = 0.5\nr = 0.5\nrprime = 0.5\nn_samples = 5\n"
+        code, outdir = run(tmp_path, monkeypatch, "estimates", text)
+        assert code == 2
+        assert f"[run] seed must lie in 0..2^64 - 1, got {seed}" in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_fixed_seed_reruns_bit_identical(self, tmp_path, monkeypatch):
         text = """

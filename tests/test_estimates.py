@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbmlab import estimates
+from bbmlab import estimates, sampling
 from bbmlab.estimates import (
     _SWEEP_BATCH,
     bilinear_ratio,
@@ -22,7 +22,7 @@ from bbmlab.estimates import (
     symplectic_defect,
 )
 from bbmlab.flow import FlowConfig
-from bbmlab.sampling import sobolev_ball_rows, sobolev_ball_state, substream
+from bbmlab.sampling import sobolev_ball_rows, sobolev_ball_state, substream, sweep_normals
 from bbmlab.spectral import MAX_MODES, TrigState, dispersion_symbol, unit_cos_mode
 
 from conftest import random_state
@@ -196,10 +196,11 @@ class TestBatchedSweep:
         (64, 0.5, 1.0, None), (17, 0.0, 0.3, 2.0), (1, 1.0, 2.5, None),
     ])
     def test_row_sampler_rows_equal_sobolev_ball_state(self, n_modes, reg, radius, decay):
-        paths = [(9, n_modes, i, 0) for i in range(_SWEEP_BATCH + 3)]
-        c = sobolev_ball_rows([substream(*p) for p in paths], n_modes, reg, radius, decay)
-        for row, path in enumerate(paths):
-            u = sobolev_ball_state(substream(*path), n_modes, reg, radius, decay)
+        # Rows scaled from the sweep's batched draws equal states drawn from each substream.
+        idx = range(_SWEEP_BATCH + 3)
+        c = sobolev_ball_rows(sweep_normals(9, n_modes, idx)[:, 0], reg, radius, decay)
+        for row, i in enumerate(idx):
+            u = sobolev_ball_state(substream(9, n_modes, i, 0), n_modes, reg, radius, decay)
             assert np.array_equal(c[row], u.row)
 
 
@@ -353,3 +354,63 @@ class TestSamplerDeterminism:
         u1 = sobolev_ball_state(substream(5, "x", 3), 16, 0.5, 1.0)
         u2 = sobolev_ball_state(substream(5, "x", 4), 16, 0.5, 1.0)
         assert np.max(np.abs(u1.a - u2.a)) > 1e-6
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # Seeds used to be masked to 64 bits: 2^64 drew what 0 draws, -1 what 2^64 - 1 draws.
+        for draw in (lambda: substream(seed, "x"), lambda: sweep_normals(seed, 8, range(2))):
+            with pytest.raises(ValueError, match=rf"^seed must lie in 0..2\^64 - 1, got {seed}$"):
+                draw()
+
+
+# The seed's uint32 word boundaries, where SeedSequence's entropy grows from one word to two.
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.sampled_from([2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]))
+
+
+class TestSweepNormals:
+    def test_sweep_keys_take_one_word_each(self):
+        # sweep_normals hashes N and i as one uint32 word each, which the caps guarantee.
+        assert MAX_MODES < 2 ** 32 and estimates.MAX_SAMPLES <= 2 ** 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, n_modes=st.integers(1, MAX_MODES),
+           start=st.integers(0, estimates.MAX_SAMPLES - 1), length=st.integers(1, 3))
+    def test_draws_equal_substream_draws(self, seed, n_modes, start, length):
+        # Each key's (2, N) row equals two draws of N from its substream, a_k then b_k.
+        idx = range(start, min(start + length, estimates.MAX_SAMPLES))
+        got = sweep_normals(seed, n_modes, idx)
+        assert got.shape == (len(idx), 2, 2, n_modes)
+        for row, i in zip(got, idx):
+            for j in (0, 1):
+                rng = substream(seed, n_modes, i, j)
+                assert np.array_equal(row[j], [rng.standard_normal(n_modes),
+                                               rng.standard_normal(n_modes)])
+
+    @pytest.mark.parametrize("n_modes, idx", [
+        (0, range(1)), (2 ** 32, range(1)), (8, range(-1, 1)), (8, range(2 ** 32 - 1, 2 ** 32 + 1)),
+    ])
+    def test_keys_beyond_one_word_are_refused(self, n_modes, idx):
+        with pytest.raises(ValueError, match="^sweep keys need 1 <= N < 2\\^32 and 0 <= i < 2\\^32"):
+            sweep_normals(0, n_modes, idx)
+
+    def test_stream_mismatch_names_numpy_version(self, monkeypatch):
+        # The first call for a (seed, N) checks its key i = 0 against substream's own draws.
+        monkeypatch.setattr(sampling, "substream", lambda seed, *path: np.random.default_rng(1))
+        sampling._key_tables.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}'s"):
+                sweep_normals(11, 5, range(3))
+        finally:
+            sampling._key_tables.cache_clear()
+
+    @pytest.mark.parametrize("seed", [2 ** 40 + 3, 2 ** 64 - 1])
+    @pytest.mark.parametrize("mode, s, r, rprime", [
+        ("bilinear", 0.5, 0.5, 0.45), ("multiplier", 0.0, 1.0, 0.0),
+    ])
+    def test_sweep_across_a_chunk_boundary_matches_oracle(self, seed, mode, s, r, rprime):
+        n_modes, n_samples = 12, _SWEEP_BATCH + 2
+        rep = estimate_constant(s, r, rprime, n_samples, n_sweep=(n_modes,), mode=mode, seed=seed)
+        got = rep.sweep[n_modes]
+        assert (got.seed, got.ratio, got.norm_u, got.norm_v) == reference_estimate(
+            s, r, rprime, n_samples, n_modes, "gaussian", mode, seed)

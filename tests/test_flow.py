@@ -300,8 +300,9 @@ class TestAdjoint:
         # applied forward by an np.fft tangent-linear pass, to 1e-12 of
         # |J d| |lam|.
         cfg = FlowConfig(N=n_modes, dt=dt, integrator=integrator, linear_only=linear_only)
-        c0, delta, lam = (sobolev_ball_rows([substream(seed, "dot", name, i) for i in range(batch)],
-                                            n_modes, 0.5, 0.8) for name in ("c0", "delta", "lam"))
+        c0, delta, lam = (sobolev_ball_rows(np.array(
+            [substream(seed, "dot", name, i).standard_normal((2, n_modes)) for i in range(batch)]),
+            0.5, 0.8) for name in ("c0", "delta", "lam"))
         _, tape = integrate_taped(c0, t_span, cfg)
         jd = tangent_linear(tape, delta, t_span, cfg)
         jt_lam = adjoint_batch(tape, lam, t_span, cfg)

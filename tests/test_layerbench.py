@@ -20,6 +20,9 @@ LAYERS = {
     *(f"{layer}/N=32/rows={rows}/T=1" for layer in ("integrate_taped", "adjoint_batch")
       for rows in (2, 16)),
     "smoothing_ratio/N=32/T=1",
+    "substream/keys=1",
+    "sweep_normals/N=128/rows=32",
+    "bilinear_ratio/N=128/rows=32",
 }
 
 
