@@ -10,12 +10,15 @@ Each layer is one call of a kernel on the same inputs every time: the bound rhs 
 1: a fresh workspace and binding, as in the certify workload's Picard experiments), one
 integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of `bbmlab simulate`), a
 taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, both again on 16
-rows (a witness search's 16 starts), one smoothing ratio (N = 32, T = 1, dt = 0.01: 32 flow
-segments of two rows), and the estimate sweep's gaussian chunk: one substream key, the u and v
-normals of 32 samples at N = 128 and the bilinear ratios of those 32 row pairs.  The steppers
-work in place, so their row is reset from a saved copy before each call.  A repeat times a fixed number of calls of every layer in turn, so a
-drift in the host's speed reaches all layers alike; each layer reports the median and
-quartiles of its per-call time over REPEATS repeats, in microseconds.
+rows (a witness search's 16 starts) and on 2 linear_only rows (a calibration cell's flows),
+one search iteration (a witness-search cell: r = 0.5, n0 = 1, T = 1, N = 32, dt = 0.02, 16
+starts, max_ascent_iters = 1), the invariants of one N = 128 state, one smoothing ratio (N =
+32, T = 1, dt = 0.01: 32 flow segments of two rows), and the estimate sweep's gaussian chunk:
+one substream key, the u and v normals of 32 samples at N = 128 and the bilinear ratios of
+those 32 row pairs.  The steppers work in place, so their row is reset from a saved copy
+before each call.  A repeat times a fixed number of calls of every layer in turn, so a drift
+in the host's speed reaches all layers alike; each layer reports the median and quartiles of
+its per-call time over REPEATS repeats, in microseconds.
 
 --against TREE also loads the bbmlab of another checkout (TREE/src) into the same process and
 times each layer's call block on both trees back to back, the order alternating from repeat
@@ -60,7 +63,7 @@ def _git_revision(root: str) -> str:
 
 
 def load_tree(root: str):
-    """The flow, sampling and estimates modules of the bbmlab under root/src, apart from others.
+    """The flow, sampling, estimates and squeeze modules of the bbmlab under root/src.
 
     The modules are imported afresh and the bbmlab modules already imported are put back
     afterwards, so two trees' kernels can be timed in one process.
@@ -73,7 +76,7 @@ def load_tree(root: str):
     sys.path.insert(0, src)
     try:
         return tuple(importlib.import_module(f"bbmlab.{name}")
-                     for name in ("flow", "sampling", "estimates"))
+                     for name in ("flow", "sampling", "estimates", "squeeze"))
     finally:
         sys.path.remove(src)
         for name in ours():
@@ -81,7 +84,7 @@ def load_tree(root: str):
         sys.modules.update(saved)
 
 
-def layers(flow, sampling, estimates) -> dict:
+def layers(flow, sampling, estimates, squeeze) -> dict:
     """name -> (zero-argument call, calls per repeat) for one tree's kernels."""
     def rows(n_modes, batch, radius=0.5):
         streams = [sampling.substream(SEED, "layerbench", n_modes, i) for i in range(batch)]
@@ -121,9 +124,12 @@ def layers(flow, sampling, estimates) -> dict:
             out[f"rhs/N={n_modes}/rows={batch}"] = (lambda rhs=rhs, c=c, res=res: rhs(c, res), 400)
     ops = flow._VecOps(64)
     y0 = layout(ops, rows(64, 1)[0])
-    work, coef = np.empty((5,) + y0.shape, complex), flow.rk4_coefficients(1e-3, complex)
-    rhs = kernels(ops, y0).rhs
-    out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(rhs, y, coef, work)),
+    bound, work = kernels(ops, y0), np.empty((5,) + y0.shape, complex)
+    if hasattr(bound, "flux"):  # rk4 steps y' = L P(y) on tables of L
+        p, coef = bound.flux, flow.rk4_coefficients(1e-3, bound.gen)
+    else:  # a tree whose rk4 steps its full rhs with 0-d coefficients of the row dtype
+        p, coef = bound.rhs, flow.rk4_coefficients(1e-3, complex)
+    out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(p, y, coef, work)),
                                    200)
     mid_ops = flow._VecOps(32)
     y_mid = layout(mid_ops, rows(32, 1))
@@ -149,14 +155,19 @@ def layers(flow, sampling, estimates) -> dict:
                                          0.5)
     long_cfg = flow.FlowConfig(N=64, dt=1e-3)
     out["integrate/N=64/rows=1/T=1"] = (lambda: flow.integrate(u_long, 1.0, long_cfg), 1)
-    cfg = flow.FlowConfig(N=32, dt=0.02)
-    for batch in (2, 16):
-        c = rows(32, batch)
+    for batch, linear_only, kind in ((2, False, ""), (16, False, ""), (2, True, "_linear")):
+        c, cfg = rows(32, batch), flow.FlowConfig(N=32, dt=0.02, linear_only=linear_only)
         _, tape = flow.integrate_taped(c, 1.0, cfg)
-        out[f"integrate_taped/N=32/rows={batch}/T=1"] = (
-            lambda c=c: flow.integrate_taped(c, 1.0, cfg), 5)
-        out[f"adjoint_batch/N=32/rows={batch}/T=1"] = (
-            lambda c=c, tape=tape: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
+        out[f"integrate_taped{kind}/N=32/rows={batch}/T=1"] = (
+            lambda c=c, cfg=cfg: flow.integrate_taped(c, 1.0, cfg), 5)
+        out[f"adjoint_batch{kind}/N=32/rows={batch}/T=1"] = (
+            lambda c=c, tape=tape, cfg=cfg: flow.adjoint_batch(tape, c, 1.0, cfg), 5)
+    search = squeeze.SqueezeConfig(r=0.5, n0=1, T=1.0, flow=flow.FlowConfig(N=32, dt=0.02),
+                                   n_starts=16, max_ascent_iters=1, stall_tol=1e-5, seed=SEED)
+    out["search_iteration/N=32/starts=16"] = (lambda: squeeze.maximize_image_radius(search), 1)
+    u_inv = sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", "invariants"), 128,
+                                        0.5, 0.5)
+    out["invariants_of/N=128"] = (lambda: flow.invariants_of(u_inv), 200)
     u0, v0 = (sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", name), 32, 0.5,
                                           0.8) for name in ("u0", "v0"))
     smoothing = flow.FlowConfig(N=32, dt=0.01)

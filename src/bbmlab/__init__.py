@@ -11,11 +11,9 @@ from .spectral import (
     dispersion_multiplier,
     dispersion_symbol,
     from_symplectic,
-    project,
     sobolev_norm,
     synthesize,
     to_symplectic,
-    truncate,
     unit_cos_mode,
     unit_sin_mode,
     z_norm,

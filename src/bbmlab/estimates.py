@@ -354,7 +354,7 @@ def radial_orbit(fprime_max: float, n_pairs: int, radius2: float) -> tuple[float
     drift = 0.0
     t = 0.0
     zeta = complex(x[0], x[n_pairs])
-    work, coef = np.empty((5,) + x.shape), rk4_coefficients(dt, x.dtype)
+    work, coef = np.empty((5,) + x.shape), rk4_coefficients(dt, 1.0)  # L = 1
     for _ in range(4 * _ORBIT_STEPS_PER_PERIOD):
         rk4_step(rhs, x, coef, work)
         t += dt

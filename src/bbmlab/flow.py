@@ -25,10 +25,12 @@ kernels (``_VecOps.bind``) to its row shape once, the implicit midpoint again
 when its set of unconverged rows shrinks, and a step is their ufunc calls.
 The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the row
 itself: the inverse at scale 0.5, the grid product, the forward transform at
-scale 1/m (2/m for the adjoint's u v).  The linear symbol is 0 outside 1..N,
-so its multiply projects the product back: an rhs is five ufunc calls.  Fixed
-scalars are 0-d arrays and per-N symbols read-only tables, built once.  A flow
-takes at most MAX_STEPS steps, none over a zero horizon, in place.
+scale 1/m (2/m for the adjoint's u v).  The rhs is L P(c), P(c) = c + u^2/2 and
+L = -i phi, 0 outside 1..N, so its multiply projects P back.  rk4 folds L into
+per-flow tables: a step is 8 FFTs and 20 elementwise calls, its transpose 8 and
+21, a linear_only step one multiply by R(dt L).  Fixed scalars are 0-d arrays
+and per-N symbols read-only tables, built once.  A flow takes at most MAX_STEPS
+steps, none over a zero horizon, in place.
 ``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row), as the witness
@@ -67,12 +69,10 @@ from .spectral import (
     RFFT,
     TrigState,
     dispersion_symbol,
-    project,
     require_mean_zero,
     smooth_grid_size,
     sobolev_norms,
     synthesize,
-    truncate,
     wavenumbers,
     z_norm,
 )
@@ -117,7 +117,8 @@ class FlowConfig:
     N is the spectral truncation, dt the (maximum) step size.  For the
     picard integrator dt is the Duhamel subinterval length, which must stay
     inside the contraction region.  linear_only disables the quadratic term
-    (diagnostic; the flow becomes the free rotation).
+    (diagnostic): a step is then the integrator's map of u_t = L u, for rk4 the
+    multiply by R(dt L), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, not the rotation.
     """
 
     N: int
@@ -216,15 +217,16 @@ class _VecOps:
     def bind(self, lead: tuple = ()) -> SimpleNamespace:
         """The kernels of rows of shape lead + (bins,), each its ufunc calls writing into out.
 
-        square_half(c, out): the padded spectrum of v^2/2, v the grid values of c (the rest of
-        the product in bins 0 and above N); product(c, u, out): that of u v, u grid rows;
-        nonlinear(c, out): -dx (1-dxx)^{-1} (u^2/2); rhs(c, out): the right-hand side;
-        taped(slots): the rhs writing v into next(slots), a tape's rows; rhs_adjoint(lam, u,
-        out): the transpose of the rhs's derivative at grid rows u, lam -> mu + P_N(u w) with mu
-        = i phi lam and w its grid values, in the pairing Re sum conj(lam_k) d_k; znorm(d): the
-        Z norm of each row, squaring d in place; bind: this method.  out overlaps no input.
-        The grid workspace and the symbols tiled to a batch (numpy's contiguous loops, bit for
-        bit) grow with row capacity, and a smaller batch takes their leading rows.
+        square_half(c, out): the padded spectrum of v^2/2, v the grid values of c (the rest of the
+        product in bins 0 and above N); product(c, u, out): that of u v, u grid rows; nonlinear(c,
+        out): -dx (1-dxx)^{-1} (u^2/2); flux(c, out): P(c) = c + the row of v^2/2 (not 0 outside
+        1..N); rhs(c, out): the right-hand side L P(c); taped(slots): flux writing v into
+        next(slots), a tape's rows; rhs_adjoint(lam, u, out): the transpose of the rhs's derivative
+        at grid rows u, lam -> mu + P_N(u w) with mu = i phi lam and w its grid values, in the
+        pairing Re sum conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring d in place; gen,
+        dual, mask: L, its transpose i phi and 1 on 1..N; bind: this method.  out overlaps no input.
+        The grid workspace and the symbols tiled to a batch (numpy's contiguous loops, bit for bit)
+        grow with row capacity, and a smaller batch takes their leading rows.
         """
         rows, shape = math.prod(lead), lead + (self.m_pad // 2 + 1,)
         if len(self._rows) < rows:
@@ -246,11 +248,11 @@ class _VecOps:
             return multiply(gen, square_half(c, out), out=out)
 
         def taped(slots):
-            def rhs(c, out):
+            def flux(c, out):
                 v = irfft(c, half, axes=axes, out=next(slots))
                 rfft(multiply(v, v, out=grid), one, axes=axes, out=out)
-                return multiply(gen, add(c, out, out=out), out=out)
-            return rhs
+                return add(c, out, out=out)
+            return flux
 
         def product(c, u, out):
             w = irfft(c, half, axes=axes, out=grid)
@@ -266,17 +268,22 @@ class _VecOps:
             add(d.real, d.imag, out=squares)
             return sqrt(reduce(multiply(zw, squares, out=squares), axis=-1))
 
-        if self.linear_only:  # the free rotation: no product, and no tape to write
+        flux = taped(repeat(grid))
+
+        def rhs(c, out):
+            return multiply(gen, flux(c, out), out=out)
+
+        if self.linear_only:  # no product, and no tape to write; rk4 steps by R(dt L) alone
             def nonlinear(c, out):
                 out[...] = 0.0
                 return out
 
             def rhs_adjoint(lam, u, out):
                 return multiply(dual, lam, out=out)
-        rhs = functools.partial(multiply, gen) if self.linear_only else taped(repeat(grid))
+            rhs = functools.partial(multiply, gen)
         return SimpleNamespace(square_half=square_half, product=product, nonlinear=nonlinear,
-                               rhs=rhs, taped=taped, rhs_adjoint=rhs_adjoint, znorm=znorm,
-                               bind=self.bind)
+                               flux=flux, rhs=rhs, taped=taped, rhs_adjoint=rhs_adjoint,
+                               znorm=znorm, gen=gen, dual=dual, mask=mask, bind=self.bind)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -328,30 +335,37 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
     return TrigState.from_row(ops.free(ops.pad(state.row), t)[ops.modes])
 
 
-def rk4_coefficients(dt: float, dtype) -> tuple:
-    """rk4_step's 0.5 dt, dt, 2 and dt/6, built once per flow as 0-d arrays of the row dtype.
-
-    A 0-d array runs the loop of a Python float (cast to complex(s, 0) for complex rows), bit for
-    bit, without resolving a scalar on every call.
+def rk4_coefficients(dt: float, symbol, linear: bool = False) -> tuple:
+    """rk4_step's tables for y' = L p(y), L = symbol (an array, or a scalar such as 1.0): (dt/2
+    L, dt L, dt/6 L, dt/3 L), built once per flow in the shape of L and as arrays (0-d for a
+    scalar).  With linear (p the identity, y' = L y) the one table R(dt L), R(z) = 1 + z + z^2/2
+    + z^3/6 + z^4/24 the rk4 amplification polynomial, by Horner's rule.
     """
-    return tuple(np.array(s, dtype) for s in (0.5 * dt, dt, 2.0, dt / 6.0))
+    if linear:
+        z = dt * np.asarray(symbol)
+        return (1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0)))),)
+    return tuple(np.asarray(s * np.asarray(symbol)) for s in (0.5 * dt, dt, dt / 6.0, dt / 3.0))
 
 
-def rk4_step(f, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
-    """One classical fourth-order Runge-Kutta step of y' = f(y), taken in place on y.
+def rk4_step(p, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
+    """One classical fourth-order Runge-Kutta step of y' = L p(y), taken in place on y.
 
-    f(x, out) writes f(x) into out; coef = rk4_coefficients(dt, y.dtype); work, of shape
-    (5, *y.shape), holds the stages and stage input.
+    p(x, out) writes p(x) into out; coef = rk4_coefficients(dt, L); work, of shape (5,
+    *y.shape), holds the four p values and the stage input y + (a L) p (L projects p).  A
+    linear coef, (R(dt L),), makes the step one multiply, without p.
     """
-    half_dt, dt, two, sixth_dt = coef
-    k1, k2, k3, k4, x = work
-    f(y, k1)
-    f(np.add(y, np.multiply(half_dt, k1, out=x), out=x), k2)
-    f(np.add(y, np.multiply(half_dt, k2, out=x), out=x), k3)
-    f(np.add(y, np.multiply(dt, k3, out=x), out=x), k4)
-    np.add(k1, np.multiply(two, k2, out=k2), out=k1)
-    np.add(k1, np.multiply(two, k3, out=k3), out=k1)
-    np.add(y, np.multiply(sixth_dt, np.add(k1, k4, out=k1), out=k1), out=y)
+    if len(coef) == 1:
+        np.multiply(coef[0], y, out=y)
+        return
+    half, whole, sixth, third = coef
+    p1, p2, p3, p4, x = work
+    add, multiply = np.add, np.multiply
+    p(y, p1)
+    p(add(y, multiply(half, p1, out=x), out=x), p2)
+    p(add(y, multiply(half, p2, out=x), out=x), p3)
+    p(add(y, multiply(whole, p3, out=x), out=x), p4)
+    multiply(sixth, add(p1, p4, out=p1), out=p1)
+    add(y, add(p1, multiply(third, add(p2, p3, out=p2), out=p2), out=p1), out=y)
 
 
 def _midpoint_solve(kernels, g_of, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
@@ -519,11 +533,13 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     y = ops.pad(y)
     if cfg.integrator != "picard":  # which binds its own node rows
         # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
-        work, coef = np.empty((5,) + y.shape, complex), rk4_coefficients(dt, complex)
+        work, step = np.empty((5,) + y.shape, complex), np.array(dt, complex)
         y2, work2 = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])  # the midpoint's
         kernels = ops.bind(y2.shape[:-1] if cfg.integrator == "implicit_midpoint" else y.shape[:-1])
-        # rk4's rhs, writing the tape's rows in the order the stages are taken, step by step.
-        f = kernels.rhs if tape is None else kernels.taped(chain.from_iterable(
+        if cfg.integrator == "rk4":
+            coef = rk4_coefficients(dt, kernels.gen, cfg.linear_only)
+        # rk4's P, writing the tape's rows in the order the stages are taken, step by step.
+        f = kernels.flux if tape is None else kernels.taped(chain.from_iterable(
             tape.transpose(1, 2, 0, 3)))
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
@@ -532,7 +548,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             if cfg.integrator == "rk4":
                 rk4_step(f, y, coef, work)
             elif cfg.integrator == "implicit_midpoint":
-                _midpoint_step(kernels, y2, coef[1], cfg.midpoint_tol, i + 1, work2,
+                _midpoint_step(kernels, y2, step, cfg.midpoint_tol, i + 1, work2,
                                None if tape is None else tape[:, i, 0])
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
@@ -655,21 +671,29 @@ def _rk4_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, coef: tuple,
     """The transpose of one rk4_step, in place on the cotangent rows lam.
 
     u, of shape (rows, 4, m_pad), holds the grid values of the step's four stage inputs; coef
-    is rk4_coefficients(dt, complex) and dt/3, as 0-d arrays; work, of shape (6, *lam.shape),
-    the stage cotangents and temporaries; kernels are bound to lam's rows.  With A_s the
-    adjoint rhs at stage s, the stage cotangents are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt
-    l4), l2 = A2(dt/3 lam + dt/2 l3), l1 = A1(dt/6 lam + dt/2 l2), and lam gains their sum.
+    is rk4_coefficients(dt, L^T), L^T = i phi; work, of shape (6, *lam.shape), the stage
+    cotangents and temporaries; kernels are bound to lam's rows.  Stage s's cotangent is l_s =
+    mu_s + (the row of u_s w, w the grid values of mu_s), for mu4 = (dt/6 L^T) lam, mu3 = (dt/3
+    L^T) lam + (dt L^T) l4, mu2 = (dt/3 L^T) lam + (dt/2 L^T) l3 and mu1 = (dt/6 L^T) lam + (dt/2
+    L^T) l2; lam gains the mask times their sum (L^T projects each mu).  A linear coef
+    multiplies lam by R(dt L^T).
     """
-    half_dt, dt, _, sixth_dt, third_dt = coef
-    l1, l2, l3, l4, x, y = work
-    kernels.rhs_adjoint(np.multiply(sixth_dt, lam, out=x), u[:, 3], l4)
-    # Stage s's cotangent from lam and stage s + 1's, written into work[s].
-    for s, weight, step, later in ((2, third_dt, dt, l4), (1, third_dt, half_dt, l3),
-                                   (0, sixth_dt, half_dt, l2)):
-        np.add(np.multiply(weight, lam, out=x), np.multiply(step, later, out=y), out=x)
-        kernels.rhs_adjoint(x, u[:, s], work[s])
-    for stage_cotangent in (l1, l2, l3, l4):
-        np.add(lam, stage_cotangent, out=lam)
+    if len(coef) == 1:
+        np.multiply(coef[0], lam, out=lam)
+        return
+    half, whole, sixth, third = coef
+    l2, l3, l4, a, b, mu = work
+    add, multiply, product = np.add, np.multiply, kernels.product
+    multiply(sixth, lam, out=a)
+    multiply(third, lam, out=b)
+    add(a, product(a, u[:, 3], l4), out=l4)
+    # Stage s's cotangent from lam's share and stage s + 1's, written into out; l1 goes into a.
+    for s, share, step, later, out in ((2, b, whole, l4, l3), (1, b, half, l3, l2),
+                                       (0, a, half, l2, a)):
+        add(share, multiply(step, later, out=mu), out=mu)
+        add(mu, product(mu, u[:, s], out), out=out)
+    add(a, add(l2, add(l3, l4, out=l4), out=l4), out=l4)
+    add(lam, multiply(kernels.mask, l4, out=l4), out=lam)
 
 
 def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
@@ -707,15 +731,16 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     lam = ops.pad(np.asarray(lam))
     n_steps = tape.shape[1]
     dt = t_span / max(n_steps, 1)
-    work = np.empty((6,) + lam.shape, complex)
-    coef = rk4_coefficients(dt, complex) + (np.array(dt / 3.0, complex),)
+    work, step = np.empty((6,) + lam.shape, complex), np.array(dt, complex)
     kernels = ops.bind(lam.shape[:-1])
+    if cfg.integrator == "rk4":
+        coef = rk4_coefficients(dt, kernels.dual, cfg.linear_only)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(n_steps)):
             if cfg.integrator == "rk4":
                 _rk4_adjoint_step(kernels, tape[:, i], lam, coef, work)
             else:
-                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, coef[1], cfg.midpoint_tol, work)
+                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, step, cfg.midpoint_tol, work)
     return lam[..., ops.modes].copy()
 
 
@@ -757,6 +782,5 @@ def galerkin_defect(u0: TrigState, t_span: float, n_small: int, cfg_ref: FlowCon
         raise ValueError(f"n_small = {n_small} exceeds reference truncation {cfg_ref.N}")
     full = nonlinear_part(u0, t_span, cfg_ref)
     cfg_small = replace(cfg_ref, N=n_small)
-    u0_small = truncate(project(u0, n_small), n_small)
-    small = nonlinear_part(u0_small, t_span, cfg_small)
+    small = nonlinear_part(TrigState(u0.mean, u0.a[:n_small], u0.b[:n_small]), t_span, cfg_small)
     return z_norm(full - small)

@@ -26,7 +26,9 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 def _path_id(part) -> int:
     if isinstance(part, (int, np.integer)):
-        return int(part) & _MASK64
+        if not 0 <= part <= _MASK64:
+            raise ValueError(f"substream path part must lie in 0..2^64 - 1, got {part}")
+        return int(part)
     digest = hashlib.blake2s(str(part).encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 

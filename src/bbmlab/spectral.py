@@ -358,30 +358,6 @@ def dispersion_multiplier(state: TrigState) -> TrigState:
     return TrigState(0.0, phi * state.a, phi * state.b)
 
 
-def project(state: TrigState, n_max: int) -> TrigState:
-    """Zero out every mode above n_max (coefficient arrays keep their length)."""
-    if n_max < 1:
-        raise ValueError("projection cutoff must be >= 1")
-    if n_max >= state.n_modes:
-        return state
-    a = state.a.copy()
-    b = state.b.copy()
-    a[n_max:] = 0.0
-    b[n_max:] = 0.0
-    return TrigState(state.mean, a, b)
-
-
-def truncate(state: TrigState, n_modes: int) -> TrigState:
-    """Shorten the coefficient arrays to n_modes; the dropped tail must be zero."""
-    if n_modes >= state.n_modes:
-        return state.padded(n_modes)
-    tail_a = state.a[n_modes:]
-    tail_b = state.b[n_modes:]
-    if np.any(tail_a != 0.0) or np.any(tail_b != 0.0):
-        raise ValueError("refusing to truncate nonzero modes; project first")
-    return TrigState(state.mean, state.a[:n_modes], state.b[:n_modes])
-
-
 def to_symplectic(state: TrigState) -> SymplecticCoords:
     """Coordinates in the Z-orthonormal basis: p_n = a_n sqrt(pi(n^2+1)/n)."""
     require_mean_zero(state, "to_symplectic")

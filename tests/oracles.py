@@ -2,7 +2,8 @@
 
 Everything here but reference_estimate, reference_flow_jacobian,
 reference_smoothing_ratio, reference_maximize_image_radius, fd_gradients,
-reference_ball_image_scan, tangent_linear and PairRowFlow works from the
+reference_ball_image_scan, tangent_linear, stagewise_rk4, stagewise_rk4_adjoint and
+PairRowFlow works from the
 definitions (convolution sums, Riemann quadrature, trig calculus) without
 touching the package's FFT paths, so the fast implementations can be checked
 against it at 1e-12.  reference_estimate is the pair-by-pair loop the batched
@@ -15,8 +16,10 @@ bit, and PairRowFlow the real-row flow core the complex-row one must
 reproduce bit for bit.  fd_gradients is the central-difference gradient the
 witness search's adjoint gradient must match to O(h^2),
 reference_ball_image_scan the image radii of random sphere points that any
-witness search must reach, and tangent_linear the forward derivative of a
-taped flow that its adjoint must transpose.
+witness search must reach, tangent_linear the forward derivative of a
+taped flow that its adjoint must transpose, and stagewise_rk4 and
+stagewise_rk4_adjoint the rk4 step and its transpose stage by stage, on the
+package's own rhs kernels, which the fused steps must match to rounding.
 """
 
 import logging
@@ -25,6 +28,7 @@ import time
 
 import numpy as np
 
+from bbmlab import flow
 from bbmlab.estimates import bilinear_ratio, multiplier_ratio
 from bbmlab.flow import FlowError, free_evolution, integrate, integrate_batch, integrate_taped
 from bbmlab.sampling import sobolev_ball_state, substream, z_sphere_row
@@ -382,6 +386,60 @@ def tangent_linear(tape, delta, t_span, cfg):
     return d
 
 
+def stagewise_rk4(c, t_span, cfg):
+    """integrate_batch's rk4 rows by the stagewise step rk4 took before it folded L into tables.
+
+    Each stage applies the whole rhs, the bound kernel L P(y) (L y for linear_only), whose
+    arithmetic is unchanged: k1 = f(y), k2 = f(y + dt/2 k1), k3 = f(y + dt/2 k2), k4 = f(y +
+    dt k3), y + dt/6 ((k1 + 2 k2) + 2 k3 + k4), the scalars 0-d complex arrays.  The rounding
+    differs from rk4_step's, not the map.
+    """
+    ops = flow._VecOps.of(cfg)
+    y = ops.pad(np.asarray(c, complex))
+    n_steps = math.ceil(abs(t_span) / cfg.dt)
+    dt = t_span / max(n_steps, 1)
+    f = ops.bind(y.shape[:-1]).rhs
+    half, whole, two, sixth = (np.array(s, complex) for s in (0.5 * dt, dt, 2.0, dt / 6.0))
+    k1, k2, k3, k4, x = np.empty((5,) + y.shape, complex)
+    for _ in range(n_steps):
+        f(y, k1)
+        f(np.add(y, np.multiply(half, k1, out=x), out=x), k2)
+        f(np.add(y, np.multiply(half, k2, out=x), out=x), k3)
+        f(np.add(y, np.multiply(whole, k3, out=x), out=x), k4)
+        np.add(k1, np.multiply(two, k2, out=k2), out=k1)
+        np.add(k1, np.multiply(two, k3, out=k3), out=k1)
+        np.add(y, np.multiply(sixth, np.add(k1, k4, out=k1), out=k1), out=y)
+    return y[..., ops.modes]
+
+
+def stagewise_rk4_adjoint(tape, lam, t_span, cfg):
+    """adjoint_batch's rk4 rows by the stagewise transpose it took before the fused one.
+
+    With A_s the bound adjoint rhs at stage s (lam -> mu + P_N(u_s w), mu = i phi lam, masked
+    at every stage), the stage cotangents are l4 = A4(dt/6 lam), l3 = A3(dt/3 lam + dt l4), l2
+    = A2(dt/3 lam + dt/2 l3), l1 = A1(dt/6 lam + dt/2 l2), and lam gains l1, l2, l3, l4 in
+    turn.  A linear_only flow's tape is empty and A_s is lam -> i phi lam.
+    """
+    ops = flow._VecOps.of(cfg)
+    lam = ops.pad(np.asarray(lam, complex))
+    n_steps = tape.shape[1]
+    dt = t_span / max(n_steps, 1)
+    adjoint = ops.bind(lam.shape[:-1]).rhs_adjoint
+    half, whole, sixth, third = (np.array(s, complex) for s in (0.5 * dt, dt, dt / 6.0, dt / 3.0))
+    work = np.empty((6,) + lam.shape, complex)
+    l1, l2, l3, l4, x, y = work
+    for i in reversed(range(n_steps)):
+        u = tape[:, i]
+        adjoint(np.multiply(sixth, lam, out=x), u[:, 3], l4)
+        for s, weight, step, later in ((2, third, whole, l4), (1, third, half, l3),
+                                       (0, sixth, half, l2)):
+            np.add(np.multiply(weight, lam, out=x), np.multiply(step, later, out=y), out=x)
+            adjoint(x, u[:, s], work[s])
+        for stage_cotangent in (l1, l2, l3, l4):
+            np.add(lam, stage_cotangent, out=lam)
+    return lam[..., ops.modes]
+
+
 class PairRowFlow:
     """The flow core on real rows y = [a_1..a_N, b_1..b_N], one state at a time.
 
@@ -390,7 +448,14 @@ class PairRowFlow:
     grid (c_k itself in the half spectrum, the inverse FFT at 0.5 times
     np.fft's norm="forward" scale, the forward one at that scale), the
     rotation a cos - b sin, a sin + b cos, rk4 and the implicit midpoint
-    fixed point.  Every result must match the package bit for bit.
+    fixed point.  rk4 takes P(y) = y + u^2/2 at each stage and applies the
+    linear symbol L = -i phi through the tables s L = -i (s phi): (s L) P is
+    [-(s phi) P_b, (s phi) P_a], a stage input y + (a L) P and the step
+    y + ((h/6 L)(P1 + P4) + (h/3 L)(P2 + P3)).  A linear_only rk4 step
+    multiplies by R(h L), R(z) = 1 + z(1 + z(1/2 + z(1/6 + z/24))), built
+    here on real parts from z = i theta, theta = -(h phi); that one product
+    of two complex numbers is numpy's complex multiply, which may fuse
+    multiply-adds.  Every result must match the package bit for bit.
     """
 
     def __init__(self, n, linear_only=False):
@@ -401,7 +466,8 @@ class PairRowFlow:
         self.m_pad = smooth_grid_size(3 * n + 1)
         self.linear_only = linear_only
 
-    def rhs(self, y):
+    def flux(self, y):
+        """P(y) = y + u^2/2 on the kept modes, [P_a, P_b]."""
         n, m = self.n, self.m_pad
         wa, wb = y[:n], y[n:]
         if not self.linear_only:
@@ -411,7 +477,15 @@ class PairRowFlow:
             prod = np.fft.rfft(vals * vals, norm="forward")
             wa = wa + prod[1:n + 1].real
             wb = wb - prod[1:n + 1].imag
-        return np.concatenate([-self.phi * wb, self.phi * wa])
+        return np.concatenate([wa, wb])
+
+    def linear(self, s, p):
+        """(s L) p: [-(s phi) p_b, (s phi) p_a]."""
+        w = s * self.phi
+        return np.concatenate([-(w * p[self.n:]), w * p[:self.n]])
+
+    def rhs(self, y):
+        return self.linear(1.0, self.flux(y))
 
     def free(self, y, t):
         th = t * self.phi
@@ -419,12 +493,25 @@ class PairRowFlow:
         a, b = y[:self.n], y[self.n:]
         return np.concatenate([a * c - b * s, a * s + b * c])
 
+    def amplification(self, h):
+        """R(h L) per mode, as a complex array: Horner's rule on real parts, z = i theta."""
+        theta = -(h * self.phi)
+        re, im = np.full(self.n, 1.0 / 6.0), theta * (1.0 / 24.0)
+        for a in (0.5, 1.0, 1.0):
+            re, im = a - theta * im, theta * re
+        r = np.empty(self.n, complex)
+        r.real, r.imag = re, im
+        return r
+
     def rk4(self, y, h):
-        k1 = self.rhs(y)
-        k2 = self.rhs(y + 0.5 * h * k1)
-        k3 = self.rhs(y + 0.5 * h * k2)
-        k4 = self.rhs(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if self.linear_only:
+            c = self.amplification(h) * (y[:self.n] - 1j * y[self.n:])  # TrigState.row's c
+            return np.concatenate([c.real, 0.0 - c.imag])  # and TrigState.from_row's b
+        p1 = self.flux(y)
+        p2 = self.flux(y + self.linear(0.5 * h, p1))
+        p3 = self.flux(y + self.linear(0.5 * h, p2))
+        p4 = self.flux(y + self.linear(h, p3))
+        return y + (self.linear(h / 6.0, p1 + p4) + self.linear(h / 3.0, p2 + p3))
 
     def midpoint(self, y, h, tol):
         z = y + h * self.rhs(y)
@@ -438,9 +525,9 @@ class PairRowFlow:
         raise RuntimeError("reference midpoint iteration stalled")
 
     def integrate(self, state, t_span, dt, integrator="rk4", tol=1e-12):
-        """Final (a, b) after ceil(|t_span| / dt) equal steps from state."""
-        n_steps = max(1, math.ceil(abs(t_span) / dt))
-        h = t_span / n_steps
+        """Final (a, b) after ceil(|t_span| / dt) equal steps from state, none at t_span = 0."""
+        n_steps = math.ceil(abs(t_span) / dt)
+        h = t_span / max(n_steps, 1)
         y = np.concatenate([state.a, state.b])
         for _ in range(n_steps):
             y = self.rk4(y, h) if integrator == "rk4" else self.midpoint(y, h, tol)

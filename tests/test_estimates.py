@@ -362,6 +362,24 @@ class TestSamplerDeterminism:
             with pytest.raises(ValueError, match=rf"^seed must lie in 0..2\^64 - 1, got {seed}$"):
                 draw()
 
+    @pytest.mark.parametrize("part", [-1, 2 ** 64, 2 ** 64 + 5, np.int64(-1)])
+    def test_integer_path_part_outside_64_bits_is_refused(self, part):
+        # Integer path parts used to be masked to 64 bits: substream(0, "x", -1) drew what
+        # 2^64 - 1 draws and substream(0, "x", 2^64) what 0 draws.
+        with pytest.raises(ValueError, match=rf"^substream path part must lie in 0..2\^64 - 1, "
+                                             rf"got {part}$"):
+            substream(0, "x", part)
+
+    def test_path_part_at_the_64_bit_edge_is_its_own_key(self):
+        # 2^64 - 1 is the last part kept: its own SeedSequence key, apart from its neighbours.
+        edge = substream(0, "x", 2 ** 64 - 1).standard_normal(8)
+        want = np.random.default_rng(np.random.SeedSequence(
+            0, spawn_key=(sampling._path_id("x"), 2 ** 64 - 1))).standard_normal(8)
+        assert np.array_equal(edge, want)
+        for other in (0, 2 ** 64 - 2, np.uint64(2 ** 64 - 2)):
+            assert not np.array_equal(edge, substream(0, "x", other).standard_normal(8))
+        assert np.array_equal(substream(0, "x", np.uint64(2 ** 64 - 1)).standard_normal(8), edge)
+
 
 # The seed's uint32 word boundaries, where SeedSequence's entropy grows from one word to two.
 SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import pathlib
@@ -31,7 +32,14 @@ from bbmlab.sampling import smooth_profile, sobolev_ball_rows, sobolev_ball_stat
 from bbmlab.spectral import MAX_MODES, TrigState, smooth_grid_size, sobolev_norm, synthesize_rows
 
 from conftest import random_state, trig_states
-from oracles import PairRowFlow, oracle_cubic_integral, oracle_rhs, tangent_linear
+from oracles import (
+    PairRowFlow,
+    oracle_cubic_integral,
+    oracle_rhs,
+    stagewise_rk4,
+    stagewise_rk4_adjoint,
+    tangent_linear,
+)
 
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -401,7 +409,9 @@ class TestPaddedLayout:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_bins_outside_the_modes_stay_zero(self, monkeypatch, n_modes, batch):
         # Every step's rows, every kernel's input and output, forward and reverse.  The kernels
-        # are watched where _VecOps.bind hands them out.
+        # are watched where _VecOps.bind hands them out.  rk4's P outputs (flux and its taped
+        # form) and the reverse pass's products are exempt by design: rk4's L tables, 0 outside
+        # 1..N, project them, and its stage inputs and steps are checked.
         bins = flow._VecOps(n_modes).m_pad // 2 + 1
         seen = {}
 
@@ -425,10 +435,12 @@ class TestPaddedLayout:
             for name in ("rhs", "rhs_adjoint", "nonlinear"):
                 setattr(kernels, name, wrap(name, getattr(kernels, name),
                                             lambda args, result: (args[0], result)))
-            kernels.znorm = wrap("znorm", kernels.znorm, lambda args, result: (args[0],))
+            for name in ("znorm", "flux", "product"):
+                setattr(kernels, name, wrap(name, getattr(kernels, name),
+                                            lambda args, result: (args[0],)))
             taped = kernels.taped
-            kernels.taped = lambda slots: wrap("taped_rhs", taped(slots),
-                                               lambda args, result: (args[0], result))
+            kernels.taped = lambda slots: wrap("taped_flux", taped(slots),
+                                               lambda args, result: (args[0],))
             return kernels
 
         monkeypatch.setattr(flow._VecOps, "bind", watched_bind)
@@ -449,8 +461,8 @@ class TestPaddedLayout:
                 _, tape = integrate_taped(c, 0.2, cfg)
                 adjoint_batch(tape, c[::-1], 0.2, cfg)
         integrate_batch(c, 0.4, FlowConfig(N=n_modes, dt=0.2, integrator="picard"))
-        assert set(seen) == {"rhs", "taped_rhs", "rhs_adjoint", "nonlinear", "znorm", "free",
-                             "rk4_step", "_midpoint_step", "_picard_subinterval",
+        assert set(seen) == {"rhs", "flux", "taped_flux", "product", "rhs_adjoint", "nonlinear",
+                             "znorm", "free", "rk4_step", "_midpoint_step", "_picard_subinterval",
                              "_rk4_adjoint_step", "_midpoint_adjoint_step"}
         assert seen["rk4_step"] == 2 * 4 * (1 + 2 * batch)
         assert seen["_picard_subinterval"] == 4 * batch
@@ -571,15 +583,109 @@ class TestPairRowReference:
         assert (8, bins) in shapes and (bins,) in shapes and (128, bins) in shapes
 
 
+EPS = float(np.finfo(float).eps)
+
+
+def _draws(seed, name, batch, n_modes):
+    """batch H^1/2 rows of radius 0.8 from the substreams (seed, name, i)."""
+    return sobolev_ball_rows(np.array([substream(seed, name, i).standard_normal((2, n_modes))
+                                       for i in range(batch)]), 0.5, 0.8)
+
+
+class TestFusedRk4:
+    """rk4 with L in its step tables against the stagewise step and transpose it replaced.
+
+    The two differ only in rounding: a step rounds a few times per entry either way, so after
+    n steps of a map that barely amplifies on these small data they agree to 32 n eps of each
+    row's largest entry.  That bound was fixed before the comparison was run.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        batch=st.integers(1, 4),
+        dt=st.floats(0.01, 0.3),
+        t_span=st.floats(-1.0, 1.0),
+        linear_only=st.booleans(),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_forward_and_reverse_match_the_stagewise_steps(self, n_modes, batch, dt, t_span,
+                                                           linear_only, seed):
+        cfg = FlowConfig(N=n_modes, dt=dt, linear_only=linear_only)
+        c0, lam = (_draws(seed, name, batch, n_modes) for name in ("c0", "lam"))
+        final, tape = integrate_taped(c0, t_span, cfg)
+        tol = 32 * tape.shape[1] * EPS
+        for got, want in ((final, stagewise_rk4(c0, t_span, cfg)),
+                          (adjoint_batch(tape, lam, t_span, cfg),
+                           stagewise_rk4_adjoint(tape, lam, t_span, cfg))):
+            scale = np.max(np.abs(want), axis=-1, keepdims=True)
+            assert np.all(np.abs(got - want) <= tol * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n_modes=st.integers(1, 64),
+        batch=st.integers(1, 4),
+        dt=st.floats(0.01, 0.3),
+        t_span=st.floats(-1.0, 1.0),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_linear_only_reverse_pass_is_the_transpose(self, n_modes, batch, dt, t_span, seed):
+        # <lam, Phi delta> = <Phi^T lam, delta>: Phi multiplies each mode by R(dt L)^n and
+        # Phi^T by conj(R(dt L))^n, so the two pairings differ by rounding alone, at most
+        # 32 (n + N) eps |lam| |delta| (the pairing's own sum adds N roundings).
+        cfg = FlowConfig(N=n_modes, dt=dt, linear_only=True)
+        delta, lam = (_draws(seed, name, batch, n_modes) for name in ("delta", "lam"))
+        phi_delta, tape = integrate_taped(delta, t_span, cfg)
+        phi_t_lam = adjoint_batch(tape, lam, t_span, cfg)
+        scale = np.linalg.norm(delta, axis=-1) * np.linalg.norm(lam, axis=-1)
+        tol = 32 * (tape.shape[1] + n_modes) * EPS
+        assert np.all(np.abs(_pairing(lam, phi_delta) - _pairing(phi_t_lam, delta)) <= tol * scale)
+
+    def test_linear_only_step_is_one_multiply_by_the_amplification_polynomial(self):
+        cfg = FlowConfig(N=12, dt=0.1, linear_only=True)
+        c = _draws(4, "amp", 3, 12)
+        z = 0.1 * flow._VecOps(12).gen[1:13]
+        r = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z * (1.0 / 24.0))))
+        assert _same_bits(integrate_batch(c, 0.1, cfg), r * c)
+        assert _same_bits(adjoint_batch(np.empty((3, 1, 4, 0)), c, 0.1, cfg), np.conj(r) * c)
+
+
+# sha256 of unchanged_outputs(), recorded before rk4 folded its linear symbol into the step
+# tables: the implicit midpoint forward, taped and in reverse, with and without linear_only,
+# its interaction samples, flow.rhs, and a Picard flow with its X^0 differences.
+UNCHANGED_DIGEST = "ad869dfba48f1976a357b0a2c7a02fea293851ad5760c777000eb28847f96be7"
+
+
+def unchanged_outputs():
+    c, lam = (_draws(3, name, 4, 12) for name in ("digest", "digest-lam"))
+    outs = []
+    for linear_only in (False, True):
+        cfg = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint", linear_only=linear_only)
+        final, tape = integrate_taped(c, 0.45, cfg)
+        outs += [integrate_batch(c, 0.45, cfg), final, tape, adjoint_batch(tape, lam, 0.45, cfg),
+                 interaction_samples(c, -0.3, 3, cfg), rhs(TrigState.from_row(c[0]), cfg).row]
+    u0 = sobolev_ball_state(substream(3, "digest-picard"), 16, 0.5, 1.0)
+    res = integrate(u0, 1.5, FlowConfig(N=16, dt=0.75, integrator="picard"))
+    return outs + [res.final.row, np.array([d for sub in res.picard_diffs for d in sub])]
+
+
+def test_midpoint_picard_and_rhs_keep_their_bits():
+    digest = hashlib.sha256()
+    for out in unchanged_outputs():
+        digest.update(np.ascontiguousarray(out).tobytes())
+    assert digest.hexdigest() == UNCHANGED_DIGEST
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 class TestRk4Coefficients:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("dt", [0.05, 1.0 / 3.0, 0.7, 2e-3])
     def test_follow_the_row_dtype_with_the_python_float_bits(self, dtype, dt):
-        # 0-d arrays of the row dtype take the place of Python floats in rk4_step; a float
-        # meeting complex rows was cast to complex(s, 0), the loop a complex 0-d array runs.
-        coef = flow.rk4_coefficients(dt, dtype)
+        # A scalar L = 1 of the row dtype gives 0-d tables of that dtype, which take the place
+        # of Python floats in rk4_step; a float meeting complex rows was cast to complex(s, 0),
+        # the loop a complex 0-d array runs.  The step is y' = L p(y) in the fused stage order.
+        coef = flow.rk4_coefficients(dt, np.ones((), dtype))
         assert [(a.shape, a.dtype) for a in coef] == [((), np.dtype(dtype))] * 4
         x = np.random.default_rng(7).standard_normal((2, 6))
         y = x[0] + 1j * x[1] if dtype is complex else x[0]
@@ -587,11 +693,11 @@ class TestRk4Coefficients:
         def f(x, out=None):
             return np.subtract(np.multiply(x, x[::-1], out=out), x, out=out)
 
-        k1 = f(y)
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
-        want = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p1 = f(y)
+        p2 = f(y + 0.5 * dt * p1)
+        p3 = f(y + 0.5 * dt * p2)
+        p4 = f(y + dt * p3)
+        want = y + (dt / 6.0 * (p1 + p4) + dt / 3.0 * (p2 + p3))
         flow.rk4_step(f, y, coef, np.empty((5,) + y.shape, dtype))
         assert _same_bits(y, want)
 

@@ -19,6 +19,10 @@ LAYERS = {
     "integrate/N=64/rows=1/T=1",
     *(f"{layer}/N=32/rows={rows}/T=1" for layer in ("integrate_taped", "adjoint_batch")
       for rows in (2, 16)),
+    "integrate_taped_linear/N=32/rows=2/T=1",
+    "adjoint_batch_linear/N=32/rows=2/T=1",
+    "search_iteration/N=32/starts=16",
+    "invariants_of/N=128",
     "smoothing_ratio/N=32/T=1",
     "substream/keys=1",
     "sweep_normals/N=128/rows=32",

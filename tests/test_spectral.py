@@ -21,12 +21,10 @@ from bbmlab.spectral import (
     from_symplectic,
     pair_coords,
     pair_rows,
-    project,
     smooth_grid_size,
     sobolev_norm,
     synthesize,
     to_symplectic,
-    truncate,
     unit_cos_mode,
     unit_sin_mode,
     z_norm,
@@ -187,30 +185,6 @@ class TestMultiplierAndProjector:
             u = random_state(seed, 24)
             for s in (0.0, 0.5, 1.0):
                 assert sobolev_norm(dispersion_multiplier(u), s + 1.0) <= sobolev_norm(u, s) + 1e-13
-
-    def test_project_idempotent_and_zeroing(self):
-        u = random_state(4, 12)
-        assert np.all(project(project(u, 5), 5).a == project(u, 5).a)
-        w = project(TrigState.single_mode(7, 8, a_k=1.0), 5)
-        assert np.all(w.a == 0.0) and np.all(w.b == 0.0)
-
-    @pytest.mark.parametrize("s", [0.0, 0.45, 0.5, 0.55, 1.0])
-    def test_project_contracts_sobolev(self, s):
-        for seed in range(20):
-            u = random_state(seed, 16)
-            n = 1 + seed % 15
-            assert sobolev_norm(project(u, n), s) <= sobolev_norm(u, s) + 1e-13
-
-    def test_project_contracts_z(self):
-        for seed in range(100):
-            u = random_state(seed, 16)
-            assert z_norm(project(u, 1 + seed % 15)) <= z_norm(u) + 1e-13
-
-    def test_truncate_guards_nonzero_tail(self):
-        u = TrigState.single_mode(3, 4, a_k=1.0)
-        assert truncate(u, 3).n_modes == 3
-        with pytest.raises(ValueError, match="truncate"):
-            truncate(u, 2)
 
 
 class TestComplexStructure:
