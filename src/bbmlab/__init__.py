@@ -3,9 +3,7 @@
 __version__ = "0.1.0"
 
 from .spectral import (
-    GridSamples,
     ResolutionError,
-    SymplecticCoords,
     TrigState,
     analyze,
     dispersion_multiplier,

@@ -756,7 +756,7 @@ def invariants_of(state: TrigState) -> tuple[float, float, float]:
     i1 = 2.0 * math.pi * state.mean
     i2 = math.pi * float(np.sum((1.0 + k * k) * power)) + 2.0 * math.pi * state.mean ** 2
     quad = math.pi * float(np.sum(power)) + 2.0 * math.pi * state.mean ** 2
-    vals = synthesize(state, 4 * state.n_modes).values
+    vals = synthesize(state, 4 * state.n_modes)
     cubic = 2.0 * math.pi * float(np.mean(vals ** 3))
     return i1, i2, 0.5 * quad + cubic / 6.0
 

@@ -139,50 +139,6 @@ class TrigState:
         return (-1.0) * self
 
 
-@dataclass(frozen=True)
-class SymplecticCoords:
-    """Canonical pair coordinates (p_n, q_n) of a mean-zero state."""
-
-    p: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        p = _coeffs(self.p).copy()
-        q = _coeffs(self.q).copy()
-        if len(p) != len(q):
-            raise ValueError("p/q coordinate lists differ in length")
-        p.flags.writeable = False
-        q.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    @property
-    def n_modes(self) -> int:
-        return len(self.p)
-
-    def norm(self) -> float:
-        """Euclidean norm, equal to the Z norm of the state it represents."""
-        return math.sqrt(float(np.sum(self.p ** 2) + np.sum(self.q ** 2)))
-
-
-@dataclass(frozen=True)
-class GridSamples:
-    """Values of u at the equispaced points x_j = 2 pi j / M."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = _coeffs(self.values).copy()
-        if len(vals) < 1:
-            raise ValueError("empty sample grid")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def m(self) -> int:
-        return len(self.values)
-
-
 def require_mean_zero(state: TrigState, op: str) -> None:
     if abs(state.mean) > MEAN_TOL:
         raise ValueError(f"{op} requires a mean-zero state (mean = {state.mean!r})")
@@ -290,28 +246,31 @@ def analyze_rows(values: np.ndarray, n_modes: int):
     return spec[..., 0].real / m, np.divide(x, m, out=x).view(complex)
 
 
-def synthesize(state: TrigState, m: int) -> GridSamples:
-    """Evaluate the state at x_j = 2 pi j / M, j = 0..M-1.
+def synthesize(state: TrigState, m: int) -> np.ndarray:
+    """Values (M,) of the state at x_j = 2 pi j / M, j = 0..M-1.
 
     Requires M >= 2N+1 so that the analysis of the samples is exact.
     """
     n = state.n_modes
     if m < 2 * n + 1:
         raise ResolutionError(f"resolution too low: M = {m} < 2N+1 = {2 * n + 1}")
-    return GridSamples(synthesize_rows(state.mean, state.row, m))
+    return synthesize_rows(state.mean, state.row, m)
 
 
-def analyze(samples: GridSamples, n_modes: int) -> TrigState:
-    """Exact trigonometric interpolation coefficients for modes <= n_modes.
+def analyze(values, n_modes: int) -> TrigState:
+    """Exact trigonometric interpolation coefficients for modes <= n_modes of the values (M,).
 
     The grid must satisfy M >= 2N+1; coarser grids alias and are rejected.
     """
-    m = samples.m
+    vals = _coeffs(values)
+    m = len(vals)
+    if m < 1:
+        raise ValueError("empty sample grid")
     if m < 2 * n_modes + 1:
         raise ResolutionError(
             f"aliasing risk: M = {m} < 2N+1 = {2 * n_modes + 1} samples for N = {n_modes} modes"
         )
-    mean, c = analyze_rows(samples.values, n_modes)
+    mean, c = analyze_rows(vals, n_modes)
     return TrigState.from_row(c, mean)
 
 
@@ -358,11 +317,13 @@ def dispersion_multiplier(state: TrigState) -> TrigState:
     return TrigState(0.0, phi * state.a, phi * state.b)
 
 
-def to_symplectic(state: TrigState) -> SymplecticCoords:
-    """Coordinates in the Z-orthonormal basis: p_n = a_n sqrt(pi(n^2+1)/n)."""
+def to_symplectic(state: TrigState) -> np.ndarray:
+    """Coordinates [p, q] in the Z-orthonormal basis: p_n = a_n sqrt(pi(n^2+1)/n)."""
     require_mean_zero(state, "to_symplectic")
-    return SymplecticCoords(*np.split(pair_coords(state.row, state.n_modes), 2))
+    return pair_coords(state.row, state.n_modes)
 
 
-def from_symplectic(coords: SymplecticCoords) -> TrigState:
-    return TrigState.from_row(pair_rows(np.concatenate([coords.p, coords.q]), coords.n_modes))
+def from_symplectic(x) -> TrigState:
+    """The mean-zero state of the coordinates x = [p, q] (2N,)."""
+    x = _coeffs(x)
+    return TrigState.from_row(pair_rows(x, len(x) // 2))

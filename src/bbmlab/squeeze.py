@@ -12,12 +12,14 @@ keeps its own step size and stop state, so each path is the one the start
 would take alone.  A batch whose flow fails is flowed again one point at a
 time, and only the starts whose own flows fail are affected.
 
-Gradients are exact for the discrete flow.  Every batch is flowed with a
-tape (flow.integrate_taped); a start keeps the tape and final row of its
-current point, and the tapes of rejected candidates go with their batch.
-One reverse pass (flow.adjoint_batch) over the kept tapes of all live starts
+The search runs over the whole truncation: a point is the 2N pair
+coordinates of its offset from the ball center.  Gradients are exact for
+the discrete flow.  Every batch is flowed with a tape
+(flow.integrate_taped); a start keeps the tape and final row of its current
+point, and the tapes of rejected candidates go with their batch.  One
+reverse pass (flow.adjoint_batch) over the kept tapes of all live starts
 then gives every gradient at once, at about the cost of flowing one row per
-start, whatever the width of the optimizer's window.
+start.
 """
 
 from __future__ import annotations
@@ -63,10 +65,10 @@ class SqueezeConfig:
     horizon, and flow the flow every candidate is evolved by (its N is the
     truncation; rk4 or implicit_midpoint, which have adjoints).  center is
     the ball center (default 0); cyl_center the cylinder axis point in the
-    (p_n0, q_n0) plane.  The optimizer works in the first min(2 n0, N) mode
-    pairs.  The tapes of a search hold 8 bytes per step, stage and
-    padded-grid point for every start and every row of the largest batch in
-    flight, at most MAX_TAPE_BYTES.
+    (p_n0, q_n0) plane.  The search runs in all N mode pairs.  The tapes
+    of a search hold 8 bytes per step, stage and padded-grid point for every
+    start and every row of the largest batch in flight, at most
+    MAX_TAPE_BYTES.
     """
 
     r: float
@@ -87,6 +89,8 @@ class SqueezeConfig:
             raise ValueError("ball radius r must be positive")
         if self.max_ascent_iters < 0:
             raise ValueError(f"max_ascent_iters must be >= 0, got {self.max_ascent_iters}")
+        if len(self.cyl_center) != 2 or not all(map(math.isfinite, self.cyl_center)):
+            raise ValueError(f"cyl_center must be two finite numbers, got {self.cyl_center!r}")
         if self.stall_tol < 0:
             raise ValueError(f"stall_tol must be >= 0, got {self.stall_tol}")
         if not 1 <= self.n0 <= self.flow.N:
@@ -111,10 +115,6 @@ class SqueezeConfig:
                 f"dt = {self.flow.dt!r}, more than squeeze.MAX_TAPE_BYTES = "
                 f"{MAX_TAPE_BYTES >> 20} MiB"
             )
-
-    @property
-    def n_active(self) -> int:
-        return min(2 * self.n0, self.flow.N)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _reproject(x: np.ndarray, r: float) -> np.ndarray:
 def _image_points(xs: list, cfg: SqueezeConfig, center: np.ndarray) -> tuple:
     """Image radius, final row and tape of each point of xs, all flowed as one batch.
 
-    A point holds 2 n_active pair coordinates relative to the center row.
+    A point holds the 2N pair coordinates of its offset from the center row.
     When the batch raises FlowError each point is flowed again on its own,
     as a serial search would flow it, so a failing flow costs only its own
     point: its radius is then nan and its tape row is left unset.
@@ -185,16 +185,16 @@ def _gradients(vals: list, finals: np.ndarray, tapes: np.ndarray, cfg: SqueezeCo
     of pair_rows gives g_k = s_k Re lam_k and g_{n+k} = -s_k Im lam_k.  A
     row that overflows in the reverse pass comes back non-finite.
     """
-    n0, na = cfg.n0, cfg.n_active
-    scale = basis_scale(na)
+    n0 = cfg.n0
+    scale = basis_scale(cfg.flow.N)
     lam = np.zeros_like(finals)
     pq = pair_coords(finals, n0)[:, [n0 - 1, -1]].tolist()
     for j, (val, (p, q)) in enumerate(zip(vals, pq)):
         if val:
             d = val * scale[n0 - 1]
             lam[j, n0 - 1] = complex((p - cfg.cyl_center[0]) / d, (cfg.cyl_center[1] - q) / d)
-    head = adjoint_batch(tapes, lam, cfg.T, cfg.flow)[:, :na]
-    return np.concatenate([head.real * scale, head.imag * -scale], axis=-1)
+    lam = adjoint_batch(tapes, lam, cfg.T, cfg.flow)
+    return np.concatenate([lam.real * scale, lam.imag * -scale], axis=-1)
 
 
 @dataclass
@@ -215,7 +215,7 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
 
     Objective: u0 on the sphere |u0 - center|_Z = r, maximize
     cylinder_radius(Phi_T(u0), n0, cyl_center).  Gradients are those of the
-    discrete flow in the active pair coordinates, taken by one reverse pass
+    discrete flow in the pair coordinates, taken by one reverse pass
     over the tape each start kept from flowing its current point (see
     _gradients); every step reprojects to the sphere, so the per-start
     objective sequence is non-decreasing.  The pure mode-n0 state is always
@@ -237,16 +237,16 @@ def maximize_image_radius(cfg: SqueezeConfig) -> SqueezeReport:
     t_begin = time.perf_counter()
     center_state = _center_state(cfg)
     center = center_state.row
-    na = cfg.n_active
+    n = cfg.flow.N
     alpha0 = 0.05 * cfg.r
 
-    seed_x = np.zeros(2 * na)
+    seed_x = np.zeros(2 * n)
     seed_x[cfg.n0 - 1] = cfg.r
     xs = [seed_x]
     for i in range(1, cfg.n_starts):
-        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na)
+        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, n, n)
         # The offset of the point center + draw from center: it may differ from draw in the last bit.
-        xs.append(pair_coords((center + draw) - center, na))
+        xs.append(pair_coords((center + draw) - center, n))
     xs = [_reproject(x, cfg.r) for x in xs]
 
     # The final row and tape of each start's current point.

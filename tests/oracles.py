@@ -220,7 +220,7 @@ def reference_maximize_image_radius(cfg):
     t_begin = time.perf_counter()
     center_state = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N)
     center = center_state.row
-    na = cfg.n_active
+    n = cfg.flow.N
     alpha0 = 0.05 * cfg.r
 
     def reproject(x):
@@ -236,12 +236,12 @@ def reference_maximize_image_radius(cfg):
         return math.hypot(p - cfg.cyl_center[0], q - cfg.cyl_center[1]), final, tape
 
     starts = []
-    seed_x = np.zeros(2 * na)
+    seed_x = np.zeros(2 * n)
     seed_x[cfg.n0 - 1] = cfg.r
     starts.append(seed_x)
     for i in range(1, cfg.n_starts):
-        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na)
-        starts.append(pair_coords((center + draw) - center, na))
+        draw = z_sphere_row(substream(cfg.seed, "start", i), cfg.r, n, n)
+        starts.append(pair_coords((center + draw) - center, n))
 
     trajectories = []
     finals = []
@@ -307,7 +307,7 @@ def reference_maximize_image_radius(cfg):
 
 
 def fd_gradients(xs, cfg, center, h):
-    """Central differences of the image radius in each active coordinate of each point of xs.
+    """Central differences of the image radius in each coordinate of each point of xs.
 
     Coordinate i of point x is (R(x + h e_i) - R(x - h e_i)) / 2h with R the
     image radius of the point reprojected onto the sphere of radius cfg.r,
@@ -331,13 +331,13 @@ def fd_gradients(xs, cfg, center, h):
 def reference_ball_image_scan(cfg, n_samples):
     """Image cylinder radii of n_samples uniform points of the search's sphere.
 
-    Point i is drawn from the substream (cfg.seed, 0x5CA7, i) on the first
-    cfg.n_active mode pairs around the center, and all are flowed as one
+    Point i is drawn from the substream (cfg.seed, 0x5CA7, i) on all
+    cfg.flow.N mode pairs around the center, and all are flowed as one
     batch: random, unoptimized data that a witness search must reach.
     """
     center = (cfg.center or TrigState.zero(cfg.flow.N)).padded(cfg.flow.N).row
     rows = center + np.array([
-        z_sphere_row(substream(cfg.seed, 0x5CA7, i), cfg.r, cfg.flow.N, cfg.n_active)
+        z_sphere_row(substream(cfg.seed, 0x5CA7, i), cfg.r, cfg.flow.N, cfg.flow.N)
         for i in range(n_samples)
     ])
     return _radii(integrate_batch(rows, cfg.T, cfg.flow), cfg.n0, cfg.cyl_center)

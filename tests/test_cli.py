@@ -1028,7 +1028,7 @@ FUZZ_STDOUT = {
     "estimates": "estimates: (0.5, 0.5, 0.5) bilinear max ratio 0.071521 over 10 samples, "
                  "sweep bounded: True\n",
     "squeeze": (
-        "squeeze: r = 0.5, n0 = 1, T = 1.0: achieved radius 0.499886477 (0.9998 r) in X s\n"
+        "squeeze: r = 0.5, n0 = 1, T = 1.0: achieved radius 0.499886496 (0.9998 r) in X s\n"
         "  witness Z norm: 0.5\n"
         "  witness H^1 norm: 0.50001\n"
     ),

@@ -11,9 +11,7 @@ from bbmlab.spectral import (
     FFT_AXES,
     IRFFT,
     RFFT,
-    GridSamples,
     ResolutionError,
-    SymplecticCoords,
     TrigState,
     analyze,
     basis_scale,
@@ -68,42 +66,50 @@ class TestTrigState:
 class TestSynthesizeAnalyze:
     def test_cos_mode_values(self):
         u = TrigState.single_mode(1, 1, a_k=1.0)
-        vals = synthesize(u, 8).values
+        vals = synthesize(u, 8)
         expected = np.cos(2.0 * np.pi * np.arange(8) / 8)
         assert np.max(np.abs(vals - expected)) < 1e-14
 
     def test_zero_state(self):
-        assert np.all(synthesize(TrigState.zero(3), 16).values == 0.0)
+        assert np.all(synthesize(TrigState.zero(3), 16) == 0.0)
 
     def test_resolution_rejected(self):
         with pytest.raises(ResolutionError, match="resolution"):
             synthesize(TrigState.zero(4), 8)
         with pytest.raises(ResolutionError, match="aliasing"):
-            analyze(GridSamples(np.zeros(8)), 4)
+            analyze(np.zeros(8), 4)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((2, 9)), "^coefficient list must be one-dimensional$"),
+        (np.zeros(0), "^empty sample grid$"),
+    ])
+    def test_analyze_needs_one_nonempty_grid(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            analyze(values, 4)
 
     def test_fft_matches_direct(self):
         u = random_state(3, 16)
-        f = synthesize(u, 64).values
+        f = synthesize(u, 64)
         d = oracle_synthesize(u, 64)
         assert np.max(np.abs(f - d)) < 1e-12
 
     def test_analyze_cos3(self):
         x = 2.0 * np.pi * np.arange(16) / 16
-        u = analyze(GridSamples(np.cos(3 * x)), 4)
+        u = analyze(np.cos(3 * x), 4)
         assert abs(u.a[2] - 1.0) < 1e-12
         assert abs(u.mean) < 1e-12
         others = np.concatenate([u.a[:2], u.a[3:], u.b])
         assert np.max(np.abs(others)) < 1e-12
 
     def test_analyze_constant(self):
-        u = analyze(GridSamples(np.full(9, 2.5)), 4)
+        u = analyze(np.full(9, 2.5), 4)
         assert abs(u.mean - 2.5) < 1e-14
         assert np.max(np.abs(u.a)) < 1e-14 and np.max(np.abs(u.b)) < 1e-14
 
     def test_analyze_matches_quadrature_oracle(self):
         x = 2.0 * np.pi * np.arange(8) / 8
         vals = np.sin(x) + 0.5 * np.sin(2 * x)
-        u = analyze(GridSamples(vals), 2)
+        u = analyze(vals, 2)
         ref = oracle_analyze(vals, 2)
         assert abs(u.b[0] - 1.0) < 1e-12 and abs(u.b[1] - 0.5) < 1e-12
         assert np.max(np.abs(u.a - ref.a)) < 1e-12
@@ -164,8 +170,7 @@ class TestNorms:
     @given(trig_states())
     def test_z_norm_equals_pq_norm(self, u):
         nrm = z_norm(u)
-        coords = to_symplectic(u)
-        assert abs(nrm - coords.norm()) <= 1e-12 * max(1.0, nrm)
+        assert abs(nrm - np.linalg.norm(to_symplectic(u))) <= 1e-12 * max(1.0, nrm)
 
 
 class TestMultiplierAndProjector:
@@ -230,13 +235,14 @@ class TestComplexStructure:
 
 class TestSymplecticCoords:
     def test_basis_vector(self):
-        coords = to_symplectic(unit_cos_mode(1, 2))
-        assert abs(coords.p[0] - 1.0) < 1e-14 and abs(coords.q[0]) < 1e-14
+        x = to_symplectic(unit_cos_mode(1, 2))
+        assert x.shape == (4,)
+        assert abs(x[0] - 1.0) < 1e-14 and abs(x[2]) < 1e-14
 
     def test_two_mode_exact(self):
         u = 2.0 * unit_cos_mode(4, 4) + 3.0 * unit_sin_mode(4, 4)
-        coords = to_symplectic(u)
-        assert abs(coords.p[3] - 2.0) < 1e-13 and abs(coords.q[3] - 3.0) < 1e-13
+        x = to_symplectic(u)
+        assert abs(x[3] - 2.0) < 1e-13 and abs(x[7] - 3.0) < 1e-13
         assert abs(z_norm(u) - math.sqrt(13.0)) < 1e-13
 
     def test_round_trip(self):
@@ -250,10 +256,14 @@ class TestSymplecticCoords:
         with pytest.raises(ValueError, match="mean-zero"):
             to_symplectic(TrigState(0.1, [1.0], [0.0]))
 
+    def test_odd_length_rejected(self):
+        with pytest.raises(ValueError, match="pair coordinates, got 3$"):
+            from_symplectic(np.ones(3))
+
     def test_explicit_scaling(self):
         u = TrigState.single_mode(2, 2, a_k=1.0)
-        coords = to_symplectic(u)
-        assert abs(coords.p[1] - math.sqrt(math.pi * 5.0 / 2.0)) < 1e-13
+        x = to_symplectic(u)
+        assert abs(x[1] - math.sqrt(math.pi * 5.0 / 2.0)) < 1e-13
 
 
 class TestPairMaps:
@@ -264,15 +274,15 @@ class TestPairMaps:
         n_pairs = data.draw(st.integers(1, n_modes))
         n_filled = data.draw(st.integers(1, n_modes))
         u = sobolev_ball_state(substream(seed, "pairs"), n_filled, 0.5, 1.0).padded(n_modes)
-        coords = to_symplectic(u)
+        p, q = np.split(to_symplectic(u), 2)
         x = pair_coords(u.row, n_pairs)
         # == compares nonzero entries bit for bit and lets +0 equal -0.
-        assert np.array_equal(x, np.concatenate([coords.p[:n_pairs], coords.q[:n_pairs]]))
+        assert np.array_equal(x, np.concatenate([p[:n_pairs], q[:n_pairs]]))
         scale = basis_scale(n_pairs)
         assert np.array_equal(x, np.concatenate([u.a[:n_pairs] / scale, u.b[:n_pairs] / scale]))
         p, q = np.zeros(n_modes), np.zeros(n_modes)
         p[:n_pairs], q[:n_pairs] = x[:n_pairs], x[n_pairs:]
-        v = from_symplectic(SymplecticCoords(p, q))
+        v = from_symplectic(np.concatenate([p, q]))
         w = TrigState.from_row(pair_rows(x, n_modes))
         assert np.array_equal(w.a, v.a) and np.array_equal(w.b, v.b)
         assert np.array_equal(w.a[:n_pairs], x[:n_pairs] * scale)

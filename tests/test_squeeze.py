@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -40,14 +41,14 @@ class TestSampleSphere:
 
     def test_single_pair_support(self):
         u = z_sphere_state(substream(2, 0), 1.0, 8, 1)
-        coords = to_symplectic(u)
-        assert np.max(np.abs(coords.p[1:])) == 0.0
-        assert np.max(np.abs(coords.q[1:])) == 0.0
-        assert abs(math.hypot(coords.p[0], coords.q[0]) - 1.0) < 1e-12
+        p, q = np.split(to_symplectic(u), 2)
+        assert np.max(np.abs(p[1:])) == 0.0
+        assert np.max(np.abs(q[1:])) == 0.0
+        assert abs(math.hypot(p[0], q[0]) - 1.0) < 1e-12
 
     def test_direction_symmetry(self):
         draws = np.array(
-            [to_symplectic(z_sphere_state(substream(3, i), 1.0, 8, 4)).p[0] for i in range(10000)]
+            [to_symplectic(z_sphere_state(substream(3, i), 1.0, 8, 4))[0] for i in range(10000)]
         )
         assert abs(np.mean(draws)) < 3.0 * np.std(draws) / math.sqrt(len(draws))
 
@@ -80,8 +81,8 @@ class TestCylinderRadius:
         for i in range(400):
             u = random_state(i, 8)
             n0 = 1 + i % 8
-            coords = to_symplectic(u)
-            want = math.hypot(coords.p[n0 - 1] - 0.1, coords.q[n0 - 1] + 0.2)
+            p, q = np.split(to_symplectic(u), 2)
+            want = math.hypot(p[n0 - 1] - 0.1, q[n0 - 1] + 0.2)
             assert cylinder_radius(u, n0, (0.1, -0.2)) == want
 
     def test_fourier_size_identity(self):
@@ -150,6 +151,15 @@ class TestMaximize:
         # Image of the sphere can always reach at least r from any axis point.
         assert rep.achieved_radius >= 0.5 - 1e-9
 
+    # A nan cylinder axis used to abandon every start and raise FlowError
+    # ("all starts abandoned"), an integration failure.
+    @pytest.mark.parametrize("cyl_center", [(math.nan, 0.0), (0.0, math.inf), (0.1,),
+                                            (0.0, 0.1, 0.2)])
+    def test_cyl_center_must_be_two_finite_numbers(self, cyl_center):
+        with pytest.raises(ValueError, match=r"^cyl_center must be two finite numbers, got "
+                           + re.escape(repr(cyl_center)) + "$"):
+            small_config(cyl_center=cyl_center)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="n0"):
             SqueezeConfig(r=0.5, n0=9, T=1.0, flow=FlowConfig(N=8, dt=0.01))
@@ -184,12 +194,11 @@ class TestMaximize:
 
     @pytest.mark.parametrize("n0, n_modes", [(17, 32), (33, 40)])
     def test_mode_beyond_sixteen_pairs_runs(self, n0, n_modes):
-        # The window min(2 n0, N) holds n0 at any N: these used to be rejected,
-        # as a window of at most 16 pairs would have put the seed start on
-        # another mode (n0 = 17) or past the window (n0 = 33).
+        # These used to be rejected: the search then ran in at most 16 pairs,
+        # which would have put the seed start on another mode (n0 = 17) or
+        # outside the search space (n0 = 33).
         cfg = small_config(n0=n0, T=0.0, flow=FlowConfig(N=n_modes, dt=0.02), n_starts=2,
                            max_ascent_iters=1)
-        assert cfg.n_active == min(2 * n0, n_modes)
         rep = maximize_image_radius(cfg)
         assert rep.trajectories[0] == ((0, 0.5),)
         assert abs(cylinder_radius(rep.best_witness, n0) - 0.5) < 1e-9
@@ -231,34 +240,35 @@ class TestMaximize:
         for integrator in ("rk4", "implicit_midpoint"):
             cfg = small_config(n0=2, flow=FlowConfig(N=16, dt=0.05, integrator=integrator),
                                cyl_center=(0.1, -0.2))
-            na, center = cfg.n_active, np.zeros(cfg.flow.N, dtype=complex)
-            xs = [pair_coords(z_sphere_row(substream(cfg.seed, "start", i), cfg.r, cfg.flow.N, na),
-                              na) for i in range(1, 4)]
+            n, center = cfg.flow.N, np.zeros(cfg.flow.N, dtype=complex)
+            xs = [pair_coords(z_sphere_row(substream(cfg.seed, "start", i), cfg.r, n, n), n)
+                  for i in range(1, 4)]
             vals, finals, tapes = _image_points(xs, cfg, center)
             grads = _gradients(vals, finals, np.array(tapes), cfg)
-            assert grads.shape == (3, 2 * na) and np.isfinite(grads).all()
+            assert grads.shape == (3, 2 * n) and np.isfinite(grads).all()
             for x, val, grad in zip(xs, vals, grads):
                 one_val, one_final, (one_tape,) = _image_points([x], cfg, center)
                 assert one_val == [val]
                 assert np.array_equal(_gradients(one_val, one_final, one_tape[None], cfg)[0], grad)
 
-    # r = 40: the flow from start 3 blows up at its seed.  r = 38.5852: start
-    # 3's seed flows to a radius of about 1e305, and its reverse pass
+    # r = 45: the flow from start 2 blows up at its seed.  r = 44.99: start
+    # 2's seed flows to a radius of about 6e303, and its reverse pass
     # overflows.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("extra, stage", [({"r": 40.0}, "at the seed"),
-                                              ({"r": 38.5852}, "gradient")])
+    @pytest.mark.parametrize("extra, stage", [({"r": 45.0}, "at the seed"),
+                                              ({"r": 44.99}, "gradient")])
     def test_blown_up_start_abandoned_others_report(self, extra, stage, caplog):
         cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
                             max_ascent_iters=2, seed=0, **extra)
         with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
             rep = maximize_image_radius(cfg)
-        assert "start 3 abandoned" in caplog.text and stage in caplog.text
+        assert "start 2 abandoned" in caplog.text and stage in caplog.text
         assert math.isfinite(rep.achieved_radius)
-        assert all(len(traj) > 1 for traj in rep.trajectories[:3])
-        assert len(rep.trajectories[3]) == 1
-        best = max(traj[-1][1] for traj in rep.trajectories[:3])
+        others = rep.trajectories[:2] + rep.trajectories[3:]
+        assert all(len(traj) > 1 for traj in others)
+        assert len(rep.trajectories[2]) == 1
+        best = max(traj[-1][1] for traj in others)
         assert rep.achieved_radius == best
 
 
@@ -270,12 +280,17 @@ class TestAdjointGradient:
     def test_matches_central_differences_to_second_order(self, integrator, n0, cyl_center):
         # The central difference of the reprojected radius approximates the
         # tangential part of the gradient with an O(h^2) error: halving h
-        # divides the distance to the adjoint gradient by 4.
+        # divides the distance to the adjoint gradient by 4.  The points fill
+        # the lowest 2 n0 pairs and are zero above them; the gradient and the
+        # differences cover all 2N coordinates.  Points spread over all pairs
+        # carry a larger O(h^2) term, 2e-5 to 8e-5 at h = 1e-3.
         cfg = small_config(n0=n0, T=1.0, flow=FlowConfig(N=16, dt=0.05, integrator=integrator),
                            r=0.7, cyl_center=cyl_center)
-        center = np.zeros(cfg.flow.N, dtype=complex)
-        rng = np.random.default_rng(1)
-        xs = [0.7 * x / np.linalg.norm(x) for x in rng.standard_normal((3, 2 * cfg.n_active))]
+        n, low, center = cfg.flow.N, 2 * n0, np.zeros(cfg.flow.N, dtype=complex)
+        xs = np.zeros((3, 2 * n))
+        draws = np.random.default_rng(1).standard_normal((3, 2 * low))
+        xs[:, :low], xs[:, n:n + low] = draws[:, :low], draws[:, low:]
+        xs = [0.7 * x / np.linalg.norm(x) for x in xs]
         vals, finals, tapes = _image_points(xs, cfg, center)
         grads = _gradients(vals, finals, np.array(tapes), cfg)
         errors = []
@@ -289,11 +304,26 @@ class TestAdjointGradient:
         assert np.all(np.abs(errors[1] / errors[0] - 0.25) < 0.02)
 
     @pytest.mark.parametrize("n0", [1, 2, 3])
+    def test_gradient_spans_the_whole_truncation(self, n0):
+        # The search moves all N pairs: at a generic point the quadratic term
+        # couples the mode-n0 radius to every pair, also to those above 2 n0.
+        cfg = small_config(n0=n0, T=1.0)
+        n = cfg.flow.N
+        xs = [pair_coords(z_sphere_row(substream(cfg.seed, "start", i), cfg.r, n, n), n)
+              for i in range(1, 4)]
+        vals, finals, tapes = _image_points(xs, cfg, np.zeros(n, dtype=complex))
+        grads = _gradients(vals, finals, np.array(tapes), cfg)
+        assert grads.shape == (3, 2 * n)
+        high = np.concatenate([grads[:, 2 * n0:n], grads[:, n + 2 * n0:]], axis=1)
+        assert np.all(high != 0.0)
+        assert np.all(np.max(np.abs(high), axis=1) > 1e-3 * np.max(np.abs(grads), axis=1))
+
+    @pytest.mark.parametrize("n0", [1, 2, 3])
     def test_linear_seed_gradient_is_radial(self, n0):
         # The free rotation keeps the n0 pair on its circle, so at the pure
         # mode-n0 seed the radius grows only along the seed itself.
         cfg = small_config(n0=n0, T=1.0, linear_only=True)
-        x = np.zeros(2 * cfg.n_active)
+        x = np.zeros(2 * cfg.flow.N)
         x[n0 - 1] = cfg.r
         vals, finals, tapes = _image_points([x], cfg, np.zeros(cfg.flow.N, dtype=complex))
         grad = _gradients(vals, finals, np.array(tapes), cfg)[0]
@@ -323,7 +353,7 @@ class TestAdjointGradient:
         assert len(pulled) == min(iterations + 1, cfg.max_ascent_iters)
         assert len(pulled[0]) == cfg.n_starts and flowed[0] == cfg.n_starts
         assert all(n <= cfg.n_starts for n in flowed[1:])
-        seeds = _image_points([squeeze._reproject(np.eye(4)[0], cfg.r)], cfg,
+        seeds = _image_points([squeeze._reproject(np.eye(2 * cfg.flow.N)[0], cfg.r)], cfg,
                               np.zeros(cfg.flow.N, dtype=complex))[2]
         assert np.array_equal(pulled[0][0], seeds[0])
 
@@ -373,7 +403,7 @@ class TestLockStep:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("extra", [{"r": 40.0}, {"r": 38.5852}])
+    @pytest.mark.parametrize("extra", [{"r": 45.0}, {"r": 44.99}])
     def test_blow_up_configs(self, extra, caplog):
         # The failing batch is flowed again start by start: the same
         # abandoned start, the same messages and the same report.
