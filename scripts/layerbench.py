@@ -13,10 +13,10 @@ taped 2-row rk4 flow at N = 32 over T = 1 (dt = 0.02) and its reverse pass, both
 rows (a witness search's 16 starts) and on 2 linear_only rows (a calibration cell's flows),
 one search iteration (a witness-search cell: r = 0.5, n0 = 1, T = 1, N = 32, dt = 0.02, 16
 starts, max_ascent_iters = 1), the invariants of one N = 128 state, one smoothing ratio (N =
-32, T = 1, dt = 0.01: 32 flow segments of two rows), and the estimate sweep's gaussian chunk:
-one substream key, the u and v normals of 32 samples at N = 128 and the bilinear ratios of
-those 32 row pairs.  The steppers work in place, so their row is reset from a saved copy
-before each call.  A repeat times a fixed number of calls of every layer in turn, so a drift
+32, T = 1, dt = 0.01: one pass of 32 segments of 4 steps on two rows), and the estimate
+sweep's gaussian chunk: one substream key, the u and v normals of 32 samples at N = 128 and
+the bilinear ratios of those 32 row pairs.  The steppers work in place, so their row is reset
+from a saved copy before each call.  A repeat times a fixed number of calls of every layer in turn, so a drift
 in the host's speed reaches all layers alike; each layer reports the median and quartiles of
 its per-call time over REPEATS repeats, in microseconds.
 

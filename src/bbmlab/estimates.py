@@ -40,7 +40,7 @@ _SWEEP_BATCH = 32
 # Most samples per truncation, 100 times criterion 5's 10,000.
 MAX_SAMPLES = 10 ** 6
 _SMOOTHING_TIMES = 32
-_ORBIT_STEPS_PER_PERIOD = 20000
+_ORBIT_STEPS_PER_PERIOD = 2000
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,10 @@ starts and leaves it at the end and at each trace point.  A flow binds its
 kernels (``_VecOps.bind``) to its row shape once, the implicit midpoint again
 when its set of unconverged rows shrinks, and a step is their ufunc calls.
 The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the row
-itself: the inverse at scale 0.5, the grid product, the forward transform at
-scale 1/m (2/m for the adjoint's u v).  The rhs is L P(c), P(c) = c + u^2/2 and
-L = -i phi, 0 outside 1..N, so its multiply projects P back.  rk4 folds L into
+itself, along their default last axis (no axes keyword): the inverse at scale
+0.5, the grid product, the forward transform at scale 1/m (2/m for the
+adjoint's u v).  The rhs is L P(c), P(c) = c + u^2/2 and L = -i phi, 0
+outside 1..N, so its multiply projects P back.  rk4 folds L into
 per-flow tables: a step is 8 FFTs and 20 elementwise calls, its transpose 8 and
 21, a linear_only step one multiply by R(dt L).  Fixed scalars are 0-d arrays
 and per-N symbols read-only tables, built once.  A flow takes at most MAX_STEPS
@@ -35,9 +36,9 @@ steps, none over a zero horizon, in place.
 ``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
 iterates to its own tolerance; Picard flows row by row), as the witness
 search and the flow Jacobian do.  ``interaction_samples`` samples
-e^{-tL}Phi_t(c) - c along one such flow, for ``nonlinear_part`` and the
-smoothing ratio.  A row that turns non-finite stops the loop with a
-``FlowError``.
+e^{-tL}Phi_t(c) - c at each segment end of one such pass, for
+``nonlinear_part`` and the smoothing ratio.  A row that turns non-finite
+stops the loop with a ``FlowError``.
 
 ``integrate_taped`` runs the loop with a tape, into which the product
 kernel's inverse FFT writes the grid values of each rk4 stage input (or of
@@ -63,7 +64,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from .spectral import (
-    FFT_AXES,
     IRFFT,
     MAX_MODES,
     RFFT,
@@ -237,26 +237,26 @@ class _VecOps:
         gen, dual, mask, zw = [t[:rows].reshape(shape) for t in self._tiled] if lead else symbols
         grid = self._rows[:rows].reshape(lead + (self.m_pad,))
         squares, tmp = np.empty(shape), np.empty(shape, complex)  # znorm's and rhs_adjoint's
-        irfft, half, axes, (rfft, one, two) = IRFFT, _HALF.real, FFT_AXES, self._fft
+        irfft, half, (rfft, one, two) = IRFFT, _HALF.real, self._fft
         add, multiply, reduce, sqrt = np.add, np.multiply, np.add.reduce, np.sqrt
 
         def square_half(c, out):
-            v = irfft(c, half, axes=axes, out=grid)
-            return rfft(multiply(v, v, out=grid), one, axes=axes, out=out)
+            v = irfft(c, half, out=grid)
+            return rfft(multiply(v, v, out=grid), one, out=out)
 
         def nonlinear(c, out):
             return multiply(gen, square_half(c, out), out=out)
 
         def taped(slots):
             def flux(c, out):
-                v = irfft(c, half, axes=axes, out=next(slots))
-                rfft(multiply(v, v, out=grid), one, axes=axes, out=out)
+                v = irfft(c, half, out=next(slots))
+                rfft(multiply(v, v, out=grid), one, out=out)
                 return add(c, out, out=out)
             return flux
 
         def product(c, u, out):
-            w = irfft(c, half, axes=axes, out=grid)
-            return rfft(multiply(u, w, out=grid), two, axes=axes, out=out)
+            w = irfft(c, half, out=grid)
+            return rfft(multiply(u, w, out=grid), two, out=out)
 
         def rhs_adjoint(lam, u, out):
             mu = multiply(dual, lam, out=out)
@@ -419,7 +419,7 @@ def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: 
         )
     if tape is not None:
         mid = np.multiply(_HALF, np.add(y, z, out=work[3]), out=work[3])
-        IRFFT(mid, _HALF.real, axes=FFT_AXES, out=tape)
+        IRFFT(mid, _HALF.real, out=tape)
     np.copyto(y, z)
 
 
@@ -514,21 +514,21 @@ def _step_count(t_span: float, dt: float, name: str = "dt") -> int:
 
 
 def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_every: int = 0,
-             record=None, tape=None) -> tuple[np.ndarray, int, list]:
-    """The one stepping loop: flow the rows of y over [0, t_span].
+             record=None, tape=None, segments: int = 1) -> tuple[np.ndarray, int, list]:
+    """The one stepping loop: flow the rows of y over [0, segments * t_span].
 
     y is a (batch, N) array, or a single (N,) row, which spares the batch axis's per-call
     overhead on long serial flows; Picard takes only the single row.  The rows enter ops's padded
-    layout here and leave it on return and in record.  Takes ceil(|t_span| / dt) equal steps, none
-    for a zero horizon.  Every trace_every steps, and after the last, calls record(t, y).  Step i
-    records into tape[:, i], if given, the grid values of its rk4 stage inputs or midpoints.
-    Raises FlowError naming the step and time (and the row, for a batch) as soon as a row turns
-    non-finite.  Returns the final rows, the step count and the Picard X^0 differences per
-    subinterval.  More than MAX_STEPS steps are refused with a ValueError, before anything is
-    allocated.
+    layout here and leave it on return and in record.  Takes ceil(|t_span| / dt) equal steps per
+    segment, none for a zero horizon.  Every trace_every steps, and after the last, calls
+    record(t, y).  Step i records into tape[:, i], if given, the grid values of its rk4 stage
+    inputs or midpoints.  Raises FlowError naming the step and time (and the row, for a batch) as
+    soon as a row turns non-finite.  Returns the final rows, the step count and the Picard X^0
+    differences per subinterval.  More than MAX_STEPS steps a segment are refused with a
+    ValueError, before anything is allocated.
     """
     n_steps = _step_count(t_span, cfg.dt)
-    dt = t_span / max(n_steps, 1)
+    dt, n_steps = t_span / max(n_steps, 1), n_steps * segments
     picard_diffs = []
     y = ops.pad(y)
     if cfg.integrator != "picard":  # which binds its own node rows
@@ -609,13 +609,9 @@ def integrate_batch(c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray
     until its own residual meets midpoint_tol; Picard solves row by row.
     """
     _check_rows(c, cfg)
-    return _flow_rows(_VecOps.of(cfg), c, t_span, cfg)
-
-
-def _flow_rows(ops: _VecOps, c: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
-    """integrate_batch's rows, on ops."""
     if not len(c):
         return c.copy()
+    ops = _VecOps.of(cfg)
     if cfg.integrator == "picard":
         return np.array([_advance(ops, row, t_span, cfg)[0] for row in c])
     return _advance(ops, c, t_span, cfg)[0]
@@ -624,18 +620,23 @@ def _flow_rows(ops: _VecOps, c: np.ndarray, t_span: float, cfg: FlowConfig) -> n
 def interaction_samples(c: np.ndarray, t_span: float, n_times: int, cfg: FlowConfig) -> np.ndarray:
     """e^{-t_i L} Phi_{t_i}(c) - c, shape (n_times, batch, N), at t_i = i t_span / n_times, i >= 1.
 
-    Segment i flows segment i - 1's endpoint rows as integrate_batch(rows, t_span / n_times, cfg)
-    does, on one workspace for the whole pass, and one rotation takes them back by t_i.
+    One _advance pass flows the rows (Picard: one pass per row) in n_times segments, each of
+    ceil(|seg| / dt) steps of seg / that count, seg = t_span / n_times: segment i ends on
+    integrate_batch(segment i - 1's endpoint rows, seg, cfg), bit for bit.  The pass binds its
+    kernels once and records each segment's end rows; one rotation then takes all back by t_i.
     """
     _check_rows(c, cfg, "interaction_samples")
     if n_times < 1:
         raise ValueError(f"interaction_samples needs n_times >= 1, got {n_times}")
     ops, seg = _VecOps.of(cfg), t_span / n_times
-    samples, y = np.empty((n_times,) + c.shape, complex), c
-    for i in range(1, n_times + 1):
-        y = _flow_rows(ops, y, seg, cfg)
-        np.subtract(ops.free(ops.pad(y), -i * seg)[..., ops.modes], c, out=samples[i - 1])
-    return samples
+    # Each segment's end rows, c itself where no step is taken (t_span = 0).
+    ends, steps = np.broadcast_to(c, (n_times,) + c.shape).copy(), _step_count(seg, cfg.dt)
+    for rows in range(len(c)) if cfg.integrator == "picard" else (slice(None),):
+        slots = iter(ends[:, rows])
+        _advance(ops, c[rows], seg, cfg, steps, lambda t, y: np.copyto(next(slots), y),
+                 segments=n_times)
+    th = (-seg * np.arange(1, n_times + 1))[:, None, None] * ops.phi[ops.modes]
+    return np.subtract(ops.free(ends, (np.cos(th), np.sin(th))), c, out=ends)
 
 
 def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:

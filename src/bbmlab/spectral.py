@@ -32,9 +32,9 @@ MAX_MODES = 1 << 14
 # pocketfft's FFT ufuncs, called directly by every product kernel: numpy's public FFT functions
 # wrap them in about 4 us of argument handling per call.  The module is private to numpy (present
 # from 2.0 on); tests/test_spectral.py pins the ufuncs and their bits.  A ufunc takes (rows,
-# scale) and transforms along the last axis of its input and of out, whose length sets that of an
-# inverse transform.  IRFFT takes 1/m here (numpy's default norm), RFFT 1.0; flow._VecOps, its own.
-FFT_AXES = [(-1,), (), (-1,)]
+# scale) and, by its default core axes, transforms along the last axis of its input and of out,
+# whose length sets that of an inverse transform; so no call passes axes, which costs a parse per
+# call.  IRFFT takes 1/m here (numpy's default norm), RFFT 1.0; flow._VecOps, its own.
 IRFFT = _pocketfft.irfft
 RFFT = (_pocketfft.rfft_n_even, _pocketfft.rfft_n_odd)  # indexed by the parity m % 2
 
@@ -229,7 +229,7 @@ def synthesize_rows(mean, c: np.ndarray, m: int) -> np.ndarray:
     spec = np.zeros(c.shape[:-1] + (m // 2 + 1,), dtype=complex)
     spec[..., 0] = m * mean
     np.multiply(0.5 * m, c, out=spec[..., 1:c.shape[-1] + 1])
-    return IRFFT(spec, 1.0 / m, axes=FFT_AXES, out=np.empty(c.shape[:-1] + (m,)))
+    return IRFFT(spec, 1.0 / m, out=np.empty(c.shape[:-1] + (m,)))
 
 
 def analyze_rows(values: np.ndarray, n_modes: int):
@@ -241,7 +241,7 @@ def analyze_rows(values: np.ndarray, n_modes: int):
     """
     m = values.shape[-1]
     spec = np.empty(values.shape[:-1] + (m // 2 + 1,), dtype=complex)
-    RFFT[m % 2](values, 1.0, axes=FFT_AXES, out=spec)
+    RFFT[m % 2](values, 1.0, out=spec)
     x = np.multiply(2.0, spec[..., 1:n_modes + 1].view(float))
     return spec[..., 0].real / m, np.divide(x, m, out=x).view(complex)
 

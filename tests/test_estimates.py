@@ -236,14 +236,16 @@ class TestSmoothingRatio:
     @pytest.mark.parametrize("t_span", [1.0, -0.5, 0.0])
     def test_equals_segment_loop_reference(self, integrator, n_modes, t_span):
         # One interaction_samples pass against 32 integrate_batch segments, each endpoint
-        # rotated back by free_evolution: the same number, not just a close one.
+        # rotated back by free_evolution: the same number, not just a close one.  A segment of
+        # t_span / 32 takes one step at the first dt, 2 or 4 at dt = 0.01 (as certify flows),
+        # and 3 or 5 at dt = 0.007, which divides neither: the pass samples every k-th step.
         u0 = sobolev_ball_state(substream(4, "smoothing", "u", n_modes), n_modes, 0.5, 0.9)
         v0 = sobolev_ball_state(substream(4, "smoothing", "v", n_modes), n_modes, 0.5, 0.6)
-        cfg = FlowConfig(N=n_modes, dt=0.25 if integrator == "picard" else 0.05,
-                         integrator=integrator)
-        got = smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
-        assert got == reference_smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
-        assert (got == 0.0) == (t_span == 0.0)
+        for dt in (0.25 if integrator == "picard" else 0.05, 0.01, 0.007):
+            cfg = FlowConfig(N=n_modes, dt=dt, integrator=integrator)
+            got = smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
+            assert got == reference_smoothing_ratio(u0, v0, t_span, 1.0 / 24.0, cfg)
+            assert (got == 0.0) == (t_span == 0.0)
 
 
 class TestFlowJacobian:

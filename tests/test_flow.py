@@ -1004,6 +1004,26 @@ class TestInteractionSamples:
             rotated = [free_evolution(TrigState.from_row(row), -i * seg).row for row in y]
             assert _same_bits(samples[i - 1], np.array(rotated) - c)
 
+    def test_one_pass_binds_once(self, monkeypatch):
+        # 32 segments of 4 rk4 steps: one set of kernels and one set of step tables for all 128.
+        calls = []
+        bind, coefficients = flow._VecOps.bind, flow.rk4_coefficients
+
+        def watched_bind(ops, lead=()):
+            calls.append("bind")
+            return bind(ops, lead)
+
+        def watched_coefficients(*args):
+            calls.append("rk4_coefficients")
+            return coefficients(*args)
+
+        monkeypatch.setattr(flow._VecOps, "bind", watched_bind)
+        monkeypatch.setattr(flow, "rk4_coefficients", watched_coefficients)
+        c = rows_of([random_state(i, 16, radius=0.5) for i in range(2)])
+        samples = interaction_samples(c, 1.0, 32, FlowConfig(N=16, dt=0.01))
+        assert sorted(calls) == ["bind", "rk4_coefficients"]
+        assert samples.shape == (32, 2, 16) and np.all(np.isfinite(samples))
+
     def test_zero_horizon_and_row_shapes(self):
         cfg = FlowConfig(N=8, dt=0.1)
         c = rows_of([random_state(i, 8) for i in range(2)])

@@ -29,6 +29,7 @@ from bbmlab.squeeze import (
     maximize_image_radius,
 )
 
+import oracles
 from conftest import random_state
 from oracles import fd_gradients, reference_ball_image_scan, reference_maximize_image_radius
 
@@ -251,16 +252,14 @@ class TestMaximize:
                 assert one_val == [val]
                 assert np.array_equal(_gradients(one_val, one_final, one_tape[None], cfg)[0], grad)
 
-    # r = 45: the flow from start 2 blows up at its seed.  r = 44.99: start
-    # 2's seed flows to a radius of about 6e303, and its reverse pass
-    # overflows.
+    # r = 45: the flow from start 2 blows up at its seed.  r = 1: every flow
+    # is tame, and start 2's seed tape is made to overflow its reverse pass.
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("extra, stage", [({"r": 45.0}, "at the seed"),
-                                              ({"r": 44.99}, "gradient")])
-    def test_blown_up_start_abandoned_others_report(self, extra, stage, caplog):
-        cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
-                            max_ascent_iters=2, seed=0, **extra)
+                                              ({"r": 1.0, "overflow_start": 2}, "gradient")])
+    def test_blown_up_start_abandoned_others_report(self, extra, stage, caplog, monkeypatch):
+        cfg = blow_up_config(monkeypatch, **extra)
         with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
             rep = maximize_image_radius(cfg)
         assert "start 2 abandoned" in caplog.text and stage in caplog.text
@@ -270,6 +269,29 @@ class TestMaximize:
         assert len(rep.trajectories[2]) == 1
         best = max(traj[-1][1] for traj in others)
         assert rep.achieved_radius == best
+
+
+def blow_up_config(monkeypatch, r, overflow_start=None):
+    """The blow-up cases' search at ball radius r (N = 8, dt = 0.5, T = 4, four starts).
+
+    Given overflow_start, the tape of that start's seed point is set to 1e300 where the search
+    and its oracle flow it, so its first reverse pass overflows while its flow and image radius
+    stay as computed: a gradient failure by construction, not at a radius tuned to the flow.
+    """
+    cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
+                        max_ascent_iters=2, seed=0, r=r)
+    if overflow_start is not None:
+        n = cfg.flow.N
+        seed_row = z_sphere_row(substream(cfg.seed, "start", overflow_start), r, n, n)
+
+        def integrate_taped_overflowing(c, t_span, flow_cfg):
+            finals, tape = integrate_taped(c, t_span, flow_cfg)
+            tape[np.isclose(c, seed_row, rtol=0, atol=1e-12).all(axis=-1)] = 1e300
+            return finals, tape
+
+        for module in (squeeze, oracles):
+            monkeypatch.setattr(module, "integrate_taped", integrate_taped_overflowing)
+    return cfg
 
 
 class TestAdjointGradient:
@@ -403,12 +425,11 @@ class TestLockStep:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("extra", [{"r": 45.0}, {"r": 44.99}])
-    def test_blow_up_configs(self, extra, caplog):
+    @pytest.mark.parametrize("extra", [{"r": 45.0}, {"r": 1.0, "overflow_start": 2}])
+    def test_blow_up_configs(self, extra, caplog, monkeypatch):
         # The failing batch is flowed again start by start: the same
         # abandoned start, the same messages and the same report.
-        cfg = SqueezeConfig(n0=1, T=4.0, flow=FlowConfig(N=8, dt=0.5), n_starts=4,
-                            max_ascent_iters=2, seed=0, **extra)
+        cfg = blow_up_config(monkeypatch, **extra)
         with caplog.at_level(logging.WARNING, logger="bbmlab.squeeze"):
             rep = maximize_image_radius(cfg)
             n_lock_step = len(caplog.messages)
