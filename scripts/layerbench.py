@@ -87,23 +87,12 @@ def load_tree(root: str):
 def layers(flow, sampling, estimates, squeeze) -> dict:
     """name -> (zero-argument call, calls per repeat) for one tree's kernels."""
     def rows(n_modes, batch, radius=0.5):
-        streams = [sampling.substream(SEED, "layerbench", n_modes, i) for i in range(batch)]
-        if not hasattr(sampling, "sweep_normals"):  # a tree whose rows take the generators
-            return sampling.sobolev_ball_rows(streams, n_modes, 0.5, radius)
-        draws = np.array([stream.standard_normal((2, n_modes)) for stream in streams])
+        draws = np.array([sampling.substream(SEED, "layerbench", n_modes, i).standard_normal(
+            (2, n_modes)) for i in range(batch)])
         return sampling.sobolev_ball_rows(draws, 0.5, radius)
 
-    def layout(ops, c):
-        # A tree whose kernels take (..., N) rows, before the padded layout, has no pad.
-        return ops.pad(c) if hasattr(ops, "pad") else c.copy()
-
-    def kernels(ops, c):
-        # A tree without bind reaches its kernels as methods, whatever the rows' shape.
-        return ops.bind(c.shape[:-1]) if hasattr(ops, "bind") else ops
-
     def midpoint_step(ops, y, dt, tol, work):
-        # The (rows, bins) rows y on kernels bound to them, or on ops for a tree without bind.
-        stepper = kernels(ops, y)
+        stepper = ops.bind(y.shape[:-1])
         return lambda y: flow._midpoint_step(stepper, y, dt, tol, 1, work)
 
     def from_start(y0, step):
@@ -118,33 +107,30 @@ def layers(flow, sampling, estimates, squeeze) -> dict:
     for n_modes in (32, 64, 128):
         ops = flow._VecOps(n_modes)
         for batch in (1, 16):
-            c = layout(ops, rows(n_modes, batch))
+            c = ops.pad(rows(n_modes, batch))
             c = c[0] if batch == 1 else c
-            rhs, res = kernels(ops, c).rhs, np.empty_like(c)
+            rhs, res = ops.bind(c.shape[:-1]).rhs, np.empty_like(c)
             out[f"rhs/N={n_modes}/rows={batch}"] = (lambda rhs=rhs, c=c, res=res: rhs(c, res), 400)
     ops = flow._VecOps(64)
-    y0 = layout(ops, rows(64, 1)[0])
-    bound, work = kernels(ops, y0), np.empty((5,) + y0.shape, complex)
-    if hasattr(bound, "flux"):  # rk4 steps y' = L P(y) on tables of L
-        p, coef = bound.flux, flow.rk4_coefficients(1e-3, bound.gen)
-    else:  # a tree whose rk4 steps its full rhs with 0-d coefficients of the row dtype
-        p, coef = bound.rhs, flow.rk4_coefficients(1e-3, complex)
+    y0 = ops.pad(rows(64, 1)[0])
+    bound, work = ops.bind(), np.empty((5,) + y0.shape, complex)
+    p, coef = bound.flux, flow.rk4_coefficients(1e-3, bound.gen)  # rk4 steps y' = L P(y)
     out["rk4_step/N=64/rows=1"] = (from_start(y0, lambda y: flow.rk4_step(p, y, coef, work)),
                                    200)
     mid_ops = flow._VecOps(32)
-    y_mid = layout(mid_ops, rows(32, 1))
+    y_mid = mid_ops.pad(rows(32, 1))
     mid_work, mid_dt = np.empty((5,) + y_mid.shape, complex), np.array(1e-3, complex)
     out["midpoint_step/N=32/rows=1"] = (from_start(y_mid, midpoint_step(
         mid_ops, y_mid, mid_dt, 1e-12, mid_work)), 100)
     # A flow Jacobian's batch: 8 modes' real and imaginary parts bumped by +-1e-4 and +-5e-5.
     jac_ops = flow._VecOps(8)
     bumps = np.concatenate([np.eye(8), 1j * np.eye(8)])
-    y_jac = layout(jac_ops, rows(8, 1)[0] + np.concatenate(
+    y_jac = jac_ops.pad(rows(8, 1)[0] + np.concatenate(
         [sign * h * bumps for h in (1e-4, 5e-5) for sign in (1.0, -1.0)]))
     jac_work, jac_dt = np.empty((5,) + y_jac.shape, complex), np.array(5e-3, complex)
     out["midpoint_step/N=8/rows=64"] = (from_start(y_jac, midpoint_step(
         jac_ops, y_jac, jac_dt, 1e-13, jac_work)), 50)
-    y_picard = layout(mid_ops, rows(32, 1, radius=1.0)[0])
+    y_picard = mid_ops.pad(rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)
     u_picard = sampling.sobolev_ball_state(sampling.substream(SEED, "layerbench", "picard"), 32,
@@ -174,15 +160,10 @@ def layers(flow, sampling, estimates, squeeze) -> dict:
     out["smoothing_ratio/N=32/T=1"] = (
         lambda: estimates.smoothing_ratio(u0, v0, 1.0, 1.0 / 24.0, smoothing), 3)
     # The estimate sweep's gaussian chunk: one key's generator, the u and v draws of 32
-    # samples at N = 128 (the per-key substream loop in a tree without sweep_normals), and
-    # the bilinear ratios of the chunk's rows.
+    # samples at N = 128, and the bilinear ratios of the chunk's rows.
     chunk = range(estimates._SWEEP_BATCH)
     out["substream/keys=1"] = (lambda: sampling.substream(SEED, 128, 0, 0), 200)
-    if hasattr(sampling, "sweep_normals"):
-        out["sweep_normals/N=128/rows=32"] = (lambda: sampling.sweep_normals(SEED, 128, chunk), 10)
-    else:
-        out["sweep_normals/N=128/rows=32"] = (lambda: np.array([[sampling.substream(
-            SEED, 128, i, j).standard_normal((2, 128)) for j in (0, 1)] for i in chunk]), 10)
+    out["sweep_normals/N=128/rows=32"] = (lambda: sampling.sweep_normals(SEED, 128, chunk), 10)
     u, v = estimates._sample_rows("gaussian", SEED, chunk, 128, 0.5, 0.5)
     out["bilinear_ratio/N=128/rows=32"] = (
         lambda: estimates._ratio_rows(u, v, 0.5, 0.5, 0.5, "bilinear_ratio"), 20)

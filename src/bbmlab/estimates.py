@@ -48,9 +48,6 @@ class EstimateSample:
     """One random draw with its measured ratio."""
 
     seed: int
-    s: float
-    r: float
-    rprime: float
     ratio: float
     norm_u: float
     norm_v: float
@@ -168,7 +165,6 @@ def check_exponents(s: float, r: float, rprime: float, mode: str = "bilinear") -
 def _sample_rows(sampler: str, seed: int, idx: range, n_modes: int, r: float, rprime: float):
     """Coefficient rows (mean, c) of the u and v draws of samples idx at N = n_modes."""
     if sampler == "gaussian":
-        # Sample i always comes from the substreams (seed, N, i, 0) and (seed, N, i, 1).
         draws = sweep_normals(seed, n_modes, idx)
         u = sobolev_ball_rows(draws[:, 0], r, 1.0)
         v = sobolev_ball_rows(draws[:, 1], rprime, 1.0)
@@ -226,10 +222,8 @@ def estimate_constant(
                 raise ValueError(f"non-finite {mode} ratio among samples {idx} at N = {n_modes}")
             j = int(np.argmax(ratio))
             if best is None or ratio[j] > best.ratio:
-                best = EstimateSample(
-                    seed=idx[j], s=s, r=r, rprime=rprime, ratio=float(ratio[j]),
-                    norm_u=float(norm_u[j]), norm_v=float(norm_v[j]),
-                )
+                best = EstimateSample(seed=idx[j], ratio=float(ratio[j]),
+                                      norm_u=float(norm_u[j]), norm_v=float(norm_v[j]))
         sweep[int(n_modes)] = best
     return EstimateReport(
         s=s, r=r, rprime=rprime, mode=mode, n_samples=n_samples, sampler=sampler, sweep=sweep

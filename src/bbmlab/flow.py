@@ -17,37 +17,6 @@ Three integrators:
                         Gauss-Legendre collocation nodes, used to probe the
                         local contraction theory.
 
-All three share one stepping loop over half-spectrum rows c_k = a_k - i b_k
-in pocketfft's padded layout: the m_pad // 2 + 1 bins of a length-m_pad real
-FFT, exactly 0 at bin 0 and above N.  A row enters that layout when a flow
-starts and leaves it at the end and at each trace point.  A flow binds its
-kernels (``_VecOps.bind``) to its row shape once, the implicit midpoint again
-when its set of unconverged rows shrinks, and a step is their ufunc calls.
-The product calls pocketfft's FFT ufuncs (spectral.IRFFT, RFFT) on the row
-itself, along their default last axis (no axes keyword): the inverse at scale
-0.5, the grid product, the forward transform at scale 1/m (2/m for the
-adjoint's u v).  The rhs is L P(c), P(c) = c + u^2/2 and L = -i phi, 0
-outside 1..N, so its multiply projects P back.  rk4 folds L into
-per-flow tables: a step is 8 FFTs and 20 elementwise calls, its transpose 8 and
-21, a linear_only step one multiply by R(dt L).  Fixed scalars are 0-d arrays
-and per-N symbols read-only tables, built once.  A flow takes at most MAX_STEPS
-steps, none over a zero horizon, in place.
-``integrate`` runs that loop on the (N,) row of one ``TrigState``, and
-``integrate_batch`` on a (batch, N) row array (each implicit-midpoint row
-iterates to its own tolerance; Picard flows row by row), as the witness
-search and the flow Jacobian do.  ``interaction_samples`` samples
-e^{-tL}Phi_t(c) - c at each segment end of one such pass, for
-``nonlinear_part`` and the smoothing ratio.  A row that turns non-finite
-stops the loop with a ``FlowError``.
-
-``integrate_taped`` runs the loop with a tape, into which the product
-kernel's inverse FFT writes the grid values of each rk4 stage input (or of
-each converged implicit midpoint), and ``adjoint_batch`` runs the discrete
-adjoint of the step map backwards over it: one reverse pass pulls a
-cotangent at the horizon back to the initial rows, which is how the witness
-search takes its gradients.  The implicit midpoint's transpose is the same
-implicit solve with the adjoint right-hand side: one fixed-point solver.
-
 Sign conventions are pinned operationally: the time derivative of the free
 evolution at t = 0 equals the linear part of ``rhs``, and
 rhs(cos x) = (1/2) sin x + (1/10) sin 2x.
@@ -313,11 +282,8 @@ def _padded(state: TrigState, cfg: FlowConfig, op: str) -> TrigState:
 def rhs(state: TrigState, cfg: FlowConfig) -> TrigState:
     """Right-hand side -dx (1-dxx)^{-1} P_N(u + u^2/2) of the truncated system.
 
-    The product u^2 is evaluated on a grid large enough that no alias lands
-    on the kept modes.  Mode by mode the output pair is
-    (phi(k) beta_k, -phi(k) alpha_k) where (alpha_k, beta_k) are the
-    coefficients of -(u + u^2/2); concretely rhs(cos x) =
-    (1/2) sin x + (1/10) sin 2x.
+    Mode by mode the output pair is (phi(k) beta_k, -phi(k) alpha_k), where (alpha_k, beta_k)
+    are the coefficients of -(u + u^2/2).
     """
     ops = _VecOps.of(cfg)
     c = ops.pad(_padded(state, cfg, "rhs").row)
@@ -573,27 +539,23 @@ def integrate(state: TrigState, t_span: float, cfg: FlowConfig, trace_every: int
 
     The step count is ceil(|t_span| / dt) with the actual step shrunk to land
     exactly on the horizon.  With trace_every = k > 0 the invariants
-    (I1, I2, H) are recorded every k steps plus at both endpoints.  Raises
-    FlowError when the solver fails or the state turns non-finite.
+    (I1, I2, H) are recorded every k steps plus at both endpoints.  The
+    tolerated mean (at most spectral.MEAN_TOL) is not flowed but kept, on the
+    final state and in every trace row.  Raises FlowError when the solver
+    fails or the state turns non-finite.
     """
+    if trace_every < 0:
+        raise ValueError(f"trace_every must be >= 0, got {trace_every}")
     state = _padded(state, cfg, "integrate")
-    if t_span == 0.0:
-        tr = ((0.0,) + invariants_of(state),) if trace_every else ()
-        return FlowResult(final=state, trace=tuple(tr), steps=0)
-
-    ops = _VecOps.of(cfg)
     trace = [(0.0,) + invariants_of(state)] if trace_every else []
 
     def record(t: float, row: np.ndarray) -> None:
-        trace.append((t,) + invariants_of(TrigState.from_row(row)))
+        trace.append((t,) + invariants_of(TrigState.from_row(row, state.mean)))
 
-    y, n_steps, picard_diffs = _advance(ops, state.row, t_span, cfg, trace_every, record)
-    return FlowResult(
-        final=TrigState.from_row(y),
-        trace=tuple(trace),
-        steps=n_steps,
-        picard_diffs=tuple(picard_diffs),
-    )
+    y, n_steps, picard_diffs = _advance(_VecOps.of(cfg), state.row, t_span, cfg, trace_every,
+                                        record)
+    return FlowResult(TrigState.from_row(y, state.mean), tuple(trace), n_steps,
+                      tuple(picard_diffs))
 
 
 def _check_rows(c: np.ndarray, cfg: FlowConfig, op: str = "integrate_batch") -> None:
@@ -656,10 +618,8 @@ def tape_shape(t_span: float, cfg: FlowConfig) -> tuple[int, int, int]:
 def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.ndarray, np.ndarray]:
     """integrate_batch's final rows, bit for bit, and the tape adjoint_batch reads.
 
-    The tape, of shape (batch, *tape_shape(t_span, cfg)), holds per row and
-    step the padded-grid values of each rk4 stage input, written there by
-    the product kernel's inverse FFT, or of the implicit midpoint's
-    converged midpoint (y + z)/2.
+    The tape, of shape (batch, *tape_shape(t_span, cfg)), holds per row and step the padded-grid
+    values of each rk4 stage input, or of the implicit midpoint's converged midpoint (y + z)/2.
     """
     _check_rows(c, cfg, "integrate_taped")
     tape = np.empty((len(c),) + tape_shape(t_span, cfg))

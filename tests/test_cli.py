@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bbmlab import cli, estimates, flow, squeeze
+from bbmlab import __version__, cli, estimates, flow, squeeze
 from bbmlab.cli import main
 from bbmlab.io import read_state_csv, write_manifest, write_state_csv
 from bbmlab.sampling import smooth_profile
@@ -349,6 +349,19 @@ amplitude = 50
         assert np.max(np.abs(final.a - expect.a)) == 0.0
         out = capsys.readouterr().out
         assert "drift" in out and "0.000e+00" in out
+
+    def test_tolerated_mean_kept_in_outputs(self, tmp_path, monkeypatch, capsys):
+        # The flow used to drop the mean after its first step: "I1 drift: 6.283e-13
+        # (relative 1.000e+00)" and a final_state.csv with mean 0.
+        path = tmp_path / "state.csv"
+        path.write_text("k,a_k,b_k\n0,1e-13,0\n1,0.5,0\n")
+        text = SIMULATE_T0.replace("preset = smooth", f"csv = {path}").replace("T = 0.0", "T = 0.1")
+        code, outdir = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 0
+        assert read_state_csv(outdir / "final_state.csv").mean == 1e-13
+        trace = np.loadtxt(outdir / "trace.csv", delimiter=",", skiprows=1)
+        assert len(trace) == 11 and np.all(trace[:, 1] == trace[0, 1])
+        assert "I1 drift: 0.000e+00 (relative 0.000e+00)" in capsys.readouterr().out
 
     def test_missing_required_key_exits_2(self, tmp_path, monkeypatch, capsys):
         text = SIMULATE_T0.replace("N = 16\n", "")
@@ -1045,6 +1058,21 @@ def as_read(text):
         return json.loads(f"[{text}]" if "," in text else text)
     except json.JSONDecodeError:
         return text
+
+
+def test_artifact_version_is_the_project_version(tmp_path):
+    # The manifest's artifact_version is bbmlab.__version__, which nothing tied to pyproject.toml.
+    text = (CONFIGS.parent / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        project = re.search(r'^\[project\]$(.*?)^\[', text, re.M | re.S).group(1)
+        version = re.search(r'^version = "(.*)"$', project, re.M).group(1)
+    else:
+        version = tomllib.loads(text)["project"]["version"]
+    write_manifest(tmp_path / "manifest.json", "simulate", {}, 0, [])
+    assert __version__ == version
+    assert json.loads((tmp_path / "manifest.json").read_text())["artifact_version"] == version
 
 
 class TestDriver:

@@ -171,6 +171,20 @@ class TestIntegrate:
             assert res.trace == ((0.0,) + invariants_of(u),)
             assert _same_bits(integrate_batch(rows, 0.0, cfg), rows)
 
+    @pytest.mark.parametrize("t_span", [0.0, 0.3, -0.3])
+    def test_tolerated_mean_kept_on_final_state_and_trace(self, t_span):
+        # The mean used to survive only a zero horizon: the first traced step read I1 = 0.
+        v = random_state(5, 8)
+        res = integrate(TrigState(1e-13, v.a, v.b), t_span, FlowConfig(N=8, dt=0.1), trace_every=1)
+        assert res.final.mean == 1e-13
+        assert [row[1] for row in res.trace] == [2.0 * math.pi * 1e-13] * (res.steps + 1)
+
+    @pytest.mark.parametrize("trace_every", [-1, -3])
+    def test_negative_trace_every_rejected(self, trace_every):
+        # -3 used to trace every third step.
+        with pytest.raises(ValueError, match=f"^trace_every must be >= 0, got {trace_every}$"):
+            integrate(random_state(1, 8), 0.5, FlowConfig(N=8, dt=0.1), trace_every=trace_every)
+
     def test_cross_method_agreement(self):
         u0 = TrigState.single_mode(1, 32, a_k=0.1) + TrigState.single_mode(2, 32, b_k=0.1)
         finals = [
