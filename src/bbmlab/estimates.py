@@ -205,7 +205,9 @@ def estimate_constant(
         raise ValueError(f"unknown sampler {sampler!r}")
     if not n_sweep:
         raise ValueError("N_list must name at least one truncation")
-    for n_modes in n_sweep:
+    for i, n_modes in enumerate(n_sweep):
+        if n_sweep.index(n_modes) < i:
+            raise ValueError(f"N_list must not repeat an entry, got N = {n_modes} twice")
         if not 1 <= n_modes <= MAX_MODES:
             raise ValueError(f"N_list entry N = {n_modes} outside 1..{MAX_MODES}")
         if sampler == "adversarial" and n_modes < 2:

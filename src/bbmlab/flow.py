@@ -165,21 +165,20 @@ class _VecOps:
     are np.fft's norm="forward" ones times 0.5, 1 and 2, and pocketfft applies each as one final
     multiply, so the kernel is exact against np.fft at its own scalings.  phi, gen, dual, zw and
     mask are 0 at bin 0 and above N, so multiplying by them projects a product onto 1..N.
-    ``bind`` hands out the kernels, once per row shape.
+    ``bind`` hands out the kernels, once per flow.
     """
 
     def __init__(self, n: int, linear_only: bool = False):
-        self.n, self.modes, self.linear_only = n, slice(1, n + 1), linear_only
+        self.modes, self.linear_only = slice(1, n + 1), linear_only
         self.m_pad, self.phi, self.zw, self.gen, self.dual, self.mask, self._fft = _tables(n)
-        self._rows, self._tiled = np.empty((0, self.m_pad)), None  # the workspace, by row capacity
 
     @classmethod
     def of(cls, cfg: FlowConfig) -> "_VecOps":
         return cls(cfg.N, cfg.linear_only)
 
-    def pad(self, c: np.ndarray, dtype=complex) -> np.ndarray:
+    def pad(self, c: np.ndarray) -> np.ndarray:
         """A new array holding the rows c, shape (..., N), in the padded layout."""
-        y = np.zeros(c.shape[:-1] + (self.m_pad // 2 + 1,), dtype)
+        y = np.zeros(c.shape[:-1] + (self.m_pad // 2 + 1,), complex)
         y[..., self.modes] = c
         return y
 
@@ -193,18 +192,15 @@ class _VecOps:
         next(slots), a tape's rows; rhs_adjoint(lam, u, out): the transpose of the rhs's derivative
         at grid rows u, lam -> mu + P_N(u w) with mu = i phi lam and w its grid values, in the
         pairing Re sum conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring d in place; gen,
-        dual, mask: L, its transpose i phi and 1 on 1..N; bind: this method.  out overlaps no input.
-        The grid workspace and the symbols tiled to a batch (numpy's contiguous loops, bit for bit)
-        grow with row capacity, and a smaller batch takes their leading rows.
+        dual, mask: L, its transpose i phi and 1 on 1..N.  out overlaps no input.  Each call
+        allocates its own grid workspace and tiles the symbols to the batch (numpy's contiguous
+        loops, bit for bit).
         """
-        rows, shape = math.prod(lead), lead + (self.m_pad // 2 + 1,)
-        if len(self._rows) < rows:
-            self._rows, self._tiled = np.empty((rows, self.m_pad)), None
-        symbols = (self.gen, self.dual, self.mask, self.zw)
-        if lead and self._tiled is None:  # row 0 of each table, taken once per row of capacity
-            self._tiled = [t[None].take(np.zeros(len(self._rows), int), axis=0) for t in symbols]
-        gen, dual, mask, zw = [t[:rows].reshape(shape) for t in self._tiled] if lead else symbols
-        grid = self._rows[:rows].reshape(lead + (self.m_pad,))
+        shape, rows = lead + (self.m_pad // 2 + 1,), np.zeros(lead, int)
+        # Row 0 of each table, taken once per row.
+        gen, dual, mask, zw = [t[None].take(rows, axis=0) for t in
+                               (self.gen, self.dual, self.mask, self.zw)]
+        grid = np.empty(lead + (self.m_pad,))
         squares, tmp = np.empty(shape), np.empty(shape, complex)  # znorm's and rhs_adjoint's
         irfft, half, (rfft, one, two) = IRFFT, _HALF.real, self._fft
         add, multiply, reduce, sqrt = np.add, np.multiply, np.add.reduce, np.sqrt
@@ -252,7 +248,7 @@ class _VecOps:
             rhs = functools.partial(multiply, gen)
         return SimpleNamespace(square_half=square_half, product=product, nonlinear=nonlinear,
                                flux=flux, rhs=rhs, taped=taped, rhs_adjoint=rhs_adjoint,
-                               znorm=znorm, gen=gen, dual=dual, mask=mask, bind=self.bind)
+                               znorm=znorm, gen=gen, dual=dual, mask=mask)
 
     def free(self, c: np.ndarray, t, out=None) -> np.ndarray:
         """Free rotation by t, into out (not overlapping c) if given.
@@ -295,10 +291,11 @@ def free_evolution(state: TrigState, t: float) -> TrigState:
 
     a_k(t) = a_k cos - b_k sin, b_k(t) = a_k sin + b_k cos; every H^s norm
     is preserved exactly, and d/dt at t = 0 matches the linear part of rhs.
+    The tolerated mean (at most spectral.MEAN_TOL) is fixed by the group and kept.
     """
     require_mean_zero(state, "free_evolution")
     ops = _VecOps(state.n_modes)
-    return TrigState.from_row(ops.free(ops.pad(state.row), t)[ops.modes])
+    return TrigState.from_row(ops.free(ops.pad(state.row), t)[ops.modes], state.mean)
 
 
 def rk4_coefficients(dt: float, symbol, linear: bool = False) -> tuple:
@@ -334,54 +331,53 @@ def rk4_step(p, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
     add(y, add(p1, multiply(third, add(p2, p3, out=p2), out=p2), out=p1), out=y)
 
 
-def _midpoint_solve(kernels, g_of, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
+def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
     """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
-    rhs); dt is a 0-d complex array.  g_of(kernels, rows) is g(x, out) for x standing for the
-    rows `rows` of y, on kernels bound to them.  A row stops once the Z norm of its change is at
-    most tol (a number, or one per row) or is not finite.  All rows iterate on y itself until
-    one stops; then the moving ones are gathered into leading rows of work, (5, *y.shape), and
-    the kernels rebound.  Returns z, in work[0], and the indices and last changes of the rows
-    still moving after _MIDPOINT_MAX_ITER; the callers discard those rows of z.
+    rhs); dt is a 0-d complex array.  g(x, out) and znorm are kernels bound to y's rows, and
+    work holds at least three arrays of y's shape.  A row stops once the Z norm of its change is
+    at most tol (a number, or one per row) or is not finite.  Every row stays in place: while
+    none has stopped the iterates swap buffers, and after the first stop only the moving rows
+    take the new iterate.  Returns z, in one of work's first three arrays, the mask of the rows
+    still moving after _MIDPOINT_MAX_ITER (the callers discard those rows of z) and the last
+    changes.
     """
-    z, ya, za, mid, f = work
-    g, znorm = g_of(kernels, slice(None)), kernels.znorm
+    z, mid, f = work[:3]
     np.add(y, np.multiply(dt, g(y, f), out=z), out=z)
-    active, y_k, z_k, f_k, mid_k, tol_k = np.arange(len(y)), y, z, f, mid, tol
+    still = None  # the rows still moving once one has stopped; None while none has
     for _ in range(_MIDPOINT_MAX_ITER):
-        np.multiply(_HALF, np.add(y_k, z_k, out=mid_k), out=mid_k)
-        np.add(y_k, np.multiply(dt, g(mid_k, f_k), out=f_k), out=f_k)
-        delta = znorm(np.subtract(f_k, z_k, out=mid_k))
-        z_k, f_k = f_k, z_k
-        moving = delta > tol_k
-        if moving.all() and moving.size:
-            continue
-        z[active] = z_k
-        active = active[moving]
-        if not active.size:
+        np.multiply(_HALF, np.add(y, z, out=mid), out=mid)
+        np.add(y, np.multiply(dt, g(mid, f), out=f), out=f)
+        delta = znorm(np.subtract(f, z, out=mid))
+        moving = delta > tol
+        if still is None:
+            z, f = f, z
+        else:
+            # A stopped row never takes another iterate: its recomputed change can exceed tol
+            # again at the rounding floor.
+            moving &= still
+            np.copyto(z, f, where=still[..., None])
+        left = np.count_nonzero(moving)  # not .any() or .all(): a quarter of their time
+        if not left:
             break
-        kernels = kernels.bind((active.size,))
-        g, znorm = g_of(kernels, active), kernels.znorm
-        y_k = np.take(y, active, axis=0, out=ya[:active.size])
-        z_k = np.take(z, active, axis=0, out=za[:active.size])
-        f_k, mid_k = f[:active.size], mid[:active.size]
-        tol_k = tol[active] if isinstance(tol, np.ndarray) else tol
-    return z, active, delta[moving]
+        still = moving if left < moving.size else None
+    return z, moving, delta
 
 
 def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
                    work: np.ndarray, tape=None) -> None:
-    """One implicit-midpoint step of 0-d complex length dt, in place on the (rows, bins) y.
+    """One implicit-midpoint step of 0-d complex length dt, in place on the rows y.
 
-    kernels are bound to y's rows, and work is _midpoint_solve's.  A stalled solve raises
-    FlowError.  Given tape, a (rows, m_pad) array, the midpoints' grid values go into it.
+    kernels are bound to y's rows, and work, (5, *y.shape), holds _midpoint_solve's arrays and
+    the tape's midpoints.  A stalled solve raises FlowError.  Given tape, of y's row shape and
+    m_pad grid points, the midpoints' grid values go into it.
     """
-    z, stalled, residual = _midpoint_solve(kernels, lambda k, rows: k.rhs, y, dt, tol, work)
-    if stalled.size:
+    z, stalled, residual = _midpoint_solve(kernels.rhs, kernels.znorm, y, dt, tol, work)
+    if stalled.any():
         raise FlowError(
             f"implicit midpoint solver stalled at step {step_no}: "
-            f"residual {float(np.max(residual)):.3e} > tol {tol:.3e}"
+            f"residual {float(np.max(residual[stalled])):.3e} > tol {tol:.3e}"
         )
     if tape is not None:
         mid = np.multiply(_HALF, np.add(y, z, out=work[3]), out=work[3])
@@ -500,8 +496,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     if cfg.integrator != "picard":  # which binds its own node rows
         # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
         work, step = np.empty((5,) + y.shape, complex), np.array(dt, complex)
-        y2, work2 = y.reshape(-1, y.shape[-1]), work.reshape(5, -1, y.shape[-1])  # the midpoint's
-        kernels = ops.bind(y2.shape[:-1] if cfg.integrator == "implicit_midpoint" else y.shape[:-1])
+        kernels = ops.bind(y.shape[:-1])
         if cfg.integrator == "rk4":
             coef = rk4_coefficients(dt, kernels.gen, cfg.linear_only)
         # rk4's P, writing the tape's rows in the order the stages are taken, step by step.
@@ -514,7 +509,7 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             if cfg.integrator == "rk4":
                 rk4_step(f, y, coef, work)
             elif cfg.integrator == "implicit_midpoint":
-                _midpoint_step(kernels, y2, step, cfg.midpoint_tol, i + 1, work2,
+                _midpoint_step(kernels, y, step, cfg.midpoint_tol, i + 1, work,
                                None if tape is None else tape[:, i, 0])
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
@@ -667,12 +662,8 @@ def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarr
     until its change is at most 2 tol |lam|_Z (a cotangent has no scale of its own); a row that
     stalls is set to nan, which fails its start.  kernels and work as in _rk4_adjoint_step.
     """
-    def adjoint_rhs(bound, rows):
-        u_k = u[rows]
-        return lambda x, out: bound.rhs_adjoint(x, u_k, out)
-
-    nu, stalled, _ = _midpoint_solve(kernels, adjoint_rhs, lam, dt,
-                                     2.0 * tol * kernels.znorm(lam.copy()), work[:5])
+    nu, stalled, _ = _midpoint_solve(lambda x, out: kernels.rhs_adjoint(x, u, out), kernels.znorm,
+                                     lam, dt, 2.0 * tol * kernels.znorm(lam.copy()), work)
     nu[stalled] = np.nan
     np.copyto(lam, nu)
 

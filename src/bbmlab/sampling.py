@@ -125,6 +125,8 @@ def sobolev_ball_rows(draws: np.ndarray, reg: float, radius: float,
     regularity, which is where the bilinear estimates are tightest; pass a
     larger `decay` for smoother draws.
     """
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     n_modes = draws.shape[-1]
     if n_modes < 1:
         raise ValueError("truncation must be at least 1")
@@ -151,6 +153,8 @@ def sobolev_ball_state(rng: np.random.Generator, n_modes: int, reg: float, radiu
 
 def z_sphere_row(rng: np.random.Generator, radius: float, n_modes: int, n_active: int) -> np.ndarray:
     """Row (n_modes,) of a uniform direction on the Z sphere of the first n_active mode pairs."""
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
     if not 1 <= n_active <= n_modes:
         raise ValueError(f"n_active = {n_active} outside 1..{n_modes}")
     # The norm sums over all n_modes pairs, zeros included, as the draw always has.

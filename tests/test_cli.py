@@ -295,6 +295,15 @@ amplitude = 50
         assert f"more than flow.MAX_STEPS = {flow.MAX_STEPS}" in err
         assert not outdir.exists()
 
+    def test_negative_radius_exits_2_before_the_outdir(self, tmp_path, monkeypatch, capsys):
+        # Used to run to exit 0 with a state of H^{1/2} norm 2, recording radius -2 in the
+        # manifest.
+        text = SIMULATE_T0.replace("preset = smooth", "preset = random_ball\nradius = -2")
+        code, outdir = run(tmp_path, monkeypatch, "simulate", text)
+        assert code == 2
+        assert "bbmlab simulate: radius must be >= 0, got -2.0" in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_picard_panel_count_above_cap_exits_2_before_any_node(self, tmp_path, monkeypatch,
                                                                    capsys):
         # One Picard subinterval of length 1e300 used to ask numpy for 8e300
@@ -461,6 +470,8 @@ N_list = 16
         # Used to fail allocating the wavenumbers with a numpy traceback (exit 1).
         ("N_list", "16, 10000000000000", f"N_list entry N = 10000000000000 outside 1..{MAX_MODES}"),
         ("N_list", "", "[estimates] N_list must list at least one value"),
+        # Used to sample N = 16 twice, write one CSV row and record [16, 16] in the manifest.
+        ("N_list", "16, 16", "N_list must not repeat an entry, got N = 16 twice"),
         # Used to sample until a timeout.
         ("n_samples", "100000000000", "n_samples must be <= 1000000 (estimates.MAX_SAMPLES), "
                                       "got 100000000000"),
@@ -869,14 +880,18 @@ class Started(Exception):
     """Raised in place of the first step, draw or sample of a run whose config passed."""
 
 
-def within_cap(command, key, text):
-    """Whether the work a passed value asks for stays within its cap."""
+def within_cap(command, section, key, path):
+    """Whether the work the config at path asks for stays within its cap.
+
+    The value is read as the CLI reads it: `dt = 1 #` is dt = 1, its inline comment dropped.
+    """
+    value = cli._Cfg(path).get(section, key, cli._float if key == "dt" else cli._int)
     if key == "dt":
         t_span = float(FUZZ_CONFIGS[command][command if command == "squeeze" else "flow"]["T"])
-        return t_span / float(text) <= flow.MAX_STEPS
+        return t_span / value <= flow.MAX_STEPS
     if key == "n_starts":
-        return 1 <= int(text) <= squeeze.MAX_STARTS
-    return 1 <= int(text) <= estimates.MAX_SAMPLES
+        return 1 <= value <= squeeze.MAX_STARTS
+    return 1 <= value <= estimates.MAX_SAMPLES
 
 
 class TestConfigSchema:
@@ -1017,7 +1032,7 @@ class TestConfigSchema:
             try:
                 code = main([command, path])
             except Started:
-                assert within_cap(command, key, value), value
+                assert within_cap(command, section, key, path), value
                 return
         err = capsys.readouterr().err
         assert code == 2, err

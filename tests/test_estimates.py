@@ -203,6 +203,12 @@ class TestBatchedSweep:
             u = sobolev_ball_state(substream(9, n_modes, i, 0), n_modes, reg, radius, decay)
             assert np.array_equal(c[row], u.row)
 
+    def test_row_sampler_refuses_a_negative_radius(self):
+        draws = sweep_normals(9, 8, range(2))[:, 0]
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got -2\.0$"):
+            sobolev_ball_rows(draws, 0.5, -2.0)
+        assert np.all(sobolev_ball_rows(draws, 0.5, 0.0) == 0.0)
+
 
 class TestSmoothingRatio:
     def test_zero_horizon(self):

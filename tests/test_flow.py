@@ -151,6 +151,11 @@ class TestFreeEvolution:
         w = free_evolution(u, 1.2)
         assert np.max(np.abs(v.a - w.a)) < 1e-14
 
+    def test_tolerated_mean_kept(self):
+        u = TrigState(1e-13, [0.5, 0.1], [0.0, 0.2])
+        for t in (0.0, 0.7, -0.7):
+            assert free_evolution(u, t).mean == 1e-13
+
     @settings(max_examples=30, deadline=None)
     @given(trig_states())
     def test_isometry_property(self, u):
@@ -298,6 +303,22 @@ def _same_bits(x, y):
     return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
 
 
+def _stop_splits(monkeypatch):
+    """Per znorm call inside flow._midpoint_solve: whether its changes lie both above and at or
+    below the solve's tol, that is, whether some rows stop while others keep moving."""
+    splits, solve = [], flow._midpoint_solve
+
+    def watched(g, znorm, y, dt, tol, work):
+        def watched_znorm(d):
+            delta = znorm(d)
+            splits.append(bool(np.any(delta > tol)) and bool(np.any(delta <= tol)))
+            return delta
+        return solve(g, watched_znorm, y, dt, tol, work)
+
+    monkeypatch.setattr(flow, "_midpoint_solve", watched)
+    return splits
+
+
 def _pairing(x, y):
     """Re sum conj(x_k) y_k per row: the pairing the adjoint transposes in."""
     return np.sum(x.real * y.real + x.imag * y.imag, axis=-1)
@@ -381,25 +402,15 @@ class TestAdjoint:
 
     def test_reverse_rows_stopping_at_different_iterations_keep_their_bits(self, monkeypatch):
         # Cotangents on high and low modes converge after different numbers of iterations,
-        # so the reverse solve runs on all rows first and then on gathered subsets.
+        # so the reverse solve keeps iterating some rows after others have stopped.
         cfg = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint")
         c = rows_of([random_state(i, 12, radius=0.3) for i in range(6)])
         modes = (12, 1, 7, 2, 11, 4)
         lam = rows_of([TrigState.single_mode(k, 12, a_k=1.0, b_k=0.5) for k in modes])
         _, tape = integrate_taped(c, 0.4, cfg)
-        sizes = []
-        bind = flow._VecOps.bind
-
-        def counting_bind(ops, lead=()):
-            kernels = bind(ops, lead)
-            rhs_adjoint = kernels.rhs_adjoint
-            kernels.rhs_adjoint = lambda lam, u, out: (
-                sizes.append(len(lam)), rhs_adjoint(lam, u, out))[1]
-            return kernels
-
-        monkeypatch.setattr(flow._VecOps, "bind", counting_bind)
+        splits = _stop_splits(monkeypatch)
         pulled = adjoint_batch(tape, lam, 0.4, cfg)
-        assert len({size for size in sizes if size < 6}) > 1
+        assert any(splits)
         for i in range(6):
             assert _same_bits(pulled[i], adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.4, cfg)[0])
 
@@ -546,15 +557,15 @@ class TestPairRowReference:
         ):
             assert _same_bits(got.a, want[:n_modes]) and _same_bits(got.b, want[n_modes:])
 
-    def test_one_workspace_serves_every_shape(self):
+    def test_one_workspace_serves_every_shape(self, monkeypatch):
         # One _VecOps flows a 128-row rk4 batch, one row, a midpoint batch
-        # whose active rows shrink, then Picard nodes: its workspace follows
-        # every shape change and each result keeps the bits of a fresh one.
+        # whose rows stop at different iterations, then Picard nodes: it binds
+        # every shape and each result keeps the bits of a fresh one.
         # shapes holds the row shape of every binding of the kernels.
         n, t_span = 12, 0.4
         ops = flow._VecOps(n)
         bins = ops.m_pad // 2 + 1
-        shapes = []
+        shapes, splits = [], _stop_splits(monkeypatch)
         bind = ops.bind
         ops.bind = lambda lead=(): (shapes.append(lead + (bins,)), bind(lead))[1]
         states = [random_state(i, n, radius=10.0 ** (-4.0 + i / 32)) for i in range(128)]
@@ -568,22 +579,16 @@ class TestPairRowReference:
                 a, b = ref.integrate(u0, t_span, cfg.dt, integ, cfg.midpoint_tol)
                 assert _same_bits(TrigState.from_row(c).a, a)
                 assert _same_bits(TrigState.from_row(c).b, b)
-        # The 8-row midpoint batch shrinks as its rows converge, at different iterations.
-        midpoint_batches = {shape[0] for shape in shapes if len(shape) == 2 and shape[0] < 8}
-        assert len(midpoint_batches) > 1
-        # On a fresh workspace the shrinking midpoint batch takes leading rows of the buffers
-        # allocated for its first 8 rows: the same grid and tiled symbols at every active-set
-        # size.
+        # Each flow binds once, and the 8-row midpoint batch's rows converge at different
+        # iterations.
+        assert shapes == [(128, bins), (bins,), (8, bins)] and any(splits)
+        # On a fresh workspace too, some rows of the midpoint batch stop while others move.
         fresh = flow._VecOps(n)
-        seen = []
-        fresh_bind = fresh.bind
-        fresh.bind = lambda lead=(): (fresh_bind(lead),
-                                      seen.append((lead, fresh._rows, fresh._tiled)))[0]
+        splits.clear()
         cfg = FlowConfig(N=n, dt=0.1, integrator="implicit_midpoint")
         rows = rows_of(states[::16])
         got = flow._advance(fresh, rows, t_span, cfg)[0]
-        assert len({shape for shape, _, _ in seen}) > 1 and len(seen[0][1]) == 8
-        assert all(work is seen[0][1] and tiled is seen[0][2] for _, work, tiled in seen)
+        assert any(splits)
         for c, u0 in zip(got, map(TrigState.from_row, rows)):
             a, b = ref.integrate(u0, t_span, cfg.dt, "implicit_midpoint", cfg.midpoint_tol)
             assert _same_bits(TrigState.from_row(c).a, a) and _same_bits(TrigState.from_row(c).b, b)
@@ -786,6 +791,38 @@ class TestMidpointStall:
         for i in range(4):
             alone = adjoint_batch(tape[i:i + 1], lam[i:i + 1], 0.6, self.CFG)[0]
             assert np.isnan(alone).all() if stalled[i] else _same_bits(pulled[i], alone)
+
+
+class TestMidpointSolve:
+    """_midpoint_solve keeps every row in place, and a stopped row keeps its iterate."""
+
+    def test_stopped_row_keeps_its_iterate(self):
+        # y = 0 and dt = 1, so iterate j is g's j-th output F_j (the Euler guess is F_0).  Row 0
+        # stops at iteration 2 and then reports a change above tol; row 1 stops at iteration 4.
+        y, work = np.zeros((2, 3), complex), np.empty((3, 2, 3), complex)
+        outputs = iter([np.full((2, 3), j + 10.0 * np.arange(2)[:, None]) for j in range(5)])
+        changes = iter(np.array(d) for d in ([2.0, 2.0], [0.5, 2.0], [5.0, 2.0], [5.0, 0.5]))
+        z, stalled, last = flow._midpoint_solve(lambda x, out: np.add(next(outputs), 0, out=out),
+                                                lambda d: next(changes), y,
+                                                np.array(1.0, complex), 1.0, work)
+        assert next(outputs, None) is None and next(changes, None) is None
+        assert np.all(z[0] == 2.0) and np.all(z[1] == 14.0)
+        assert not stalled.any() and last.tolist() == [5.0, 0.5]
+
+    def test_midpoint_flow_and_its_transpose_bind_once(self, monkeypatch):
+        # Rows of very different sizes stop at different iterations, forward and in reverse.
+        cfg = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint")
+        c = rows_of([random_state(i, 12, radius=10.0 ** (-3.0 + i)) for i in range(4)])
+        lam = rows_of([TrigState.single_mode(k, 12, a_k=1.0) for k in (12, 1, 7, 2)])
+        leads, splits, bind = [], _stop_splits(monkeypatch), flow._VecOps.bind
+        monkeypatch.setattr(flow._VecOps, "bind",
+                            lambda ops, lead=(): (leads.append(lead), bind(ops, lead))[1])
+        _, tape = integrate_taped(c, 0.6, cfg)
+        assert leads == [(4,)] and any(splits)
+        leads.clear()
+        splits.clear()
+        adjoint_batch(tape, lam, 0.6, cfg)
+        assert leads == [(4,)] and any(splits)
 
 
 class TestZNorm:

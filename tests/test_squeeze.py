@@ -47,6 +47,11 @@ class TestSampleSphere:
         assert np.max(np.abs(q[1:])) == 0.0
         assert abs(math.hypot(p[0], q[0]) - 1.0) < 1e-12
 
+    def test_negative_radius_refused_zero_allowed(self):
+        with pytest.raises(ValueError, match=r"^radius must be >= 0, got -2\.0$"):
+            z_sphere_row(substream(2, 0), -2.0, 8, 8)
+        assert np.all(z_sphere_row(substream(2, 0), 0.0, 8, 8) == 0.0)
+
     def test_direction_symmetry(self):
         draws = np.array(
             [to_symplectic(z_sphere_state(substream(3, i), 1.0, 8, 4))[0] for i in range(10000)]
