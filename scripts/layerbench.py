@@ -5,7 +5,10 @@
 
 Each layer is one call of a kernel on the same inputs every time: the bound rhs at N =
 32, 64 and 128 on 1 and 16 rows, one rk4 step (N = 64, one row), one implicit midpoint step
-(N = 32, one row, and N = 8 on the 64 bumped rows of a flow Jacobian), one Picard subinterval
+(N = 32, one row, and N = 8 on the 64 bumped rows of a flow Jacobian), the whole midpoint flow
+of those 64 rows over T = 0.25 under the certify workload's config (dt = 5e-3, midpoint_tol =
+1e-13) and its reverse pass, whose later steps start their solves from the steps before and
+so show what a single first step cannot, one Picard subinterval
 (N = 32, length 1) on a kept workspace, a whole one-subinterval Picard integrate (N = 32, h =
 1: a fresh workspace and binding, as in the certify workload's Picard experiments), one
 integrate over T = 1 (N = 64, one row, dt = 1e-3: the serial flow of `bbmlab simulate`), a
@@ -125,11 +128,21 @@ def layers(flow, sampling, estimates, squeeze) -> dict:
     # A flow Jacobian's batch: 8 modes' real and imaginary parts bumped by +-1e-4 and +-5e-5.
     jac_ops = flow._VecOps(8)
     bumps = np.concatenate([np.eye(8), 1j * np.eye(8)])
-    y_jac = jac_ops.pad(rows(8, 1)[0] + np.concatenate(
-        [sign * h * bumps for h in (1e-4, 5e-5) for sign in (1.0, -1.0)]))
+    c_jac = rows(8, 1)[0] + np.concatenate(
+        [sign * h * bumps for h in (1e-4, 5e-5) for sign in (1.0, -1.0)])
+    y_jac = jac_ops.pad(c_jac)
     jac_work, jac_dt = np.empty((5,) + y_jac.shape, complex), np.array(5e-3, complex)
     out["midpoint_step/N=8/rows=64"] = (from_start(y_jac, midpoint_step(
         jac_ops, y_jac, jac_dt, 1e-13, jac_work)), 50)
+    # The whole flow of that batch under the certify workload's config, and the reverse pass
+    # of the same flow with the 16 unit cotangents on each of its four bump blocks.
+    jac_cfg = flow.FlowConfig(N=8, dt=5e-3, integrator="implicit_midpoint", midpoint_tol=1e-13)
+    out["integrate_midpoint/N=8/rows=64/T=0.25"] = (
+        lambda: flow.integrate_batch(c_jac, 0.25, jac_cfg), 3)
+    _, jac_tape = flow.integrate_taped(c_jac, 0.25, jac_cfg)
+    jac_lam = np.tile(bumps, (4, 1))
+    out["adjoint_batch_midpoint/N=8/rows=64/T=0.25"] = (
+        lambda: flow.adjoint_batch(jac_tape, jac_lam, 0.25, jac_cfg), 3)
     y_picard = mid_ops.pad(rows(32, 1, radius=1.0)[0])
     out["picard_subinterval/N=32/h=1"] = (
         lambda: flow._picard_subinterval(mid_ops, y_picard, 1.0, flow._PICARD_TOL, 200, 0.0), 5)

@@ -26,7 +26,7 @@ from dataclasses import MISSING
 
 from . import io as bio
 from .estimates import DEFAULT_N_SWEEP, estimate_constant, radial_orbit
-from .flow import FlowConfig, FlowError, _step_count, galerkin_defect, integrate
+from .flow import FlowConfig, FlowError, _step_count, galerkin_defect, integrate, nonlinear_part
 from .sampling import smooth_profile, sobolev_ball_state, substream
 from .spectral import MAX_MODES, TrigState, sobolev_norm, z_norm
 from .squeeze import SqueezeConfig, _center_state, maximize_image_radius
@@ -284,7 +284,9 @@ def cmd_galerkin(cfg: _Cfg, seed: int):
     u0 = _initial_state(cfg, fcfg.N, seed)
 
     def run(outdir):
-        rows = [(n_small, galerkin_defect(u0, horizon, n_small, fcfg)) for n_small in n_small_list]
+        full = nonlinear_part(u0, horizon, fcfg)
+        rows = [(n_small, galerkin_defect(u0, horizon, n_small, fcfg, full))
+                for n_small in n_small_list]
         return [_csv(outdir, "galerkin.csv", bio.write_galerkin_csv, rows)], [
             f"galerkin: defect(N={n_small}) = {defect:.6e} against reference N = {fcfg.N}"
             for n_small, defect in rows
@@ -356,7 +358,14 @@ def main(argv=None) -> int:
     except FlowError as exc:
         print(f"bbmlab {args.command}: integration failed: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(lines))
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout after every output was written: the run succeeded, and
+        # stdout now points at the null device, so the exit flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

@@ -331,20 +331,34 @@ def rk4_step(p, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
     add(y, add(p1, multiply(third, add(p2, p3, out=p2), out=p2), out=p1), out=y)
 
 
-def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple:
-    """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration from Euler's guess.
+def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work: np.ndarray, past=None) -> tuple:
+    """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
     rhs); dt is a 0-d complex array.  g(x, out) and znorm are kernels bound to y's rows, and
-    work holds at least three arrays of y's shape.  A row stops once the Z norm of its change is
-    at most tol (a number, or one per row) or is not finite.  Every row stays in place: while
-    none has stopped the iterates swap buffers, and after the first stop only the moving rows
-    take the new iterate.  Returns z, in one of work's first three arrays, the mask of the rows
-    still moving after _MIDPOINT_MAX_ITER (the callers discard those rows of z) and the last
-    changes.
+    work holds at least three arrays of y's shape.  The first iterate is y plus the next
+    increment extrapolated from past, the rows' increments z - y of the steps before, newest
+    first: Euler's dt g(y) with none, then d1, 2 d1 - d2 and, given three, 3 (d1 - d2) + d3
+    (the starting approximations of implicit Runge-Kutta steps).  A row stops once the Z norm
+    of its change is at most tol (a number, or one per row) or is not finite.  Every row stays
+    in place: while none has stopped the iterates swap buffers, and after the first stop only
+    the moving rows take the new iterate.  Returns z, in one of work's first three arrays, the
+    mask of the rows still moving after _MIDPOINT_MAX_ITER (the callers discard those rows of
+    z) and the last changes.
     """
     z, mid, f = work[:3]
-    np.add(y, np.multiply(dt, g(y, f), out=z), out=z)
+    if not past:
+        np.multiply(dt, g(y, f), out=z)
+    elif len(past) == 1:
+        np.copyto(z, past[0])
+    else:
+        np.subtract(past[0], past[1], out=z)
+        if len(past) == 2:
+            np.add(past[0], z, out=z)
+        else:  # 3 times each real part: a complex 3 would flip the sign of a zero part
+            np.multiply(3.0, z.view(float), out=z.view(float))
+            np.add(z, past[2], out=z)
+    np.add(y, z, out=z)
     still = None  # the rows still moving once one has stopped; None while none has
     for _ in range(_MIDPOINT_MAX_ITER):
         np.multiply(_HALF, np.add(y, z, out=mid), out=mid)
@@ -365,15 +379,22 @@ def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work: np.ndarray) -> tuple
     return z, moving, delta
 
 
+def _remember(past: list, z: np.ndarray, y: np.ndarray) -> None:
+    """Put the step's increment z - y first in past, which keeps the newest three."""
+    past.insert(0, np.subtract(z, y, out=past.pop() if len(past) == 3 else None))
+
+
 def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
-                   work: np.ndarray, tape=None) -> None:
+                   work: np.ndarray, tape=None, past=None) -> None:
     """One implicit-midpoint step of 0-d complex length dt, in place on the rows y.
 
     kernels are bound to y's rows, and work, (5, *y.shape), holds _midpoint_solve's arrays and
-    the tape's midpoints.  A stalled solve raises FlowError.  Given tape, of y's row shape and
-    m_pad grid points, the midpoints' grid values go into it.
+    the tape's midpoints.  The solve starts from the increments in past, the list of the steps
+    before in this segment, and adds this step's; without past, from Euler's guess.  A stalled
+    solve raises FlowError.  Given tape, of y's row shape and m_pad grid points, the midpoints'
+    grid values go into it.
     """
-    z, stalled, residual = _midpoint_solve(kernels.rhs, kernels.znorm, y, dt, tol, work)
+    z, stalled, residual = _midpoint_solve(kernels.rhs, kernels.znorm, y, dt, tol, work, past)
     if stalled.any():
         raise FlowError(
             f"implicit midpoint solver stalled at step {step_no}: "
@@ -382,6 +403,8 @@ def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: 
     if tape is not None:
         mid = np.multiply(_HALF, np.add(y, z, out=work[3]), out=work[3])
         IRFFT(mid, _HALF.real, out=tape)
+    if past is not None:
+        _remember(past, z, y)
     np.copyto(y, z)
 
 
@@ -484,14 +507,16 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     layout here and leave it on return and in record.  Takes ceil(|t_span| / dt) equal steps per
     segment, none for a zero horizon.  Every trace_every steps, and after the last, calls
     record(t, y).  Step i records into tape[:, i], if given, the grid values of its rk4 stage
-    inputs or midpoints.  Raises FlowError naming the step and time (and the row, for a batch) as
-    soon as a row turns non-finite.  Returns the final rows, the step count and the Picard X^0
-    differences per subinterval.  More than MAX_STEPS steps a segment are refused with a
-    ValueError, before anything is allocated.
+    inputs or midpoints.  A midpoint solve starts from the increments of the steps before it in
+    its segment, and from Euler's guess at a segment's first step, so each segment takes the
+    bits of a fresh flow from the rows it starts on.  Raises FlowError naming the step and time
+    (and the row, for a batch) as soon as a row turns non-finite.  Returns the final rows, the
+    step count and the Picard X^0 differences per subinterval.  More than MAX_STEPS steps a
+    segment are refused with a ValueError, before anything is allocated.
     """
-    n_steps = _step_count(t_span, cfg.dt)
-    dt, n_steps = t_span / max(n_steps, 1), n_steps * segments
-    picard_diffs = []
+    per_segment = _step_count(t_span, cfg.dt)
+    dt, n_steps = t_span / max(per_segment, 1), per_segment * segments
+    picard_diffs, past = [], []  # past: the midpoint increments of this segment's steps
     y = ops.pad(y)
     if cfg.integrator != "picard":  # which binds its own node rows
         # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
@@ -509,8 +534,10 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             if cfg.integrator == "rk4":
                 rk4_step(f, y, coef, work)
             elif cfg.integrator == "implicit_midpoint":
+                if not i % per_segment:
+                    past.clear()
                 _midpoint_step(kernels, y, step, cfg.midpoint_tol, i + 1, work,
-                               None if tape is None else tape[:, i, 0])
+                               None if tape is None else tape[:, i, 0], past)
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))
@@ -653,18 +680,21 @@ def _rk4_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, coef: tuple,
 
 
 def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
-                           tol: float, work: np.ndarray) -> None:
+                           tol: float, work: np.ndarray, past: list) -> None:
     """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
 
     u, of shape (rows, m_pad), holds the grid values of the converged midpoints.  The step's
     tangent map (I - dt/2 J)^{-1} (I + dt/2 J) has the transpose lam -> nu, nu = lam + dt
     A((lam + nu)/2) with A the adjoint rhs at u: the forward step's equation.  A row iterates
     until its change is at most 2 tol |lam|_Z (a cotangent has no scale of its own); a row that
-    stalls is set to nan, which fails its start.  kernels and work as in _rk4_adjoint_step.
+    stalls is set to nan, which fails its start.  The solve starts from past, the increments
+    nu - lam of the reverse steps before (Euler's guess at the pass's first), and adds this
+    step's, as _midpoint_step does.  kernels and work as in _rk4_adjoint_step.
     """
     nu, stalled, _ = _midpoint_solve(lambda x, out: kernels.rhs_adjoint(x, u, out), kernels.znorm,
-                                     lam, dt, 2.0 * tol * kernels.znorm(lam.copy()), work)
+                                     lam, dt, 2.0 * tol * kernels.znorm(lam.copy()), work, past)
     nu[stalled] = np.nan
+    _remember(past, nu, lam)
     np.copyto(lam, nu)
 
 
@@ -683,7 +713,7 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
     lam = ops.pad(np.asarray(lam))
     n_steps = tape.shape[1]
     dt = t_span / max(n_steps, 1)
-    work, step = np.empty((6,) + lam.shape, complex), np.array(dt, complex)
+    work, step, past = np.empty((6,) + lam.shape, complex), np.array(dt, complex), []
     kernels = ops.bind(lam.shape[:-1])
     if cfg.integrator == "rk4":
         coef = rk4_coefficients(dt, kernels.dual, cfg.linear_only)
@@ -692,7 +722,8 @@ def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowCon
             if cfg.integrator == "rk4":
                 _rk4_adjoint_step(kernels, tape[:, i], lam, coef, work)
             else:
-                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, step, cfg.midpoint_tol, work)
+                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, step, cfg.midpoint_tol, work,
+                                       past)
     return lam[..., ops.modes].copy()
 
 
@@ -723,16 +754,19 @@ def nonlinear_part(u0: TrigState, t_span: float, cfg: FlowConfig) -> TrigState:
     return TrigState.from_row(interaction_samples(c[None], t_span, 1, cfg)[0, 0])
 
 
-def galerkin_defect(u0: TrigState, t_span: float, n_small: int, cfg_ref: FlowConfig) -> float:
+def galerkin_defect(u0: TrigState, t_span: float, n_small: int, cfg_ref: FlowConfig,
+                    full: TrigState | None = None) -> float:
     """Z distance between the reference nonlinear part and its n_small truncation.
 
     The truncated system keeps only modes <= n_small of both the data and
     the quadratic term; the reference truncation plays the role of the full
-    flow.  Identical truncations give 0.
+    flow.  Identical truncations give 0.  full is nonlinear_part(u0, t_span,
+    cfg_ref) if already computed, so a sweep over n_small flows it once.
     """
     if n_small > cfg_ref.N:
         raise ValueError(f"n_small = {n_small} exceeds reference truncation {cfg_ref.N}")
-    full = nonlinear_part(u0, t_span, cfg_ref)
+    if full is None:
+        full = nonlinear_part(u0, t_span, cfg_ref)
     cfg_small = replace(cfg_ref, N=n_small)
     small = nonlinear_part(TrigState(u0.mean, u0.a[:n_small], u0.b[:n_small]), t_span, cfg_small)
     return z_norm(full - small)

@@ -513,8 +513,17 @@ class PairRowFlow:
         p4 = self.flux(y + self.linear(h, p3))
         return y + (self.linear(h / 6.0, p1 + p4) + self.linear(h / 3.0, p2 + p3))
 
-    def midpoint(self, y, h, tol):
-        z = y + h * self.rhs(y)
+    def midpoint(self, y, h, tol, past=()):
+        """The step's fixed point from the extrapolated increments past of the steps before,
+        newest first (flow._midpoint_solve's start), or from Euler's guess without them."""
+        if not past:
+            z = y + h * self.rhs(y)
+        elif len(past) == 1:
+            z = y + past[0]
+        elif len(past) == 2:
+            z = y + (past[0] + (past[0] - past[1]))
+        else:
+            z = y + (3.0 * (past[0] - past[1]) + past[2])
         for _ in range(100):
             z_new = y + h * self.rhs(0.5 * (y + z))
             d = z_new - z
@@ -524,11 +533,21 @@ class PairRowFlow:
                 return z
         raise RuntimeError("reference midpoint iteration stalled")
 
-    def integrate(self, state, t_span, dt, integrator="rk4", tol=1e-12):
-        """Final (a, b) after ceil(|t_span| / dt) equal steps from state, none at t_span = 0."""
+    def integrate(self, state, t_span, dt, integrator="rk4", tol=1e-12, extrapolate=True):
+        """Final (a, b) after ceil(|t_span| / dt) equal steps from state, none at t_span = 0.
+
+        Each midpoint step but the first starts from the increments of the (up to three) steps
+        before it; extrapolate=False starts every one from Euler's guess instead.
+        """
         n_steps = math.ceil(abs(t_span) / dt)
         h = t_span / max(n_steps, 1)
-        y = np.concatenate([state.a, state.b])
+        y, past = np.concatenate([state.a, state.b]), []
         for _ in range(n_steps):
-            y = self.rk4(y, h) if integrator == "rk4" else self.midpoint(y, h, tol)
+            if integrator == "rk4":
+                y = self.rk4(y, h)
+                continue
+            z = self.midpoint(y, h, tol, past)
+            if extrapolate:
+                past = [z - y] + past[:2]
+            y = z
         return y[:self.n], y[self.n:]

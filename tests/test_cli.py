@@ -400,6 +400,85 @@ amplitude = 50
         assert first == second
 
 
+class TestImplicitMidpoint:
+    """simulate and squeeze with integrator = implicit_midpoint."""
+
+    TEXT = SIMULATE_T0.replace("T = 0.0", "T = 0.2").replace(
+        "trace_every = 1", "trace_every = 5\nintegrator = implicit_midpoint")
+
+    def test_simulate_reruns_byte_identical_and_keeps_the_invariants(self, tmp_path,
+                                                                       monkeypatch):
+        outputs = []
+        for _ in range(2):
+            code, outdir = run(tmp_path, monkeypatch, "simulate", self.TEXT)
+            assert code == 0
+            outputs.append([(outdir / name).read_bytes()
+                            for name in ("trace.csv", "final_state.csv")])
+        assert outputs[0] == outputs[1]
+        rows = [[float(x) for x in line.split(",")]
+                for line in outputs[0][0].decode().splitlines()[1:]]
+        assert len(rows) == 5 and rows[-1][0] == pytest.approx(0.2)
+        first, last = rows[0], rows[-1]
+        # I1 is the mean, which no step touches; I2 is quadratic, which the midpoint rule keeps
+        # up to its solver's tolerance (midpoint_tol = 1e-12) a step.
+        assert last[1] == first[1]
+        assert abs(last[2] - first[2]) <= 20 * 1e-12 * first[2]
+
+    def test_squeeze_reruns_byte_identical(self, tmp_path, monkeypatch):
+        text = """
+[run]
+seed = 6
+[squeeze]
+r = 0.4
+n0 = 1
+T = 0.2
+N = 8
+n_starts = 3
+dt = 0.05
+max_ascent_iters = 3
+integrator = implicit_midpoint
+"""
+        outputs = []
+        for _ in range(2):
+            code, outdir = run(tmp_path, monkeypatch, "squeeze", text)
+            assert code == 0
+            outputs.append([(outdir / name).read_bytes()
+                            for name in ("squeeze.csv", "witness_state.csv")])
+        assert outputs[0] == outputs[1]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (bbmlab ... | head -1) costs the run nothing."""
+
+    TEXT = SIMULATE_T0.replace("T = 0.0", "T = 0.1")
+
+    def test_write_to_a_closed_pipe_exits_0_after_every_output(self, tmp_path, monkeypatch,
+                                                               capsys):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = os.fdopen(write_end, "w")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code, outdir = run(tmp_path, monkeypatch, "simulate", self.TEXT)
+        # What is left in the buffer now goes to the null device, as at the exit flush.
+        stdout.close()
+        monkeypatch.undo()
+        assert code == 0
+        for name in ("trace.csv", "final_state.csv", "manifest.json"):
+            assert (outdir / name).exists()
+        assert capsys.readouterr().err == ""
+
+    def test_fresh_interpreter_prints_no_traceback(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.ini", self.TEXT)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, BBMLAB_OUTDIR=str(tmp_path / "out"))
+        proc = subprocess.Popen([sys.executable, "-m", "bbmlab", "simulate", cfg],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # before the run prints its summary
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0 and err == b""
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+
 class TestEstimates:
     def test_admissible_run_emits_csv(self, tmp_path, monkeypatch):
         text = """
@@ -653,8 +732,7 @@ def test_orbit_value_outside_range_exits_2_before_any_orbit(tmp_path, monkeypatc
 
 
 class TestGalerkinAndOrbit:
-    def test_galerkin_sweep(self, tmp_path, monkeypatch):
-        text = """
+    GALERKIN = """
 [run]
 seed = 0
 [flow]
@@ -666,12 +744,25 @@ preset = smooth
 [galerkin]
 N_small_list = 4, 8
 """
-        code, outdir = run(tmp_path, monkeypatch, "galerkin", text)
+
+    def test_galerkin_sweep(self, tmp_path, monkeypatch):
+        code, outdir = run(tmp_path, monkeypatch, "galerkin", self.GALERKIN)
         assert code == 0
         lines = (outdir / "galerkin.csv").read_text().splitlines()
         assert lines[0] == "N_small,defect"
         defects = [float(line.split(",")[1]) for line in lines[1:]]
         assert defects[0] > defects[1]
+
+    def test_galerkin_sweep_flows_its_reference_once(self, tmp_path, monkeypatch):
+        truncations, samples = [], flow.interaction_samples
+
+        def watched(c, t_span, n_times, cfg):
+            truncations.append(cfg.N)
+            return samples(c, t_span, n_times, cfg)
+
+        monkeypatch.setattr(flow, "interaction_samples", watched)
+        code, _ = run(tmp_path, monkeypatch, "galerkin", self.GALERKIN)
+        assert code == 0 and truncations == [32, 4, 8]
 
     # An empty list used to exit 0 with a header-only CSV; N_small_list = 0, 8
     # read "N must be >= 1" and an entry above N "n_small = 64 exceeds

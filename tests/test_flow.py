@@ -29,7 +29,8 @@ from bbmlab.flow import (
     tape_shape,
 )
 from bbmlab.sampling import smooth_profile, sobolev_ball_rows, sobolev_ball_state, substream
-from bbmlab.spectral import MAX_MODES, TrigState, smooth_grid_size, sobolev_norm, synthesize_rows
+from bbmlab.spectral import (MAX_MODES, TrigState, smooth_grid_size, sobolev_norm,
+                             synthesize_rows, z_norm)
 
 from conftest import random_state, trig_states
 from oracles import (
@@ -308,12 +309,12 @@ def _stop_splits(monkeypatch):
     below the solve's tol, that is, whether some rows stop while others keep moving."""
     splits, solve = [], flow._midpoint_solve
 
-    def watched(g, znorm, y, dt, tol, work):
+    def watched(g, znorm, y, dt, tol, work, past=None):
         def watched_znorm(d):
             delta = znorm(d)
             splits.append(bool(np.any(delta > tol)) and bool(np.any(delta <= tol)))
             return delta
-        return solve(g, watched_znorm, y, dt, tol, work)
+        return solve(g, watched_znorm, y, dt, tol, work, past)
 
     monkeypatch.setattr(flow, "_midpoint_solve", watched)
     return splits
@@ -669,30 +670,50 @@ class TestFusedRk4:
         assert _same_bits(adjoint_batch(np.empty((3, 1, 4, 0)), c, 0.1, cfg), np.conj(r) * c)
 
 
-# sha256 of unchanged_outputs(), recorded before rk4 folded its linear symbol into the step
-# tables: the implicit midpoint forward, taped and in reverse, with and without linear_only,
-# its interaction samples, flow.rhs, and a Picard flow with its X^0 differences.
-UNCHANGED_DIGEST = "ad869dfba48f1976a357b0a2c7a02fea293851ad5760c777000eb28847f96be7"
+# sha256 of picard_and_rhs_outputs(): flow.rhs with and without linear_only, and a Picard flow
+# with its X^0 differences.  These outputs have kept their bits since before rk4 folded its
+# linear symbol into the step tables, and the midpoint's starting iterate does not touch them.
+UNCHANGED_DIGEST = "a30a82cb331590c93cbf30a0f760f6f1e12551bd991f290c3eb42780c8fe66e8"
+# sha256 of midpoint_outputs(), recorded when each midpoint solve began to start from the
+# extrapolated increments of the steps before it: the implicit midpoint forward, taped and in
+# reverse, with and without linear_only, and its interaction samples.
+MIDPOINT_DIGEST = "31e9fa6b14a2ef60330abc0f86cb9d094c70a9843942f995d9a4e59d935de939"
 
 
-def unchanged_outputs():
-    c, lam = (_draws(3, name, 4, 12) for name in ("digest", "digest-lam"))
+def _digest_inputs():
+    return tuple(_draws(3, name, 4, 12) for name in ("digest", "digest-lam"))
+
+
+def midpoint_outputs():
+    c, lam = _digest_inputs()
     outs = []
     for linear_only in (False, True):
         cfg = FlowConfig(N=12, dt=0.1, integrator="implicit_midpoint", linear_only=linear_only)
         final, tape = integrate_taped(c, 0.45, cfg)
         outs += [integrate_batch(c, 0.45, cfg), final, tape, adjoint_batch(tape, lam, 0.45, cfg),
-                 interaction_samples(c, -0.3, 3, cfg), rhs(TrigState.from_row(c[0]), cfg).row]
+                 interaction_samples(c, -0.3, 3, cfg)]
+    return outs
+
+
+def picard_and_rhs_outputs():
+    c, _ = _digest_inputs()
+    outs = [rhs(TrigState.from_row(c[0]), FlowConfig(N=12, dt=0.1, linear_only=linear_only)).row
+            for linear_only in (False, True)]
     u0 = sobolev_ball_state(substream(3, "digest-picard"), 16, 0.5, 1.0)
     res = integrate(u0, 1.5, FlowConfig(N=16, dt=0.75, integrator="picard"))
     return outs + [res.final.row, np.array([d for sub in res.picard_diffs for d in sub])]
 
 
-def test_midpoint_picard_and_rhs_keep_their_bits():
+def _sha256(outs):
     digest = hashlib.sha256()
-    for out in unchanged_outputs():
+    for out in outs:
         digest.update(np.ascontiguousarray(out).tobytes())
-    assert digest.hexdigest() == UNCHANGED_DIGEST
+    return digest.hexdigest()
+
+
+def test_midpoint_picard_and_rhs_keep_their_bits():
+    assert _sha256(picard_and_rhs_outputs()) == UNCHANGED_DIGEST
+    assert _sha256(midpoint_outputs()) == MIDPOINT_DIGEST
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -823,6 +844,47 @@ class TestMidpointSolve:
         splits.clear()
         adjoint_batch(tape, lam, 0.6, cfg)
         assert leads == [(4,)] and any(splits)
+
+    def test_extrapolated_start_takes_about_two_evaluations_a_step(self, monkeypatch):
+        # Criterion 4's N, dt, tol and state over T = 1, with its 16 bumped rows and their
+        # transpose.  Euler's start took 5.00 evaluations a step each way; the extrapolated
+        # increments take 2.03.
+        cfg = FlowConfig(N=8, dt=5e-3, integrator="implicit_midpoint", midpoint_tol=1e-13)
+        u0 = sobolev_ball_state(substream(7, "symp"), 8, 0.5, 0.5, decay=2.0)
+        basis = np.concatenate([np.eye(8), 1j * np.eye(8)])
+        calls, bind = {"rhs": 0, "rhs_adjoint": 0}, flow._VecOps.bind
+
+        def counted(kernels, name):
+            kernel = getattr(kernels, name)
+
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            setattr(kernels, name, call)
+
+        def watched_bind(ops, lead=()):
+            kernels = bind(ops, lead)
+            for name in calls:
+                counted(kernels, name)
+            return kernels
+
+        monkeypatch.setattr(flow._VecOps, "bind", watched_bind)
+        _, tape = integrate_taped(u0.row + 1e-4 * basis, 1.0, cfg)
+        adjoint_batch(tape, basis, 1.0, cfg)
+        steps = tape.shape[1]
+        assert steps == 200
+        assert calls["rhs"] / steps <= 2.1 and calls["rhs_adjoint"] / steps <= 2.1
+
+    @pytest.mark.parametrize("n, dt, t_span, tol", [(8, 5e-3, 1.0, 1e-13), (12, 0.1, 1.0, 1e-12),
+                                                    (16, 0.5, 5.0, 1e-12)])
+    def test_extrapolated_start_lands_on_the_euler_start_fixed_point(self, n, dt, t_span, tol):
+        # Only the first iterate moved, so each step ends within tol of the same fixed point.
+        cfg = FlowConfig(N=n, dt=dt, integrator="implicit_midpoint", midpoint_tol=tol)
+        u0 = sobolev_ball_state(substream(7, "symp"), n, 0.5, 0.5, decay=2.0)
+        got = integrate(u0, t_span, cfg).final
+        a, b = PairRowFlow(n).integrate(u0, t_span, dt, "implicit_midpoint", tol,
+                                        extrapolate=False)
+        assert 0.0 < z_norm(got - TrigState(0.0, a, b)) <= 1e-10
 
 
 class TestZNorm:

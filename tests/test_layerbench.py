@@ -14,6 +14,8 @@ LAYERS = {
     "rk4_step/N=64/rows=1",
     "midpoint_step/N=32/rows=1",
     "midpoint_step/N=8/rows=64",
+    "integrate_midpoint/N=8/rows=64/T=0.25",
+    "adjoint_batch_midpoint/N=8/rows=64/T=0.25",
     "picard_subinterval/N=32/h=1",
     "integrate_picard/N=32/h=1",
     "integrate/N=64/rows=1/T=1",
