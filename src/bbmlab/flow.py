@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import cycle
 from types import SimpleNamespace
 
 import numpy as np
@@ -189,12 +189,12 @@ class _VecOps:
         product in bins 0 and above N); product(c, u, out): that of u v, u grid rows; nonlinear(c,
         out): -dx (1-dxx)^{-1} (u^2/2); flux(c, out): P(c) = c + the row of v^2/2 (not 0 outside
         1..N); rhs(c, out): the right-hand side L P(c); taped(slots): flux writing v into
-        next(slots), a tape's rows; rhs_adjoint(lam, u, out): the transpose of the rhs's derivative
-        at grid rows u, lam -> mu + P_N(u w) with mu = i phi lam and w its grid values, in the
-        pairing Re sum conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring d in place; gen,
-        dual, mask: L, its transpose i phi and 1 on 1..N.  out overlaps no input.  Each call
-        allocates its own grid workspace and tiles the symbols to the batch (numpy's contiguous
-        loops, bit for bit).
+        next(slots), a stage's grid rows; rhs_adjoint(lam, u, out): the transpose of the rhs's
+        derivative at grid rows u, lam -> mu + P_N(u w) with mu = i phi lam and w its grid
+        values, in the pairing Re sum conj(lam_k) d_k; znorm(d): the Z norm of each row, squaring
+        d in place; gen, dual, mask: L, its transpose i phi and 1 on 1..N.  out overlaps no
+        input.  Each call allocates its own grid workspace and tiles the symbols to the batch
+        (numpy's contiguous loops, bit for bit).
         """
         shape, rows = lead + (self.m_pad // 2 + 1,), np.zeros(lead, int)
         # Row 0 of each table, taken once per row.
@@ -206,37 +206,40 @@ class _VecOps:
         add, multiply, reduce, sqrt = np.add, np.multiply, np.add.reduce, np.sqrt
 
         def square_half(c, out):
-            v = irfft(c, half, out=grid)
-            return rfft(multiply(v, v, out=grid), one, out=out)
+            v = irfft(c, half, grid)
+            return rfft(multiply(v, v, grid), one, out)
 
         def nonlinear(c, out):
-            return multiply(gen, square_half(c, out), out=out)
+            return multiply(gen, square_half(c, out), out)
+
+        def flux(c, out):
+            v = irfft(c, half, grid)
+            rfft(multiply(v, v, grid), one, out)
+            return add(c, out, out)
 
         def taped(slots):
             def flux(c, out):
-                v = irfft(c, half, out=next(slots))
-                rfft(multiply(v, v, out=grid), one, out=out)
-                return add(c, out, out=out)
+                v = irfft(c, half, next(slots))
+                rfft(multiply(v, v, grid), one, out)
+                return add(c, out, out)
             return flux
 
         def product(c, u, out):
-            w = irfft(c, half, out=grid)
-            return rfft(multiply(u, w, out=grid), two, out=out)
+            w = irfft(c, half, grid)
+            return rfft(multiply(u, w, grid), two, out)
 
         def rhs_adjoint(lam, u, out):
-            mu = multiply(dual, lam, out=out)
-            return add(mu, multiply(mask, product(mu, u, tmp), out=tmp), out=out)
+            mu = multiply(dual, lam, out)
+            return add(mu, multiply(mask, product(mu, u, tmp), tmp), out)
 
         def znorm(d):
             parts = d.view(float)
-            multiply(parts, parts, out=parts)
-            add(d.real, d.imag, out=squares)
-            return sqrt(reduce(multiply(zw, squares, out=squares), axis=-1))
-
-        flux = taped(repeat(grid))
+            multiply(parts, parts, parts)
+            add(d.real, d.imag, squares)
+            return sqrt(reduce(multiply(zw, squares, squares), axis=-1))
 
         def rhs(c, out):
-            return multiply(gen, flux(c, out), out=out)
+            return multiply(gen, flux(c, out), out)
 
         if self.linear_only:  # no product, and no tape to write; rk4 steps by R(dt L) alone
             def nonlinear(c, out):
@@ -244,7 +247,7 @@ class _VecOps:
                 return out
 
             def rhs_adjoint(lam, u, out):
-                return multiply(dual, lam, out=out)
+                return multiply(dual, lam, out)
             rhs = functools.partial(multiply, gen)
         return SimpleNamespace(square_half=square_half, product=product, nonlinear=nonlinear,
                                flux=flux, rhs=rhs, taped=taped, rhs_adjoint=rhs_adjoint,
@@ -310,60 +313,62 @@ def rk4_coefficients(dt: float, symbol, linear: bool = False) -> tuple:
     return tuple(np.asarray(s * np.asarray(symbol)) for s in (0.5 * dt, dt, dt / 6.0, dt / 3.0))
 
 
-def rk4_step(p, y: np.ndarray, coef: tuple, work: np.ndarray) -> None:
+def rk4_step(p, y: np.ndarray, coef: tuple, work) -> None:
     """One classical fourth-order Runge-Kutta step of y' = L p(y), taken in place on y.
 
-    p(x, out) writes p(x) into out; coef = rk4_coefficients(dt, L); work, of shape (5,
-    *y.shape), holds the four p values and the stage input y + (a L) p (L projects p).  A
-    linear coef, (R(dt L),), makes the step one multiply, without p.
+    p(x, out) writes p(x) into out; coef = rk4_coefficients(dt, L); work, five arrays of y's
+    shape (a tuple, unpacked without making views, or a (5, *y.shape) array), holds the four p
+    values and the stage input y + (a L) p (L projects p).  A linear coef, (R(dt L),), makes
+    the step one multiply, without p.
     """
     if len(coef) == 1:
-        np.multiply(coef[0], y, out=y)
+        np.multiply(coef[0], y, y)
         return
     half, whole, sixth, third = coef
     p1, p2, p3, p4, x = work
     add, multiply = np.add, np.multiply
     p(y, p1)
-    p(add(y, multiply(half, p1, out=x), out=x), p2)
-    p(add(y, multiply(half, p2, out=x), out=x), p3)
-    p(add(y, multiply(whole, p3, out=x), out=x), p4)
-    multiply(sixth, add(p1, p4, out=p1), out=p1)
-    add(y, add(p1, multiply(third, add(p2, p3, out=p2), out=p2), out=p1), out=y)
+    p(add(y, multiply(half, p1, x), x), p2)
+    p(add(y, multiply(half, p2, x), x), p3)
+    p(add(y, multiply(whole, p3, x), x), p4)
+    multiply(sixth, add(p1, p4, p1), p1)
+    add(y, add(p1, multiply(third, add(p2, p3, p2), p2), p1), y)
 
 
-def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work: np.ndarray, past=None) -> tuple:
+def _midpoint_solve(g, znorm, y: np.ndarray, dt, tol, work, past=None) -> tuple:
     """Solve z = y + dt g((y + z)/2) row by row by fixed-point iteration.
 
     The one implicit-midpoint solver, of the step (g the rhs) and of its transpose (the adjoint
     rhs); dt is a 0-d complex array.  g(x, out) and znorm are kernels bound to y's rows, and
-    work holds at least three arrays of y's shape.  The first iterate is y plus the next
-    increment extrapolated from past, the rows' increments z - y of the steps before, newest
-    first: Euler's dt g(y) with none, then d1, 2 d1 - d2 and, given three, 3 (d1 - d2) + d3
-    (the starting approximations of implicit Runge-Kutta steps).  A row stops once the Z norm
-    of its change is at most tol (a number, or one per row) or is not finite.  Every row stays
-    in place: while none has stopped the iterates swap buffers, and after the first stop only
-    the moving rows take the new iterate.  Returns z, in one of work's first three arrays, the
-    mask of the rows still moving after _MIDPOINT_MAX_ITER (the callers discard those rows of
-    z) and the last changes.
+    work, a tuple or an array, holds at least three arrays of y's shape.  The first iterate is
+    y plus the next increment extrapolated from past, the rows' increments z - y of the steps
+    before, newest first: Euler's dt g(y) with none, then d1, 2 d1 - d2 and, given three,
+    3 (d1 - d2) + d3 (the starting approximations of implicit Runge-Kutta steps).  A row stops
+    once the Z norm of its change is at most tol (a number, or one per row) or is not finite.
+    Every row stays in place: while none has stopped the iterates swap buffers, and after the
+    first stop only the moving rows take the new iterate.  Returns z, in one of work's first
+    three arrays, the mask of the rows still moving after _MIDPOINT_MAX_ITER (the callers
+    discard those rows of z) and the last changes.
     """
     z, mid, f = work[:3]
+    add, multiply = np.add, np.multiply
     if not past:
-        np.multiply(dt, g(y, f), out=z)
+        multiply(dt, g(y, f), z)
     elif len(past) == 1:
         np.copyto(z, past[0])
     else:
-        np.subtract(past[0], past[1], out=z)
+        np.subtract(past[0], past[1], z)
         if len(past) == 2:
-            np.add(past[0], z, out=z)
+            add(past[0], z, z)
         else:  # 3 times each real part: a complex 3 would flip the sign of a zero part
-            np.multiply(3.0, z.view(float), out=z.view(float))
-            np.add(z, past[2], out=z)
-    np.add(y, z, out=z)
+            multiply(3.0, z.view(float), z.view(float))
+            add(z, past[2], z)
+    add(y, z, z)
     still = None  # the rows still moving once one has stopped; None while none has
     for _ in range(_MIDPOINT_MAX_ITER):
-        np.multiply(_HALF, np.add(y, z, out=mid), out=mid)
-        np.add(y, np.multiply(dt, g(mid, f), out=f), out=f)
-        delta = znorm(np.subtract(f, z, out=mid))
+        multiply(_HALF, add(y, z, mid), mid)
+        add(y, multiply(dt, g(mid, f), f), f)
+        delta = znorm(np.subtract(f, z, mid))
         moving = delta > tol
         if still is None:
             z, f = f, z
@@ -385,14 +390,14 @@ def _remember(past: list, z: np.ndarray, y: np.ndarray) -> None:
 
 
 def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: int,
-                   work: np.ndarray, tape=None, past=None) -> None:
+                   work, tape=None, past=None) -> None:
     """One implicit-midpoint step of 0-d complex length dt, in place on the rows y.
 
-    kernels are bound to y's rows, and work, (5, *y.shape), holds _midpoint_solve's arrays and
-    the tape's midpoints.  The solve starts from the increments in past, the list of the steps
-    before in this segment, and adds this step's; without past, from Euler's guess.  A stalled
-    solve raises FlowError.  Given tape, of y's row shape and m_pad grid points, the midpoints'
-    grid values go into it.
+    kernels are bound to y's rows, and work, five arrays of y's shape as in rk4_step, holds
+    _midpoint_solve's arrays and the tape's midpoints.  The solve starts from the increments in
+    past, the list of the steps before in this segment, and adds this step's; without past,
+    from Euler's guess.  A stalled solve raises FlowError.  Given tape, of y's row shape and
+    m_pad grid points, the midpoints' grid values go into it.
     """
     z, stalled, residual = _midpoint_solve(kernels.rhs, kernels.znorm, y, dt, tol, work, past)
     if stalled.any():
@@ -401,8 +406,8 @@ def _midpoint_step(kernels, y: np.ndarray, dt: np.ndarray, tol: float, step_no: 
             f"residual {float(np.max(residual[stalled])):.3e} > tol {tol:.3e}"
         )
     if tape is not None:
-        mid = np.multiply(_HALF, np.add(y, z, out=work[3]), out=work[3])
-        IRFFT(mid, _HALF.real, out=tape)
+        mid = np.multiply(_HALF, np.add(y, z, work[3]), work[3])
+        IRFFT(mid, _HALF.real, tape)
     if past is not None:
         _remember(past, z, y)
     np.copyto(y, z)
@@ -507,11 +512,13 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     layout here and leave it on return and in record.  Takes ceil(|t_span| / dt) equal steps per
     segment, none for a zero horizon.  Every trace_every steps, and after the last, calls
     record(t, y).  Step i records into tape[:, i], if given, the grid values of its rk4 stage
-    inputs or midpoints.  A midpoint solve starts from the increments of the steps before it in
-    its segment, and from Euler's guess at a segment's first step, so each segment takes the
-    bits of a fresh flow from the rows it starts on.  Raises FlowError naming the step and time
-    (and the row, for a batch) as soon as a row turns non-finite.  Returns the final rows, the
-    step count and the Picard X^0 differences per subinterval.  More than MAX_STEPS steps a
+    inputs or midpoint: the step writes them into one contiguous (stages, rows, m_pad) block,
+    which is copied into the tape once the step is taken.  A midpoint solve starts from the
+    increments of the steps before it in its segment, and from Euler's guess at a segment's
+    first step, so each segment takes the bits of a fresh flow from the rows it starts on.
+    Raises FlowError naming the step and time (and the row, for a batch) as soon as a row turns
+    non-finite.  Returns the final rows, the step count and the Picard X^0 differences per
+    subinterval.  More than MAX_STEPS steps a
     segment are refused with a ValueError, before anything is allocated.
     """
     per_segment = _step_count(t_span, cfg.dt)
@@ -520,13 +527,15 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
     y = ops.pad(y)
     if cfg.integrator != "picard":  # which binds its own node rows
         # rk4 and the midpoint step the padded copy in place, in one set of five work rows.
-        work, step = np.empty((5,) + y.shape, complex), np.array(dt, complex)
+        work, step = tuple(np.empty((5,) + y.shape, complex)), np.array(dt, complex)
         kernels = ops.bind(y.shape[:-1])
         if cfg.integrator == "rk4":
             coef = rk4_coefficients(dt, kernels.gen, cfg.linear_only)
-        # rk4's P, writing the tape's rows in the order the stages are taken, step by step.
-        f = kernels.flux if tape is None else kernels.taped(chain.from_iterable(
-            tape.transpose(1, 2, 0, 3)))
+        f, slot = kernels.flux, None
+        if tape is not None:
+            # rk4's P writes stage s's grid values into block[s]; the midpoint, into block[0].
+            block = np.empty(tape.shape[2:3] + tape.shape[:1] + tape.shape[3:])
+            f, slot, by_step = kernels.taped(cycle(block)), block[0], tape.transpose(1, 2, 0, 3)
     # A row that overflows is reported below as a FlowError; numpy's own
     # RuntimeWarning would only repeat it.  One guard per call, not per step.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -536,11 +545,12 @@ def _advance(ops: _VecOps, y: np.ndarray, t_span: float, cfg: FlowConfig, trace_
             elif cfg.integrator == "implicit_midpoint":
                 if not i % per_segment:
                     past.clear()
-                _midpoint_step(kernels, y, step, cfg.midpoint_tol, i + 1, work,
-                               None if tape is None else tape[:, i, 0], past)
+                _midpoint_step(kernels, y, step, cfg.midpoint_tol, i + 1, work, slot, past)
             else:
                 y, diffs = _picard_subinterval(ops, y, dt, _PICARD_TOL, cfg.picard_max_iter, i * dt)
                 picard_diffs.append(tuple(diffs))
+            if tape is not None:
+                np.copyto(by_step[i], block)
             # A finite sum of squared moduli proves every entry finite; only one that is not
             # (an entry past 1e154, or not finite) needs the exact test.
             if not math.isfinite(np.vdot(y, y).real) and not np.isfinite(y).all():
@@ -649,38 +659,37 @@ def integrate_taped(c: np.ndarray, t_span: float, cfg: FlowConfig) -> tuple[np.n
     return _advance(_VecOps.of(cfg), c, t_span, cfg, tape=tape if tape.size else None)[0], tape
 
 
-def _rk4_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, coef: tuple,
-                      work: np.ndarray) -> None:
+def _rk4_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, coef: tuple, work) -> None:
     """The transpose of one rk4_step, in place on the cotangent rows lam.
 
-    u, of shape (rows, 4, m_pad), holds the grid values of the step's four stage inputs; coef
-    is rk4_coefficients(dt, L^T), L^T = i phi; work, of shape (6, *lam.shape), the stage
-    cotangents and temporaries; kernels are bound to lam's rows.  Stage s's cotangent is l_s =
-    mu_s + (the row of u_s w, w the grid values of mu_s), for mu4 = (dt/6 L^T) lam, mu3 = (dt/3
-    L^T) lam + (dt L^T) l4, mu2 = (dt/3 L^T) lam + (dt/2 L^T) l3 and mu1 = (dt/6 L^T) lam + (dt/2
-    L^T) l2; lam gains the mask times their sum (L^T projects each mu).  A linear coef
-    multiplies lam by R(dt L^T).
+    u holds the grid values of the step's four stage inputs, four (rows, m_pad) arrays (a tuple,
+    or a (4, rows, m_pad) array); coef is rk4_coefficients(dt, L^T), L^T = i phi; work, six
+    arrays of lam's shape (a tuple or an array), the stage cotangents and temporaries; kernels
+    are bound to lam's rows.  Stage s's cotangent is l_s = mu_s + (the row of u_s w, w the grid
+    values of mu_s), for mu4 = (dt/6 L^T) lam, mu3 = (dt/3 L^T) lam + (dt L^T) l4, mu2 = (dt/3
+    L^T) lam + (dt/2 L^T) l3 and mu1 = (dt/6 L^T) lam + (dt/2 L^T) l2; lam gains the mask times
+    their sum (L^T projects each mu).  A linear coef multiplies lam by R(dt L^T).
     """
     if len(coef) == 1:
-        np.multiply(coef[0], lam, out=lam)
+        np.multiply(coef[0], lam, lam)
         return
     half, whole, sixth, third = coef
     l2, l3, l4, a, b, mu = work
     add, multiply, product = np.add, np.multiply, kernels.product
-    multiply(sixth, lam, out=a)
-    multiply(third, lam, out=b)
-    add(a, product(a, u[:, 3], l4), out=l4)
+    multiply(sixth, lam, a)
+    multiply(third, lam, b)
+    add(a, product(a, u[3], l4), l4)
     # Stage s's cotangent from lam's share and stage s + 1's, written into out; l1 goes into a.
     for s, share, step, later, out in ((2, b, whole, l4, l3), (1, b, half, l3, l2),
                                        (0, a, half, l2, a)):
-        add(share, multiply(step, later, out=mu), out=mu)
-        add(mu, product(mu, u[:, s], out), out=out)
-    add(a, add(l2, add(l3, l4, out=l4), out=l4), out=l4)
-    add(lam, multiply(kernels.mask, l4, out=l4), out=lam)
+        add(share, multiply(step, later, mu), mu)
+        add(mu, product(mu, u[s], out), out)
+    add(a, add(l2, add(l3, l4, l4), l4), l4)
+    add(lam, multiply(kernels.mask, l4, l4), lam)
 
 
 def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarray,
-                           tol: float, work: np.ndarray, past: list) -> None:
+                           tol: float, work, past: list) -> None:
     """The transpose of one implicit-midpoint step, in place on the cotangent rows lam.
 
     u, of shape (rows, m_pad), holds the grid values of the converged midpoints.  The step's
@@ -701,29 +710,41 @@ def _midpoint_adjoint_step(kernels, u: np.ndarray, lam: np.ndarray, dt: np.ndarr
 def adjoint_batch(tape: np.ndarray, lam: np.ndarray, t_span: float, cfg: FlowConfig) -> np.ndarray:
     """Pull the cotangent rows lam, given at t_span, back to time 0 through a taped flow.
 
-    tape is integrate_taped's over the same t_span and cfg.  Row i of the
-    result is the gradient, in the pairing Re sum conj(.) (.) on rows, of
-    Re sum conj(lam_i) c_i(t_span) with respect to the initial row c_i: the
-    discrete adjoint of the step map, exact up to rounding for rk4 and to
-    midpoint_tol for the implicit midpoint.  Every row depends on its own
-    tape and cotangent alone, bit for bit; a row that overflows comes back
-    non-finite, and the caller decides what that costs.
+    tape is integrate_taped's over the same t_span and cfg, of shape (rows, *tape_shape(t_span,
+    cfg)) for lam of shape (rows, cfg.N); a tape or cotangents of any other shape are refused
+    with a ValueError (Picard by tape_shape's).  Row i of the result is the gradient, in the
+    pairing Re sum conj(.) (.) on rows, of Re sum conj(lam_i) c_i(t_span) with respect to the
+    initial row c_i: the discrete adjoint of the step map, exact up to rounding for rk4 and to
+    midpoint_tol for the implicit midpoint.  Every row depends on its own tape and cotangent
+    alone, bit for bit; a row that overflows comes back non-finite, and the caller decides what
+    that costs.
     """
+    lam = np.asarray(lam)
+    _check_rows(lam, cfg, "adjoint_batch")
+    want = (len(lam),) + tape_shape(t_span, cfg)
+    if tape.shape != want:
+        raise ValueError(f"adjoint_batch needs a tape of shape {want} for cotangents of shape "
+                         f"{lam.shape} over T = {t_span!r}, got {tape.shape}")
     ops = _VecOps.of(cfg)
-    lam = ops.pad(np.asarray(lam))
-    n_steps = tape.shape[1]
+    lam = ops.pad(lam)
+    n_steps = want[1]
     dt = t_span / max(n_steps, 1)
-    work, step, past = np.empty((6,) + lam.shape, complex), np.array(dt, complex), []
+    work, step, past = tuple(np.empty((6,) + lam.shape, complex)), np.array(dt, complex), []
     kernels = ops.bind(lam.shape[:-1])
     if cfg.integrator == "rk4":
         coef = rk4_coefficients(dt, kernels.dual, cfg.linear_only)
+    # Each step's grids are copied from tape[:, i] into one contiguous (stages, rows, m_pad)
+    # block; a linear_only tape has none to copy.
+    block = np.empty(want[2:3] + want[:1] + want[3:])
+    u, by_step = tuple(block), tape.transpose(1, 2, 0, 3)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in reversed(range(n_steps)):
+            if block.size:
+                np.copyto(block, by_step[i])
             if cfg.integrator == "rk4":
-                _rk4_adjoint_step(kernels, tape[:, i], lam, coef, work)
+                _rk4_adjoint_step(kernels, u, lam, coef, work)
             else:
-                _midpoint_adjoint_step(kernels, tape[:, i, 0], lam, step, cfg.midpoint_tol, work,
-                                       past)
+                _midpoint_adjoint_step(kernels, u[0], lam, step, cfg.midpoint_tol, work, past)
     return lam[..., ops.modes].copy()
 
 

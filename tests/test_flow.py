@@ -420,6 +420,26 @@ class TestAdjoint:
         with pytest.raises(ValueError, match="^integrator = 'picard' has no adjoint"):
             integrate_taped(np.zeros((1, 8), complex), 0.5, cfg)
 
+    # A T = 1 rk4 tape of two rows at N = 8 pulled back under a call it does not fit.  A shorter
+    # horizon or another integrator used to return a different gradient in silence, and
+    # cotangents of other rows or another N ended in a numpy broadcast error.
+    @pytest.mark.parametrize("t_span, integrator, lam_shape, want", [
+        (0.5, "rk4", (2, 8), r"^adjoint_batch needs a tape of shape \(2, 5, 4, 25\) for "
+                             r"cotangents of shape \(2, 8\) .*got \(2, 10, 4, 25\)$"),
+        (1.0, "implicit_midpoint", (2, 8), r"^adjoint_batch needs a tape of shape "
+                                           r"\(2, 10, 1, 25\) .*got \(2, 10, 4, 25\)$"),
+        (1.0, "picard", (2, 8), "^integrator = 'picard' has no adjoint"),
+        (1.0, "rk4", (3, 8), r"^adjoint_batch needs a tape of shape \(3, 10, 4, 25\) for "
+                             r"cotangents of shape \(3, 8\) .*got \(2, 10, 4, 25\)$"),
+        (1.0, "rk4", (2, 6), r"^adjoint_batch needs rows of shape \(batch, 8\), got \(2, 6\)$"),
+    ], ids=["shorter_horizon", "midpoint", "picard", "rows", "modes"])
+    def test_tape_of_another_call_is_refused(self, t_span, integrator, lam_shape, want):
+        c = rows_of([random_state(i, 8, radius=0.8) for i in range(2)])
+        _, tape = integrate_taped(c, 1.0, FlowConfig(N=8, dt=0.1))
+        cfg = FlowConfig(N=8, dt=0.1, integrator=integrator)
+        with pytest.raises(ValueError, match=want):
+            adjoint_batch(tape, np.ones(lam_shape, complex), t_span, cfg)
+
 
 def _padding(rows, n_modes):
     """Bin 0 and the bins above n_modes of the finite rows among rows (any leading shape)."""
@@ -678,10 +698,25 @@ UNCHANGED_DIGEST = "a30a82cb331590c93cbf30a0f760f6f1e12551bd991f290c3eb42780c8fe
 # extrapolated increments of the steps before it: the implicit midpoint forward, taped and in
 # reverse, with and without linear_only, and its interaction samples.
 MIDPOINT_DIGEST = "31e9fa6b14a2ef60330abc0f86cb9d094c70a9843942f995d9a4e59d935de939"
+# sha256 of rk4_outputs(), recorded before rk4's stage grids went through a per-step block:
+# rk4 forward, taped and in reverse at a witness search's N = 32, dt = 0.02 and T = 1, on 1, 2
+# and 16 rows, with and without linear_only.
+RK4_DIGEST = "3178b994b72dc03d86afefaf748c9779a9a9d5c05630fb7808299cda169aaa75"
 
 
 def _digest_inputs():
     return tuple(_draws(3, name, 4, 12) for name in ("digest", "digest-lam"))
+
+
+def rk4_outputs():
+    outs = []
+    for batch in (1, 2, 16):
+        c, lam = (_draws(5, name, batch, 32) for name in ("digest-rk4", "digest-rk4-lam"))
+        for linear_only in (False, True):
+            cfg = FlowConfig(N=32, dt=0.02, linear_only=linear_only)
+            final, tape = integrate_taped(c, 1.0, cfg)
+            outs += [integrate_batch(c, 1.0, cfg), final, tape, adjoint_batch(tape, lam, 1.0, cfg)]
+    return outs
 
 
 def midpoint_outputs():
@@ -714,6 +749,10 @@ def _sha256(outs):
 def test_midpoint_picard_and_rhs_keep_their_bits():
     assert _sha256(picard_and_rhs_outputs()) == UNCHANGED_DIGEST
     assert _sha256(midpoint_outputs()) == MIDPOINT_DIGEST
+
+
+def test_rk4_keeps_its_bits():
+    assert _sha256(rk4_outputs()) == RK4_DIGEST
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
